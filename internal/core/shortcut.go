@@ -246,11 +246,11 @@ type qpair struct{ a, b int32 }
 
 // queryScratch bundles the reusable working state of block and part-diameter
 // queries: the epoch-stamped dense-local-index map, the union-find and
-// marking arrays of the block decomposition, the CSR buffers and BFS state of
-// the diameter computation, and the append arenas block results accumulate
-// into. Scratches are pooled (getQuery/putQuery), so Seal's per-part workers
-// and the unsealed lazy query path alike touch the allocator only for their
-// outputs. Moving this state out of Shortcut is what makes sealed reads
+// marking arrays of the block decomposition, the CSR of G[P_i]+H_i and the
+// state of its exact diameter computation, and the append arenas block
+// results accumulate into. Scratches are pooled (getQuery/putQuery), so
+// Seal's per-part workers and the unsealed lazy query path alike touch the
+// allocator only for their outputs. Moving this state out of Shortcut is what makes sealed reads
 // pure: the pre-seal code stamped qIdx/qTag scratch inside the shared
 // Shortcut on every "read", so two goroutines measuring one cached shortcut
 // raced.
@@ -269,8 +269,7 @@ type queryScratch struct {
 	cur   []int32        // per-block fill cursor
 	off   []int32        // part-adjacency CSR offsets
 	to    []int32        // part-adjacency CSR targets
-	dist  []int32        // BFS distances
-	queue []int32        // BFS queue
+	diam  graph.Scratch  // ExactDiameter's BFS and eccentricity-bound state
 
 	// Append arenas of appendBlocks: block headers and their node lists.
 	// Within one putQuery lifetime the arenas only grow, so Block.Nodes
@@ -573,43 +572,8 @@ func (s *Shortcut) PartDiameter(i int) int {
 }
 
 func (s *Shortcut) partDiameter(qs *queryScratch, i int) int {
-	nVerts := s.partAdjacency(qs, i)
-	if nVerts == 0 {
-		return graph.Unreached
-	}
-	adjOff, adjTo := qs.off, qs.to
-	diam := 0
-	qs.dist = growInt32(qs.dist[:0], nVerts)
-	if cap(qs.queue) < nVerts {
-		qs.queue = make([]int32, 0, nVerts)
-	}
-	dist := qs.dist
-	for src := 0; src < nVerts; src++ {
-		for k := range dist {
-			dist[k] = -1
-		}
-		queue := qs.queue[:0]
-		dist[src] = 0
-		queue = append(queue, int32(src))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, w := range adjTo[adjOff[v]:adjOff[v+1]] {
-				if dist[w] == -1 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		for _, d := range dist {
-			if d == -1 {
-				return graph.Unreached
-			}
-			if int(d) > diam {
-				diam = int(d)
-			}
-		}
-	}
-	return diam
+	s.partAdjacency(qs, i)
+	return graph.ExactDiameter(&qs.diam, qs.off, qs.to)
 }
 
 // Dilation returns the exact dilation: the maximum PartDiameter over all
@@ -633,8 +597,8 @@ func (s *Shortcut) Dilation() int {
 // vertex indices into qs.off/qs.to: G's edges interior to P_i (each once, by
 // endpoint order), plus the H_i edges that leave P_i — an H_i edge interior
 // to P_i is a G-edge between part vertices and was already added by the
-// induced pass. Returns the local vertex count.
-func (s *Shortcut) partAdjacency(qs *queryScratch, i int) (nVerts int) {
+// induced pass. qs.off ends up with one entry per local vertex, plus one.
+func (s *Shortcut) partAdjacency(qs *queryScratch, i int) {
 	g := s.t.Graph()
 	qs.begin(g.NumNodes())
 	for _, v := range s.p.Nodes(i) {
@@ -657,7 +621,7 @@ func (s *Shortcut) partAdjacency(qs *queryScratch, i int) (nVerts int) {
 		b := qs.local(ed.V)
 		qs.pairs = append(qs.pairs, qpair{a, b})
 	}
-	nVerts = len(qs.verts)
+	nVerts := len(qs.verts)
 	qs.off = growInt32(qs.off[:0], nVerts+1)
 	for k := range qs.off {
 		qs.off[k] = 0
@@ -678,7 +642,6 @@ func (s *Shortcut) partAdjacency(qs *queryScratch, i int) (nVerts int) {
 		qs.to[qs.cur[e.b]] = e.a
 		qs.cur[e.b]++
 	}
-	return nVerts
 }
 
 // Validate checks structural invariants: only tree edges are assigned, and

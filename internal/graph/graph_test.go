@@ -126,13 +126,21 @@ func TestDiameter(t *testing.T) {
 		{"cycle10", cycle(t, 10), 5},
 		{"cycle9", cycle(t, 9), 4},
 		{"single", MustNewBuilder(1).Finalize(), 0},
+		{"grid6x5", gridGraph(6, 5), 9},
+		// Disconnected graphs report their largest component diameter.
+		{"components", componentMix(t), 9},
+		{"edgeless", MustNewBuilder(3).Finalize(), 0},
+		{"empty", MustNewBuilder(0).Finalize(), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.g.Diameter(); got != tc.want {
-				t.Errorf("Diameter = %d, want %d", got, tc.want)
+			if got, ref := tc.g.Diameter(), componentsDiameter(tc.g); got != tc.want || ref != tc.want {
+				t.Errorf("Diameter = %d, all-pairs per component %d, want %d", got, ref, tc.want)
 			}
-			if got := tc.g.ApproxDiameter(0); tc.g.NumNodes() > 0 && (got > tc.want || got*2 < tc.want) {
+			if tc.g.NumNodes() == 0 || !tc.g.Connected() {
+				return // ApproxDiameter's bound holds on connected graphs
+			}
+			if got := tc.g.ApproxDiameter(0); got > tc.want || got*2 < tc.want {
 				t.Errorf("ApproxDiameter = %d, want in [%d, %d]", got, (tc.want+1)/2, tc.want)
 			}
 		})
@@ -158,6 +166,41 @@ func TestSubsetDiameter(t *testing.T) {
 	// members the BFS then fails to reach.
 	if got := g.SubsetDiameter([]NodeID{1, 1, 2, 2, 3}); got != 2 {
 		t.Errorf("duplicate-vertex subset diameter = %d, want 2", got)
+	}
+
+	// The same contract on a grid, checked against the all-pairs diameter of
+	// the independently induced subgraph, on a fresh and a reused scratch.
+	grid := gridGraph(6, 5) // vertex r*6+c
+	all := make([]NodeID, 0, 30)
+	for v := 29; v >= 0; v-- {
+		all = append(all, v)
+	}
+	cases := []struct {
+		name string
+		set  []NodeID
+		want int
+	}{
+		{"empty", nil, Unreached},
+		{"singleton", []NodeID{7}, 0},
+		{"duplicate-singleton", []NodeID{7, 7, 7}, 0},
+		{"duplicates", []NodeID{0, 1, 1, 2, 0, 8, 2}, 3},
+		{"disconnected", []NodeID{0, 1, 3, 4}, Unreached},
+		{"disconnected-duplicates", []NodeID{0, 0, 29, 29}, Unreached},
+		{"snake", []NodeID{0, 1, 2, 3, 4, 5, 11, 17, 16, 15, 14, 13, 12}, 12},
+		{"ring", []NodeID{7, 8, 9, 10, 16, 22, 21, 20, 19, 13}, 5},
+		{"whole", all, 9},
+	}
+	s := NewScratch(0)
+	for _, tc := range cases {
+		if ref := allPairsDiameter(inducedCSR(grid, tc.set)); ref != tc.want {
+			t.Fatalf("%s: all-pairs reference = %d, want %d", tc.name, ref, tc.want)
+		}
+		if got := grid.SubsetDiameter(tc.set); got != tc.want {
+			t.Errorf("%s: SubsetDiameter = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := grid.SubsetDiameterScratch(s, tc.set); got != tc.want {
+			t.Errorf("%s: SubsetDiameterScratch on a reused scratch = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

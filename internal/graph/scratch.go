@@ -18,6 +18,14 @@ type Scratch struct {
 	queue []int32
 	mark  []int32
 	epoch int32
+
+	// ExactDiameter's eccentricity bounds and candidate list, and the number
+	// of BFSs its last call ran.
+	lo, hi, cand []int32
+	sweeps       int
+	// SubsetDiameterScratch's induced subgraph: the local index of each
+	// member vertex and the local CSR offsets and targets.
+	idx, off, to []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -40,14 +48,8 @@ func (s *Scratch) Release() { scratchPool.Put(s) }
 
 // ensure grows the buffers to cover n vertices.
 func (s *Scratch) ensure(n int) {
-	if cap(s.dist) < n {
-		s.dist = make([]int32, n)
-	}
-	s.dist = s.dist[:n]
-	if cap(s.queue) < n {
-		s.queue = make([]int32, 0, n)
-	}
-	s.queue = s.queue[:0]
+	s.dist = fitInt32(s.dist, n)
+	s.queue = fitInt32(s.queue, n)[:0]
 	if cap(s.mark) < n {
 		s.mark = make([]int32, n)
 		s.epoch = 0

@@ -3,28 +3,11 @@ package graph
 // Unreached marks vertices not reached by a traversal in distance slices.
 const Unreached = -1
 
-// bfsLoop drains the pre-seeded queue in s, expanding over the CSR arrays.
-// Callers seed s.dist/s.queue with the sources first. The loop indexes a
-// fixed-capacity queue manually (each vertex enters at most once, so n slots
-// suffice) and works on local copies of the hot arrays, keeping the inner
-// loop free of append bookkeeping and repeated field loads.
+// bfsLoop drains the pre-seeded queue in s over the graph's CSR arrays.
+// Callers seed s.dist/s.queue with the sources first.
 func (g *Graph) bfsLoop(s *Scratch) {
-	dist, offsets, arcTo := s.dist, g.arcOffsets, g.arcTo
-	queue := s.queue[:len(dist)]
-	head, tail := 0, len(s.queue)
-	for head < tail {
-		v := queue[head]
-		head++
-		d := dist[v] + 1
-		for _, w := range arcTo[offsets[v]:offsets[v+1]] {
-			if dist[w] == Unreached {
-				dist[w] = d
-				queue[tail] = w
-				tail++
-			}
-		}
-	}
-	s.queue = queue[:tail]
+	queue := s.queue[:len(s.dist)]
+	s.queue = queue[:drainBFS(g.arcOffsets, g.arcTo, s.dist, queue, len(s.queue))]
 }
 
 // distToInt copies an int32 distance buffer into a fresh caller-owned []int.
@@ -173,18 +156,23 @@ func (g *Graph) Eccentricity(src NodeID) int {
 	return g.EccentricityScratch(s, src)
 }
 
-// Diameter returns the exact hop diameter of a connected graph by running a
-// BFS from every vertex. It is O(n·m); use ApproxDiameter for large graphs.
-// For a disconnected graph it returns the largest component-internal
-// eccentricity observed.
+// Diameter returns the exact hop diameter of g (see ExactDiameter). For a
+// disconnected graph it returns the largest diameter of any component, and
+// for the empty graph 0.
 func (g *Graph) Diameter() int {
 	s := GetScratch()
 	defer s.Release()
+	if d := ExactDiameter(s, g.arcOffsets, g.arcTo); d != Unreached || g.NumNodes() == 0 {
+		return max(d, 0)
+	}
+	label, k := g.Components()
+	comps := make([][]NodeID, k)
+	for v, c := range label {
+		comps[c] = append(comps[c], v)
+	}
 	diam := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		if e := g.EccentricityScratch(s, v); e > diam {
-			diam = e
-		}
+	for _, comp := range comps {
+		diam = max(diam, g.SubsetDiameterScratch(s, comp))
 	}
 	return diam
 }
@@ -214,49 +202,36 @@ func (g *Graph) SubsetDiameter(set []NodeID) int {
 	return g.SubsetDiameterScratch(s, set)
 }
 
-// SubsetDiameterScratch is SubsetDiameter reusing s's buffers: membership is
-// epoch-stamped, and distance entries are un-set via the queue after each
-// source's sweep, so the whole computation performs no per-source allocation.
+// SubsetDiameterScratch is SubsetDiameter reusing s's buffers: it lays the
+// induced subgraph out as a CSR over dense local indices (members are
+// epoch-stamped, so repeated vertices collapse into one) and runs
+// ExactDiameter on it. Steady-state calls are allocation-free.
 func (g *Graph) SubsetDiameterScratch(s *Scratch, set []NodeID) int {
 	if len(set) == 0 {
 		return Unreached
 	}
 	s.ensure(g.NumNodes())
 	s.nextEpoch()
-	members := 0 // unique members; the input may repeat vertices
+	s.idx = fitInt32(s.idx, g.NumNodes())
+	verts := s.queue[:0] // local index -> vertex
 	for _, v := range set {
 		if s.mark[v] != s.epoch {
 			s.mark[v] = s.epoch
-			members++
+			s.idx[v] = int32(len(verts))
+			verts = append(verts, int32(v))
 		}
 	}
-	s.resetDist()
-	diam := int32(0)
-	for _, src := range set {
-		// Invariant: every dist entry is Unreached here.
-		s.queue = append(s.queue[:0], int32(src))
-		s.dist[src] = 0
-		for head := 0; head < len(s.queue); head++ {
-			v := NodeID(s.queue[head])
-			if s.dist[v] > diam {
-				diam = s.dist[v]
-			}
-			d := s.dist[v] + 1
-			lo, hi := g.arcOffsets[v], g.arcOffsets[v+1]
-			for _, w := range g.arcTo[lo:hi] {
-				if s.mark[w] == s.epoch && s.dist[w] == Unreached {
-					s.dist[w] = d
-					s.queue = append(s.queue, w)
-				}
+	s.off = fitInt32(s.off, len(verts)+1)
+	s.off[0] = 0
+	to := s.to[:0]
+	for i, v := range verts {
+		for _, w := range g.arcTo[g.arcOffsets[v]:g.arcOffsets[v+1]] {
+			if s.mark[w] == s.epoch {
+				to = append(to, s.idx[w])
 			}
 		}
-		reached := len(s.queue)
-		for _, v := range s.queue {
-			s.dist[v] = Unreached
-		}
-		if reached != members {
-			return Unreached
-		}
+		s.off[i+1] = int32(len(to))
 	}
-	return int(diam)
+	s.to = to
+	return ExactDiameter(s, s.off, s.to)
 }

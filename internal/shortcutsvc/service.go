@@ -37,9 +37,10 @@ type Config struct {
 	// retains its sealed shortcut, so memory scales with entry count times
 	// instance size.
 	CacheEntries int
-	// MaxNodes rejects graphs larger than this (default 1<<17); shortcut
-	// construction is fast, but the quality measures seal computes are
-	// superlinear in part size.
+	// MaxNodes rejects graphs larger than this (default 1<<17). The seal's
+	// exact part diameters usually take a handful of BFSs per part, but a
+	// vertex-transitive part (a "whole" ring, torus or hypercube) takes one
+	// per vertex: O(n·m) for a part of n vertices and m edges.
 	MaxNodes int
 	// ConstructWorkers is the per-construction parallelism forwarded to
 	// FindConfig.Workers (default 1: under concurrent load, parallelism
@@ -133,9 +134,10 @@ type Stats struct {
 
 // call is one in-flight construction of the single-flight layer.
 type call struct {
-	done chan struct{}
-	ent  *entry
-	err  error
+	done    chan struct{}
+	ent     *entry
+	err     error
+	waiters int // coalesced requests waiting on done; guarded by Service.mu
 }
 
 // Service answers shortcut queries. Safe for concurrent use.
@@ -149,6 +151,10 @@ type Service struct {
 	flight map[cacheKey]*call
 
 	sem chan struct{} // construction slots
+
+	// constructHook, set only by tests, runs at the start of every
+	// construction, while it holds its slot.
+	constructHook func()
 
 	requests    atomic.Int64
 	hits        atomic.Int64
@@ -278,6 +284,7 @@ func (s *Service) query(req *Request) (*entry, Outcome, error) {
 		return ent, OutcomeHit, nil
 	}
 	if c, inflight := s.flight[key]; inflight {
+		c.waiters++
 		s.mu.Unlock()
 		<-c.done
 		if c.err != nil {
@@ -290,22 +297,36 @@ func (s *Service) query(req *Request) (*entry, Outcome, error) {
 	s.flight[key] = c
 	s.mu.Unlock()
 
-	c.ent, c.err = s.construct(req, g, p, key)
-	s.mu.Lock()
-	delete(s.flight, key)
-	if c.err == nil {
-		s.cachePut(c.ent)
-		if hasRef {
-			s.refs[rk] = key
-		}
-	}
-	s.mu.Unlock()
-	close(c.done)
+	s.lead(c, req, g, p, key, rk, hasRef)
 	if c.err != nil {
 		return nil, "", c.err
 	}
 	s.misses.Add(1)
 	return c.ent, OutcomeMiss, nil
+}
+
+// lead runs the construction of the in-flight call c and publishes its
+// outcome: it caches a success, drops the key from the flight map and wakes
+// every coalesced waiter. Publishing is deferred, so a panic in the
+// construction reaches the leader and every waiter as an error, and the key
+// stays retryable instead of hanging.
+func (s *Service) lead(c *call, req *Request, g *graph.Graph, p *partition.Partition, key cacheKey, rk refKey, hasRef bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.ent, c.err = nil, fmt.Errorf("construction panicked: %v", r)
+		}
+		s.mu.Lock()
+		delete(s.flight, key)
+		if c.err == nil {
+			s.cachePut(c.ent)
+			if hasRef {
+				s.refs[rk] = key
+			}
+		}
+		s.mu.Unlock()
+		close(c.done)
+	}()
+	c.ent, c.err = s.construct(req, g, p, key)
 }
 
 // construct runs the construction on a bounded slot.
@@ -316,6 +337,9 @@ func (s *Service) construct(req *Request, g *graph.Graph, p *partition.Partition
 		s.inFlight.Add(-1)
 		<-s.sem
 	}()
+	if s.constructHook != nil {
+		s.constructHook()
+	}
 
 	tr := tree.BFSTree(g, 0)
 	start := time.Now()

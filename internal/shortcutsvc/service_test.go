@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -307,6 +308,77 @@ func TestSingleFlight(t *testing.T) {
 	if st := svc.Stats(); st.Misses != 1 || st.Hits+st.Coalesced != callers-1 {
 		t.Errorf("stats %+v don't show 1 miss + %d shared answers", st, callers-1)
 	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSingleFlightPanic pins the panic safety of the single-flight layer:
+// a construction that panics while requests are coalesced on it reports an
+// error to its leader and to every waiter, releases its slot, leaks no
+// goroutine, and leaves the key retryable — the next request is a fresh
+// miss.
+func TestSingleFlightPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	svc := New(Config{})
+	release := make(chan struct{})
+	var constructions atomic.Int32
+	svc.constructHook = func() {
+		if constructions.Add(1) == 1 {
+			<-release
+			panic("injected construction failure")
+		}
+	}
+	req := func() *Request {
+		return &Request{Family: "grid", N: 256, Seed: 3, Partition: PartitionSpec{Kind: "voronoi", Parts: 8, Seed: 3}}
+	}
+	const waiters = 4
+	errs := make(chan error, waiters+1)
+	query := func() {
+		_, _, err := svc.Query(req())
+		errs <- err
+	}
+	go query() // the leader: its construction blocks in the hook
+	waitUntil(t, "the leader holds a construction slot", func() bool { return svc.Stats().InFlight == 1 })
+	for k := 0; k < waiters; k++ {
+		go query()
+	}
+	waitUntil(t, "every waiter has coalesced", func() bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		n := 0
+		for _, c := range svc.flight {
+			n += c.waiters
+		}
+		return n == waiters
+	})
+	close(release)
+	for k := 0; k < waiters+1; k++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("request %d: err = %v, want the construction panic as an error", k, err)
+		}
+	}
+	svc.mu.Lock()
+	flights := len(svc.flight)
+	svc.mu.Unlock()
+	if st := svc.Stats(); st.InFlight != 0 || st.Errors != waiters+1 || flights != 0 {
+		t.Errorf("after the panic: stats %+v, %d keys in flight; want no slot held, %d errors, no key in flight", st, flights, waiters+1)
+	}
+	if _, out, err := svc.Query(req()); err != nil || out != OutcomeMiss {
+		t.Fatalf("retry after the panic: outcome=%v err=%v, want a successful miss", out, err)
+	}
+	if st := svc.Stats(); st.InFlight != 0 || st.Misses != 1 {
+		t.Errorf("after the retry: stats %+v, want 1 miss and no slot held", st)
+	}
+	waitUntil(t, "the goroutine count returns to its baseline", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestLRUEviction pins the capacity bound: filling past CacheEntries evicts
