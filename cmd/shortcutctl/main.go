@@ -90,6 +90,12 @@ func run(args []string, out io.Writer) error {
 	if err := p.Validate(g); err != nil {
 		return err
 	}
+	if *render >= 0 && w == 0 {
+		return fmt.Errorf("-render needs a grid-family graph")
+	}
+	if *render >= p.NumParts() {
+		return fmt.Errorf("-render %d: the partition has only %d parts", *render, p.NumParts())
+	}
 	tr := tree.BFSTree(g, 0)
 	cStar := core.WitnessCongestion(tr, p)
 	c := *cFlag
@@ -143,9 +149,6 @@ func run(args []string, out io.Writer) error {
 		q.BlockParameter*(2*tr.Height()+1))
 
 	if *render >= 0 {
-		if w == 0 {
-			return fmt.Errorf("-render needs a grid-family graph")
-		}
 		renderBlocks(out, s, p, w, h, *render)
 	}
 	return nil

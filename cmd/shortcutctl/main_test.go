@@ -83,6 +83,8 @@ func TestRunErrorPaths(t *testing.T) {
 		{"columns-needs-grid", []string{"-graph", "ring:8", "-partition", "columns"}, "columns partition needs a grid"},
 		{"bad-mode", []string{"-graph", "grid:4x4", "-partition", "columns", "-mode", "quantum"}, "unknown mode"},
 		{"render-needs-grid", []string{"-graph", "ring:8", "-partition", "voronoi:2", "-render", "0"}, "-render needs a grid-family graph"},
+		{"render-part-out-of-range", []string{"-graph", "grid:6x6", "-partition", "voronoi:3", "-render", "7"}, "-render 7: the partition has only 3 parts"},
+		{"render-part-at-count", []string{"-graph", "grid:6x6", "-partition", "voronoi:3", "-render", "3"}, "-render 3: the partition has only 3 parts"},
 		{"dist-infeasible-params", []string{"-graph", "grid:16x16", "-partition", "snake:4", "-mode", "dist", "-c", "1"}, "distributed FindShortcut failed"},
 	}
 	for _, tc := range cases {

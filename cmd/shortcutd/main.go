@@ -3,8 +3,8 @@
 // registry reference (family+n+seed) or an uploaded edge list plus a
 // partition spec, runs the FindShortcut construction on a bounded worker
 // pool, and returns the quality measures; repeated queries are served from
-// a content-addressed LRU cache of sealed shortcuts. GET /healthz, /metrics
-// and /stats expose liveness and counters.
+// a content-addressed LRU cache of construction results. GET /healthz,
+// /metrics and /stats expose liveness and counters.
 //
 // Examples:
 //
@@ -45,7 +45,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("shortcutd", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8437", "listen address (host:port; port 0 picks a free port)")
-		cacheEntries = fs.Int("cache-entries", 256, "LRU cache capacity (sealed shortcuts retained)")
+		cacheEntries = fs.Int("cache-entries", 256, "LRU cache capacity (one fixed-size result per entry)")
 		maxNodes     = fs.Int("max-nodes", 1<<17, "reject graphs larger than this many nodes")
 		workers      = fs.Int("construct-workers", 1, "per-construction walk/seal parallelism (0 = GOMAXPROCS)")
 		concurrent   = fs.Int("max-concurrent", 0, "bound on concurrent constructions (0 = GOMAXPROCS)")

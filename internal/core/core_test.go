@@ -263,54 +263,16 @@ func TestFindShortcutAuto(t *testing.T) {
 	}
 }
 
-func TestShortcutAssignAndQueries(t *testing.T) {
-	g := gen.Grid(3, 3)
-	tr := tree.BFSTree(g, 0)
-	p := partition.GridColumns(3, 3)
-	s := NewShortcut(tr, p)
-	e := tr.ParentEdge(4) // some tree edge
-	s.Assign(e, 2)
-	s.Assign(e, 0)
-	s.Assign(e, 2) // duplicate ignored
-	if got := s.PartsOn(e); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("PartsOn = %v, want [0 2]", got)
-	}
-	if !s.Contains(e, 0) || s.Contains(e, 1) {
-		t.Error("Contains wrong")
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAssignRejectsNonTreeEdge(t *testing.T) {
-	g := gen.Ring(5) // one non-tree edge exists
-	tr := tree.BFSTree(g, 0)
-	nonTree := -1
-	for e := 0; e < g.NumEdges(); e++ {
-		if !tr.IsTreeEdge(e) {
-			nonTree = e
-		}
-	}
-	if nonTree == -1 {
-		t.Fatal("no non-tree edge found")
-	}
-	s := NewShortcut(tr, partition.Whole(5))
-	defer func() {
-		if recover() == nil {
-			t.Error("Assign accepted a non-tree edge")
-		}
-	}()
-	s.Assign(nonTree, 0)
-}
-
 func TestCongestionCountsInducedEdges(t *testing.T) {
 	// A part's interior edge counts toward congestion even without being in
 	// any H_i.
 	g := gen.Path(3)
 	tr := tree.BFSTree(g, 0)
 	p := partition.Whole(3)
-	s := NewShortcut(tr, p)
+	s, err := NewShortcut(tr, p, make([][]int, g.NumEdges()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Congestion(); got != 1 {
 		t.Errorf("empty shortcut congestion = %d, want 1 (induced edges)", got)
 	}
@@ -331,12 +293,16 @@ func TestBlocksStructure(t *testing.T) {
 	}
 	// part {1,3} is disconnected in G — fine for block mechanics testing;
 	// Validate on the partition would fail but Shortcut.Blocks doesn't care.
-	s := NewShortcut(tr, p)
 	e, ok := g.FindEdge(2, 3)
 	if !ok || !tr.IsTreeEdge(e) {
 		t.Fatal("edge (2,3) should be a tree edge")
 	}
-	s.Assign(e, 0)
+	edgeParts := make([][]int, g.NumEdges())
+	edgeParts[e] = []int{0}
+	s, err := NewShortcut(tr, p, edgeParts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blocks := s.Blocks(0)
 	if len(blocks) != 2 {
 		t.Fatalf("blocks = %d, want 2: %+v", len(blocks), blocks)

@@ -60,7 +60,7 @@ func (cs *constructScratch) runSlow(t *tree.Tree, p *partition.Partition, c int,
 // sealResult copies the scratch state into a caller-owned CoreResult.
 func (cs *constructScratch) sealResult(t *tree.Tree, p *partition.Partition, withActive bool) *CoreResult {
 	res := &CoreResult{
-		S:        flattenShortcut(t, p, cs.partEdges),
+		S:        flattenShortcut(t, p, cs.partEdges, 1),
 		Unusable: append([]bool(nil), cs.unusable...),
 	}
 	if withActive {

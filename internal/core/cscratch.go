@@ -288,17 +288,14 @@ func (cs *constructScratch) walkOne(t *tree.Tree, p *partition.Partition, ws *wa
 	cs.blockCnt[i] = touched - len(edges) + isolated
 }
 
-// flattenShortcut turns per-part edge lists into an unsealed Shortcut's
-// per-edge part lists with two counting passes over one flat arena: the fill
-// iterates parts in ascending ID order — the deterministic merge order — so
-// every per-edge list comes out sorted without a single sort call. Lists are
-// three-index subslices (len == cap), so a later Assign copies on append
-// instead of clobbering a neighbor's region. (Flattening is distinct from
-// sealing: Seal additionally precomputes the query memos and freezes the
-// shortcut.)
-func flattenShortcut(t *tree.Tree, p *partition.Partition, partEdges [][]int32) *Shortcut {
+// flattenShortcut builds the shortcut whose H_i is partEdges[i], sealed on
+// workers. Two counting passes turn the per-part lists into per-edge part
+// lists over one flat arena; the fill iterates parts in ascending ID order —
+// the deterministic merge order — so every per-edge list comes out sorted
+// without a single sort call.
+func flattenShortcut(t *tree.Tree, p *partition.Partition, partEdges [][]int32, workers int) *Shortcut {
 	m := t.Graph().NumEdges()
-	s := NewShortcut(t, p)
+	s := &Shortcut{t: t, p: p, edgeParts: make([][]int, m)}
 	total := 0
 	off := make([]int, m+1)
 	for _, list := range partEdges {
@@ -306,9 +303,6 @@ func flattenShortcut(t *tree.Tree, p *partition.Partition, partEdges [][]int32) 
 		for _, e := range list {
 			off[e+1]++
 		}
-	}
-	if total == 0 {
-		return s
 	}
 	for e := 1; e <= m; e++ {
 		off[e] += off[e-1]
@@ -327,5 +321,6 @@ func flattenShortcut(t *tree.Tree, p *partition.Partition, partEdges [][]int32) 
 			prev = end
 		}
 	}
+	s.seal(workers)
 	return s
 }

@@ -39,6 +39,8 @@ type FindConfig struct {
 
 // FindResult is the output of FindShortcut.
 type FindResult struct {
+	// S is the constructed shortcut; nil when FindShortcut returns
+	// ErrIterationBudget.
 	S *Shortcut
 	// Iterations is the number of core+verification rounds executed.
 	Iterations int
@@ -62,13 +64,11 @@ var ErrIterationBudget = errors.New("core: FindShortcut exceeded its iteration b
 // O(C·log N).
 //
 // The loop runs entirely on a pooled construction scratch: block counts come
-// out of the per-part walks for free, good parts are adopted by copying
-// their flat edge lists, and on success the result Shortcut is sealed — its
-// query memos (part edge lists, blocks, diameters, quality scalars) are
-// precomputed on the same worker budget, so every accessor of the returned
-// shortcut is a pure concurrency-safe read. The ErrIterationBudget partial
-// result is returned unsealed (it exists for failure diagnostics, and the
-// doubling driver discards it without querying).
+// out of the per-part walks for free, and good parts are adopted by copying
+// their flat edge lists. On success the result Shortcut is measured (part
+// edge lists, blocks, diameters, quality scalars) on the same worker budget.
+// On ErrIterationBudget no shortcut is built: the result carries only the
+// iteration trace, which is all the doubling driver needs to move on.
 func FindShortcut(t *tree.Tree, p *partition.Partition, cfg FindConfig) (*FindResult, error) {
 	if cfg.C < 1 || cfg.B < 1 {
 		return nil, fmt.Errorf("core: FindShortcut needs C,B >= 1, got C=%d B=%d", cfg.C, cfg.B)
@@ -94,7 +94,6 @@ func FindShortcut(t *tree.Tree, p *partition.Partition, cfg FindConfig) (*FindRe
 	left := n
 	for left > 0 {
 		if result.Iterations >= budget {
-			result.S = flattenShortcut(t, p, final)
 			return result, fmt.Errorf("%w: %d parts unresolved after %d iterations (C=%d B=%d)",
 				ErrIterationBudget, left, result.Iterations, cfg.C, cfg.B)
 		}
@@ -123,8 +122,7 @@ func FindShortcut(t *tree.Tree, p *partition.Partition, cfg FindConfig) (*FindRe
 		result.Iterations++
 		result.GoodPerIteration = append(result.GoodPerIteration, good)
 	}
-	result.S = flattenShortcut(t, p, final)
-	result.S.Seal(workers)
+	result.S = flattenShortcut(t, p, final, workers)
 	return result, nil
 }
 
@@ -184,7 +182,7 @@ func FindShortcutAuto(t *tree.Tree, p *partition.Partition, seed int64, useSlow 
 // a forest = vertices − edges) and isolated(i) counts P_i vertices with no
 // incident H_i edge. The construction computes the same quantity inline in
 // its per-part walks (constructScratch.walkOne); this helper recomputes it
-// from a sealed Shortcut so tests can cross-check both against the general
+// from a finished Shortcut so tests can cross-check both against the general
 // Shortcut.BlockCount, which needs no precondition.
 func blockCountsCoreOutput(s *Shortcut, remaining []bool) []int {
 	nParts := s.p.NumParts()

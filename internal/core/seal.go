@@ -15,26 +15,23 @@ type sealRec struct {
 	blo, bhi int32
 }
 
-// Seal precomputes every query memo — part edge lists, block decompositions,
-// part diameters and the three scalar quality measures — and freezes the
-// shortcut: afterwards every accessor is a pure read (slice-returning ones
-// hand out defensive copies), so any number of goroutines may share the
-// shortcut, and Assign/SetParts panic. Sealing an already-queried shortcut
-// is idempotent; sealing twice is a no-op.
+// Seal is a no-op kept for source compatibility: every constructor already
+// returns a measured, immutable shortcut, and the argument is ignored.
+func (s *Shortcut) Seal(int) {}
+
+// seal measures a freshly built shortcut: part edge lists, block
+// decompositions, part diameters and the three scalar quality measures.
+// Constructors call it exactly once, before the shortcut is shared.
 //
 // workers bounds the per-part parallelism (0 = GOMAXPROCS, ≤1 sequential).
 // Like the construction walks, each part's decomposition is a pure function
 // of the read-only inputs and the stitch into the final flat arenas is
-// ordered by part ID, so the sealed contents are byte-identical for every
-// worker count. The staging side runs on pooled queryScratch instances; the
-// only allocations are the final arenas and memo tables.
-func (s *Shortcut) Seal(workers int) {
-	if s.sealed {
-		return
-	}
+// ordered by part ID, so the contents are byte-identical for every worker
+// count. The staging side runs on pooled queryScratch instances; the only
+// allocations are the final arenas and tables.
+func (s *Shortcut) seal(workers int) {
 	nParts := s.p.NumParts()
-	s.partEdgeLists() // build the H_i memo eagerly, before workers share it
-	s.blocks = nil    // drop partial lazy memos; recompute all parts uniformly
+	s.buildPartEdges()
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -132,5 +129,4 @@ func (s *Shortcut) Seal(workers int) {
 		BlockParameter: maxB,
 		Dilation:       maxD,
 	}
-	s.sealed = true
 }

@@ -28,54 +28,47 @@ import (
 // edges to parts. H_i is the set of tree edges assigned to part i; part i
 // communicates on G[P_i] + H_i.
 //
-// A Shortcut lives in one of two states:
-//
-//   - Unsealed (the NewShortcut state): Assign and SetParts mutate freely and
-//     the quality queries (Blocks, BlockCount, PartDiameter and the
-//     aggregates over them) build per-part views lazily, memoized until the
-//     next mutation. An unsealed shortcut is owned by a single goroutine —
-//     even its reads mutate the memo caches, so it is not safe for
-//     concurrent use.
-//   - Sealed (after Seal; FindShortcut returns sealed shortcuts): every memo
-//     — part edge lists, block decompositions, part diameters, congestion —
-//     is precomputed, all accessors are pure reads, and slice-returning
-//     accessors hand out defensive copies, so any number of goroutines may
-//     query one sealed shortcut concurrently. Mutation of a sealed shortcut
-//     panics: sealed shortcuts are shared (the shortcutsvc cache serves one
-//     sealed shortcut to many readers), and an in-place mutation would
-//     silently corrupt every other reader.
+// A Shortcut is immutable. Every constructor (NewShortcut, CoreSlow,
+// CoreFast, CanonicalWitness, FindShortcut) measures it once — part edge
+// lists, block decompositions, part diameters and the scalar quality
+// measures — so every accessor is a field read, and slice-returning
+// accessors hand out copies the caller owns. Any number of goroutines may
+// therefore query one shortcut concurrently.
 type Shortcut struct {
 	t *tree.Tree
 	p *partition.Partition
 	// edgeParts[e] lists the parts whose H_i contains tree edge e, sorted
-	// ascending. nil for unassigned and non-tree edges. Construction seals
-	// these as subslices of one flat arena with len == cap, so Assign's
-	// append copies instead of clobbering a neighbor.
+	// ascending. nil for unassigned and non-tree edges.
 	edgeParts [][]int
 
-	// Query caches: partEdges[i] is H_i in ascending EdgeID order; blocks[i]
-	// the memoized Blocks(i) result. Unsealed shortcuts build them lazily and
-	// invalidate on mutation; Seal precomputes them all (blocks into two flat
-	// arenas) and freezes them.
+	// Per-part views: partEdges[i] is H_i in ascending EdgeID order, blocks[i]
+	// its block decomposition (both subslicing flat arenas), partDiam[i] the
+	// diameter of G[P_i]+H_i.
 	partEdges [][]graph.EdgeID
 	blocks    [][]Block
+	partDiam  []int
 
-	// Sealed-only state: per-part diameters and the scalar quality measures,
-	// precomputed by Seal so the aggregate queries are field reads.
-	sealed   bool
-	partDiam []int
-	qual     Quality
-	scCong   int
+	// The scalar measures: Measure's three and the shortcut-only congestion.
+	qual   Quality
+	scCong int
 }
 
-// NewShortcut returns an empty unsealed shortcut (every H_i = ∅) over tree t
-// and partition p.
-func NewShortcut(t *tree.Tree, p *partition.Partition) *Shortcut {
-	return &Shortcut{
-		t:         t,
-		p:         p,
-		edgeParts: make([][]int, t.Graph().NumEdges()),
+// NewShortcut returns the shortcut over tree t and partition p whose H_i
+// contains tree edge e exactly when i is in edgeParts[e]. edgeParts has one
+// entry per edge of t's graph, each a strictly ascending list of valid part
+// indices (nil or empty for edges no part uses); it is adopted, not copied,
+// so the caller must not modify it afterwards. It returns an error when the
+// length is wrong or the lists break a Validate rule.
+func NewShortcut(t *tree.Tree, p *partition.Partition, edgeParts [][]int) (*Shortcut, error) {
+	if m := t.Graph().NumEdges(); len(edgeParts) != m {
+		return nil, fmt.Errorf("core: %d edge part lists for a graph with %d edges", len(edgeParts), m)
 	}
+	s := &Shortcut{t: t, p: p, edgeParts: edgeParts}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	s.seal(1)
+	return s, nil
 }
 
 // Tree returns the spanning tree the shortcut is restricted to.
@@ -84,55 +77,13 @@ func (s *Shortcut) Tree() *tree.Tree { return s.t }
 // Partition returns the parts the shortcut serves.
 func (s *Shortcut) Partition() *partition.Partition { return s.p }
 
-// Sealed reports whether the shortcut has been sealed (see Seal).
-func (s *Shortcut) Sealed() bool { return s.sealed }
-
-// invalidate drops the memoized query views after a mutation.
-func (s *Shortcut) invalidate() {
-	s.partEdges = nil
-	s.blocks = nil
-}
-
-// Assign adds tree edge e to H_i. It panics if e is not a tree edge, i is
-// not a valid part (programmer errors in construction code), or the shortcut
-// is sealed (sealed shortcuts are shared between goroutines; mutate a fresh
-// or cloned shortcut instead).
-func (s *Shortcut) Assign(e graph.EdgeID, i int) {
-	if s.sealed {
-		panic("core: Assign on a sealed Shortcut (sealed shortcuts are immutable shared values)")
-	}
-	if !s.t.IsTreeEdge(e) {
-		panic(fmt.Sprintf("core: edge %d is not a tree edge", e))
-	}
-	if i < 0 || i >= s.p.NumParts() {
-		panic(fmt.Sprintf("core: part %d out of range [0,%d)", i, s.p.NumParts()))
-	}
-	s.edgeParts[e] = insertSorted(s.edgeParts[e], i)
-	s.invalidate()
-}
-
-// SetParts replaces the full part list of tree edge e (callers pass a sorted
-// deduplicated list; the slice is adopted, not copied). It panics on a sealed
-// shortcut, like Assign.
-func (s *Shortcut) SetParts(e graph.EdgeID, parts []int) {
-	if s.sealed {
-		panic("core: SetParts on a sealed Shortcut (sealed shortcuts are immutable shared values)")
-	}
-	if !s.t.IsTreeEdge(e) {
-		panic(fmt.Sprintf("core: edge %d is not a tree edge", e))
-	}
-	s.edgeParts[e] = parts
-	s.invalidate()
-}
-
-// PartsOn returns the sorted part list using tree edge e. On an unsealed
-// shortcut the slice is owned by the shortcut and must not be modified; a
-// sealed shortcut returns a defensive copy the caller owns.
+// PartsOn returns the sorted part list using tree edge e, as a copy the
+// caller owns (nil when no part uses e).
 func (s *Shortcut) PartsOn(e graph.EdgeID) []int {
-	if s.sealed && len(s.edgeParts[e]) > 0 {
-		return append([]int(nil), s.edgeParts[e]...)
+	if len(s.edgeParts[e]) == 0 {
+		return nil
 	}
-	return s.edgeParts[e]
+	return append([]int(nil), s.edgeParts[e]...)
 }
 
 // Contains reports whether tree edge e belongs to H_i.
@@ -142,13 +93,9 @@ func (s *Shortcut) Contains(e graph.EdgeID, i int) bool {
 	return k < len(list) && list[k] == i
 }
 
-// partEdgeLists returns, for every part, H_i in ascending EdgeID order,
-// built once per mutation epoch by a counting pass over the per-edge lists
-// (Seal builds it eagerly, so sealed readers never race on the memo).
-func (s *Shortcut) partEdgeLists() [][]graph.EdgeID {
-	if s.partEdges != nil {
-		return s.partEdges
-	}
+// buildPartEdges sets partEdges[i] to H_i in ascending EdgeID order with a
+// counting pass over the per-edge lists into one flat arena.
+func (s *Shortcut) buildPartEdges() {
 	nParts := s.p.NumParts()
 	cnt := make([]int, nParts+1)
 	total := 0
@@ -176,25 +123,19 @@ func (s *Shortcut) partEdgeLists() [][]graph.EdgeID {
 			prev = end
 		}
 	}
-	return s.partEdges
 }
 
 // EdgesOf returns H_i as a slice of tree-edge IDs in ascending order. The
 // caller owns the returned slice.
 func (s *Shortcut) EdgesOf(i int) []graph.EdgeID {
-	return append([]graph.EdgeID(nil), s.partEdgeLists()[i]...)
+	return append([]graph.EdgeID(nil), s.partEdges[i]...)
 }
 
 // Congestion returns the exact congestion of the shortcut per Definition 1:
 // the maximum over edges e of the number of communication subgraphs
 // G[P_i] + H_i containing e. An edge interior to part j counts for subgraph j
 // even when e ∉ H_j; a shortcut-only assignment counts once per part.
-func (s *Shortcut) Congestion() int {
-	if s.sealed {
-		return s.qual.Congestion
-	}
-	return s.computeCongestion()
-}
+func (s *Shortcut) Congestion() int { return s.qual.Congestion }
 
 func (s *Shortcut) computeCongestion() int {
 	g := s.t.Graph()
@@ -215,12 +156,7 @@ func (s *Shortcut) computeCongestion() int {
 // ShortcutCongestion returns the congestion counting only shortcut
 // assignments (|{i : e ∈ H_i}|), the quantity the construction algorithms
 // bound directly.
-func (s *Shortcut) ShortcutCongestion() int {
-	if s.sealed {
-		return s.scCong
-	}
-	return s.computeShortcutCongestion()
-}
+func (s *Shortcut) ShortcutCongestion() int { return s.scCong }
 
 func (s *Shortcut) computeShortcutCongestion() int {
 	maxC := 0
@@ -248,12 +184,9 @@ type qpair struct{ a, b int32 }
 // queries: the epoch-stamped dense-local-index map, the union-find and
 // marking arrays of the block decomposition, the CSR of G[P_i]+H_i and the
 // state of its exact diameter computation, and the append arenas block
-// results accumulate into. Scratches are pooled (getQuery/putQuery), so
-// Seal's per-part workers and the unsealed lazy query path alike touch the
-// allocator only for their outputs. Moving this state out of Shortcut is what makes sealed reads
-// pure: the pre-seal code stamped qIdx/qTag scratch inside the shared
-// Shortcut on every "read", so two goroutines measuring one cached shortcut
-// raced.
+// results accumulate into. Scratches are pooled (getQuery/putQuery), so the
+// seal's per-part workers touch the allocator only for their outputs, and no
+// per-query state lives in the shared Shortcut.
 type queryScratch struct {
 	qIdx []int32 // dense local index of v, valid while qTag[v] == tag
 	qTag []int64
@@ -360,35 +293,8 @@ func growNodes(s []graph.NodeID, n int) []graph.NodeID {
 // Blocks returns the block components of part i, sorted by (root depth, root
 // ID) — the priority order Lemma 2 routing uses — with each block's Nodes
 // sorted ascending. Isolated vertices of P_i (no incident H_i edge) form
-// singleton blocks. On an unsealed shortcut the result is memoized, owned by
-// the shortcut and must not be modified; a sealed shortcut returns a
-// defensive deep copy the caller owns, so no caller can corrupt the shared
-// decomposition.
-func (s *Shortcut) Blocks(i int) []Block {
-	if s.sealed {
-		return copyBlocks(s.blocks[i])
-	}
-	return s.blocksInternal(i)
-}
-
-// blocksInternal returns the memoized decomposition without copying.
-func (s *Shortcut) blocksInternal(i int) []Block {
-	if s.blocks != nil && s.blocks[i] != nil {
-		return s.blocks[i]
-	}
-	qs := getQuery()
-	s.appendBlocks(qs, i)
-	blk := copyBlocks(qs.blocks)
-	putQuery(qs)
-	if blk == nil {
-		blk = []Block{} // non-nil marks the memo as populated
-	}
-	if s.blocks == nil {
-		s.blocks = make([][]Block, s.p.NumParts())
-	}
-	s.blocks[i] = blk
-	return blk
-}
+// singleton blocks. The result is a deep copy the caller owns.
+func (s *Shortcut) Blocks(i int) []Block { return copyBlocks(s.blocks[i]) }
 
 // copyBlocks deep-copies a decomposition: one headers slice plus one flat
 // node arena the copies subslice, so the copy costs two allocations however
@@ -421,7 +327,7 @@ func copyBlocks(src []Block) []Block {
 func (s *Shortcut) appendBlocks(qs *queryScratch, i int) {
 	g := s.t.Graph()
 	qs.begin(g.NumNodes())
-	for _, e := range s.partEdgeLists()[i] {
+	for _, e := range s.partEdges[i] {
 		ed := g.Edge(e)
 		a := qs.local(ed.U)
 		b := qs.local(ed.V)
@@ -535,41 +441,17 @@ func (s *Shortcut) appendBlocks(qs *queryScratch, i int) {
 }
 
 // BlockCount returns the number of block components of part i.
-func (s *Shortcut) BlockCount(i int) int {
-	if s.sealed {
-		return len(s.blocks[i])
-	}
-	return len(s.blocksInternal(i))
-}
+func (s *Shortcut) BlockCount(i int) int { return len(s.blocks[i]) }
 
 // BlockParameter returns the block parameter b of the shortcut: the maximum
 // block count over all parts.
-func (s *Shortcut) BlockParameter() int {
-	if s.sealed {
-		return s.qual.BlockParameter
-	}
-	maxB := 0
-	for i := 0; i < s.p.NumParts(); i++ {
-		if c := s.BlockCount(i); c > maxB {
-			maxB = c
-		}
-	}
-	return maxB
-}
+func (s *Shortcut) BlockParameter() int { return s.qual.BlockParameter }
 
 // PartDiameter returns the exact diameter of the communication subgraph
 // G[P_i] + H_i (vertices: P_i plus all H_i endpoints; edges: G's edges
 // interior to P_i plus H_i). Returns graph.Unreached if disconnected, which
 // cannot happen for a valid shortcut over a connected part.
-func (s *Shortcut) PartDiameter(i int) int {
-	if s.sealed {
-		return s.partDiam[i]
-	}
-	qs := getQuery()
-	d := s.partDiameter(qs, i)
-	putQuery(qs)
-	return d
-}
+func (s *Shortcut) PartDiameter(i int) int { return s.partDiam[i] }
 
 func (s *Shortcut) partDiameter(qs *queryScratch, i int) int {
 	s.partAdjacency(qs, i)
@@ -578,20 +460,7 @@ func (s *Shortcut) partDiameter(qs *queryScratch, i int) int {
 
 // Dilation returns the exact dilation: the maximum PartDiameter over all
 // parts.
-func (s *Shortcut) Dilation() int {
-	if s.sealed {
-		return s.qual.Dilation
-	}
-	qs := getQuery()
-	maxD := 0
-	for i := 0; i < s.p.NumParts(); i++ {
-		if d := s.partDiameter(qs, i); d > maxD {
-			maxD = d
-		}
-	}
-	putQuery(qs)
-	return maxD
-}
+func (s *Shortcut) Dilation() int { return s.qual.Dilation }
 
 // partAdjacency builds the CSR adjacency of G[P_i]+H_i over dense local
 // vertex indices into qs.off/qs.to: G's edges interior to P_i (each once, by
@@ -612,7 +481,7 @@ func (s *Shortcut) partAdjacency(qs *queryScratch, i int) {
 			}
 		}
 	}
-	for _, e := range s.partEdgeLists()[i] {
+	for _, e := range s.partEdges[i] {
 		ed := g.Edge(e)
 		if s.p.Part(ed.U) == i && s.p.Part(ed.V) == i {
 			continue
@@ -644,8 +513,10 @@ func (s *Shortcut) partAdjacency(qs *queryScratch, i int) {
 	}
 }
 
-// Validate checks structural invariants: only tree edges are assigned, and
-// every part index on every edge is valid.
+// Validate checks structural invariants: only tree edges are assigned, every
+// part index on every edge is valid, and every edge's list is strictly
+// ascending. NewShortcut rejects input that fails it, so on a constructed
+// shortcut a failure means a construction bug.
 func (s *Shortcut) Validate() error {
 	for e, parts := range s.edgeParts {
 		if len(parts) == 0 {
@@ -673,26 +544,5 @@ type Quality struct {
 	Dilation       int
 }
 
-// Measure computes all quality parameters (exact; costs several BFS runs per
-// part on an unsealed shortcut, three field reads on a sealed one).
-func (s *Shortcut) Measure() Quality {
-	if s.sealed {
-		return s.qual
-	}
-	return Quality{
-		Congestion:     s.Congestion(),
-		BlockParameter: s.BlockParameter(),
-		Dilation:       s.Dilation(),
-	}
-}
-
-func insertSorted(list []int, x int) []int {
-	k := sort.SearchInts(list, x)
-	if k < len(list) && list[k] == x {
-		return list
-	}
-	list = append(list, 0)
-	copy(list[k+1:], list[k:])
-	list[k] = x
-	return list
-}
+// Measure returns all three quality parameters.
+func (s *Shortcut) Measure() Quality { return s.qual }

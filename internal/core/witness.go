@@ -30,21 +30,17 @@ func WitnessCongestion(t *tree.Tree, p *partition.Partition) int {
 // congestion is exactly WitnessCongestion. Returns the shortcut and its
 // congestion.
 func CanonicalWitness(t *tree.Tree, p *partition.Partition) (*Shortcut, int) {
-	s := NewShortcut(t, p)
-	counts := witnessEdgeCounts(t, p, s)
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	return s, maxC
+	s := &Shortcut{t: t, p: p, edgeParts: make([][]int, t.Graph().NumEdges())}
+	witnessEdgeCounts(t, p, s.edgeParts)
+	s.seal(1)
+	return s, s.ShortcutCongestion()
 }
 
 // witnessEdgeCounts walks each part's root paths, stamping edges to avoid
-// double counting within a part. When s is non-nil, every stamped edge is
-// also assigned to the part. Runtime is O(n + Σ_i |H_i|).
-func witnessEdgeCounts(t *tree.Tree, p *partition.Partition, s *Shortcut) []int {
+// double counting within a part. When edgeParts is non-nil, every stamped
+// edge's list also gains the part; parts are walked in ascending order, so
+// the lists come out sorted. Runtime is O(n + Σ_i |H_i|).
+func witnessEdgeCounts(t *tree.Tree, p *partition.Partition, edgeParts [][]int) []int {
 	g := t.Graph()
 	counts := make([]int, g.NumEdges())
 	stamp := make([]int, g.NumEdges())
@@ -60,8 +56,8 @@ func witnessEdgeCounts(t *tree.Tree, p *partition.Partition, s *Shortcut) []int 
 				}
 				stamp[e] = i
 				counts[e]++
-				if s != nil {
-					s.Assign(e, i)
+				if edgeParts != nil {
+					edgeParts[e] = append(edgeParts[e], i)
 				}
 			}
 		}

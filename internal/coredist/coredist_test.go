@@ -1,6 +1,9 @@
 package coredist
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"lcshortcut/internal/bfsproto"
@@ -9,6 +12,7 @@ import (
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/partition"
+	"lcshortcut/internal/tree"
 )
 
 type instance struct {
@@ -264,6 +268,67 @@ func TestToShortcutDetectsCorruption(t *testing.T) {
 	}
 	if _, _, err := ToShortcut(g, p, states); err == nil {
 		t.Error("corrupted states passed consistency check")
+	}
+
+	// Both endpoints agreeing on a part that does not exist is caught by
+	// core.NewShortcut's validation.
+	_, states, _ = runCoreSlow(t, g, p, 4)
+	for v, ns := range states {
+		if par := ns.Info.Parent; par != -1 && len(ns.ParentParts) > 0 {
+			bogus := []int{p.NumParts()}
+			states[v].ParentParts = bogus
+			states[par].ChildParts[states[par].ChildIndex(v)] = bogus
+			break
+		}
+	}
+	if _, _, err := ToShortcut(g, p, states); err == nil || !strings.Contains(err.Error(), "invalid part") {
+		t.Errorf("agreed out-of-range part: err = %v, want an invalid-part error", err)
+	}
+}
+
+// TestLiftedShortcutConcurrentReaders pins that a shortcut lifted from
+// distributed state is safe to share: readers start on a freshly lifted
+// shortcut, call every accessor concurrently (run under -race), and must
+// see what a single-threaded reader sees on a second lift of the same states.
+func TestLiftedShortcutConcurrentReaders(t *testing.T) {
+	const readers = 4
+	g := gen.Grid(10, 10)
+	p := partition.Voronoi(g, 7, 1)
+	_, states, _ := runCoreSlow(t, g, p, core.WitnessCongestion(tree.BFSTree(g, 0), p))
+	view := func(s *core.Shortcut) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v sc=%d\n", s.Measure(), s.ShortcutCongestion())
+		for i := 0; i < p.NumParts(); i++ {
+			fmt.Fprintf(&b, "%d: %v %d %d %v\n", i, s.Blocks(i), s.BlockCount(i), s.PartDiameter(i), s.EdgesOf(i))
+		}
+		for e := 0; e < g.NumEdges(); e++ {
+			fmt.Fprintf(&b, "%v", s.PartsOn(e))
+		}
+		return b.String()
+	}
+	lift := func() *core.Shortcut {
+		s, _, err := ToShortcut(g, p, states)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := view(lift())
+	shared := lift()
+	var wg sync.WaitGroup
+	got := make([]string, readers)
+	for r := range got {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got[r] = view(shared)
+		}(r)
+	}
+	wg.Wait()
+	for r, v := range got {
+		if v != want {
+			t.Errorf("reader %d saw a different shortcut than a single-threaded read", r)
+		}
 	}
 }
 

@@ -125,7 +125,8 @@ func (ns *NodeShortcut) ChildUsableAt(k int) bool {
 // ToShortcut lifts per-node distributed state into a centralized
 // core.Shortcut (edge part lists read from each edge's child endpoint), for
 // verification against reference implementations. It also cross-checks that
-// the two endpoints of every tree edge agree on the edge's part list.
+// the two endpoints of every tree edge agree on the edge's part list, and
+// core.NewShortcut rejects lists that are unsorted or name invalid parts.
 func ToShortcut(g *graph.Graph, p *partition.Partition, states []*NodeShortcut) (*core.Shortcut, *tree.Tree, error) {
 	root := graph.NodeID(-1)
 	parents := make([]graph.NodeID, g.NumNodes())
@@ -145,7 +146,7 @@ func ToShortcut(g *graph.Graph, p *partition.Partition, states []*NodeShortcut) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("coredist: invalid tree: %w", err)
 	}
-	s := core.NewShortcut(tr, p)
+	edgeParts := make([][]int, g.NumEdges())
 	for v, ns := range states {
 		if v == root {
 			continue
@@ -167,10 +168,12 @@ func ToShortcut(g *graph.Graph, p *partition.Partition, states []*NodeShortcut) 
 			if !ns.ParentUsable {
 				return nil, nil, fmt.Errorf("coredist: node %d has parts on an unusable parent edge", v)
 			}
-			cp := make([]int, len(ns.ParentParts))
-			copy(cp, ns.ParentParts)
-			s.SetParts(tr.ParentEdge(v), cp)
+			edgeParts[tr.ParentEdge(v)] = append([]int(nil), ns.ParentParts...)
 		}
+	}
+	s, err := core.NewShortcut(tr, p, edgeParts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("coredist: invalid shortcut: %w", err)
 	}
 	return s, tr, nil
 }

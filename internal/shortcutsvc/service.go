@@ -8,12 +8,12 @@
 // The cache is keyed by (graph fingerprint, partition fingerprint, C, B) —
 // content, not request shape — so two requests that describe the same
 // structure by different means share one entry, and repeated queries are
-// O(1) map hits that serve the same sealed *core.Shortcut to any number of
-// goroutines (exactly the sharing Shortcut.Seal makes safe: every post-seal
-// accessor is a pure read). A hand-rolled single-flight layer collapses
-// concurrent identical misses into one construction; a semaphore bounds how
-// many constructions run at once so a burst of distinct cold queries cannot
-// fork unbounded workers.
+// O(1) map hits. An entry keeps only the fixed-size Result the handlers
+// serve; the graph, tree, partition and shortcut of a construction are
+// garbage once its Result is taken. A hand-rolled single-flight layer
+// collapses concurrent identical misses into one construction; a semaphore
+// bounds how many constructions run at once so a burst of distinct cold
+// queries cannot fork unbounded workers.
 package shortcutsvc
 
 import (
@@ -34,8 +34,8 @@ import (
 // Config sizes the service. Zero values select the defaults.
 type Config struct {
 	// CacheEntries bounds the LRU cache (default 256 entries). Each entry
-	// retains its sealed shortcut, so memory scales with entry count times
-	// instance size.
+	// holds one Result of fixed size, so cache memory scales with the entry
+	// count alone, not with instance size.
 	CacheEntries int
 	// MaxNodes rejects graphs larger than this (default 1<<17). The seal's
 	// exact part diameters usually take a handful of BFSs per part, but a
@@ -91,12 +91,11 @@ type refKey struct {
 	c, b     int
 }
 
-// entry is one cached construction: the sealed shortcut (shared by every
-// reader) plus the derived result values the handlers serve.
+// entry is one cached construction: its content key and the Result the
+// handlers serve.
 type entry struct {
-	key      cacheKey
-	shortcut *core.Shortcut
-	result   Result
+	key    cacheKey
+	result Result
 }
 
 // Result is the computed payload of one construction, independent of how
@@ -238,9 +237,8 @@ const (
 )
 
 // Query answers one validated request, consulting the cache first. The
-// returned entry is shared — callers read the sealed shortcut and the
-// immutable Result, and must not retain references across cache churn
-// boundaries they care about.
+// returned entry is shared by every caller of the same key and is never
+// modified; read it through Result.
 func (s *Service) Query(req *Request) (*entry, Outcome, error) {
 	s.requests.Add(1)
 	ent, outcome, err := s.query(req)
@@ -370,8 +368,7 @@ func (s *Service) construct(req *Request, g *graph.Graph, p *partition.Partition
 	s.constructNs.Add(elapsed.Nanoseconds())
 
 	return &entry{
-		key:      key,
-		shortcut: sc,
+		key: key,
 		result: Result{
 			GraphNodes:           g.NumNodes(),
 			GraphEdges:           g.NumEdges(),
@@ -389,9 +386,6 @@ func (s *Service) construct(req *Request, g *graph.Graph, p *partition.Partition
 		},
 	}, nil
 }
-
-// Shortcut exposes the entry's sealed shortcut (for in-process embedders).
-func (e *entry) Shortcut() *core.Shortcut { return e.shortcut }
 
 // Result exposes the entry's computed payload.
 func (e *entry) Result() Result { return e.result }
