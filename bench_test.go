@@ -18,13 +18,12 @@ import (
 
 // BenchmarkCongest measures the simulation engine itself on the engbench
 // scenario suite (broadcast flood, sparse token ring, the BFS opening phase
-// on grid256x256 and er50000), on every engine each scenario declares inside
-// one binary: `channel` is the pre-rewrite coordinator engine, `event-loop`
-// the arc-slot mailbox engine, whose steady state must stay at 0 allocs per
-// round (the per-run setup cost is amortized by the pooled runState; see the
-// alloc guard tests in internal/congest), and `sharded` the multi-core
-// engine (shard count defaults to GOMAXPROCS). Simulated rounds are reported
-// so per-round cost can be derived.
+// on grid256x256 and er50000), on both engines inside one binary:
+// `event-loop` is the arc-slot mailbox engine, whose steady state must stay
+// at 0 allocs per round (the per-run setup cost is amortized by the pooled
+// run state; see the alloc guard tests in internal/congest), and `sharded`
+// the multi-core engine (shard count defaults to GOMAXPROCS). Simulated
+// rounds are reported so per-round cost can be derived.
 func BenchmarkCongest(b *testing.B) {
 	for _, sc := range engbench.Scenarios() {
 		if sc.Heavy && testing.Short() {
@@ -48,7 +47,7 @@ func BenchmarkCongest(b *testing.B) {
 			}
 			continue
 		}
-		for _, e := range sc.EngineList() {
+		for _, e := range engbench.Engines() {
 			e := e
 			b.Run(sc.Name+"/"+engbench.EngineName(e), func(b *testing.B) {
 				g := sc.Graph() // cached across engines; built only if this sub-benchmark runs

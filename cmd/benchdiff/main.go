@@ -60,7 +60,7 @@ func run(args []string, out io.Writer) error {
 		candidatePath = fs.String("candidate", "", "fresh report `path` to gate (required)")
 		maxRegress    = fs.Float64("max-regress", 0.30, "maximum tolerated ns/op regression (fraction over baseline)")
 		allocSlack    = fs.Int64("alloc-slack", 0, "absolute tolerated allocs/op increase")
-		allocFrac     = fs.Float64("alloc-frac", 0.02, "relative allocs/op measurement tolerance (the legacy channel engine's ~1M allocs/op carry ~1% GC-timing noise; a real steady-state regression adds at least one alloc per round, far above this)")
+		allocFrac     = fs.Float64("alloc-frac", 0.02, "relative allocs/op measurement tolerance (rows in the millions of allocs/op, such as raft/commit-grid-n1024 and broadcast/ba-n1000000, carry ~1% GC-timing noise; a real steady-state regression adds at least one alloc per round, far above this)")
 		allowMismatch = fs.Bool("allow-host-mismatch", false, "compare reports recorded under different GOMAXPROCS or Go releases anyway (warning instead of refusal)")
 		requireFaster = fs.String("require-faster", "", "baseline-free mode: `fast:slow` engine pair — fail unless fast beats slow on every candidate scenario with at least -min-n nodes")
 		minN          = fs.Int("min-n", 100000, "with -require-faster, gate only scenarios of at least this many nodes (from the -n<nodes> name suffix)")

@@ -132,17 +132,17 @@ func TestBenchdiffGate(t *testing.T) {
 func TestBenchdiffAllocTolerances(t *testing.T) {
 	dir := t.TempDir()
 	baseline := writeReport(t, dir, "base.json", &engbench.Report{
-		Results: []engbench.Measurement{measurement("broadcast/grid-n2048", "channel", 1_000_000, 1_000_000)},
+		Results: []engbench.Measurement{measurement("raft/commit-grid-n1024", "event-loop", 1_000_000, 1_000_000)},
 	})
 	within := writeReport(t, dir, "noise.json", &engbench.Report{
-		Results: []engbench.Measurement{measurement("broadcast/grid-n2048", "channel", 1_000_000, 1_015_000)},
+		Results: []engbench.Measurement{measurement("raft/commit-grid-n1024", "event-loop", 1_000_000, 1_015_000)},
 	})
 	var buf strings.Builder
 	if err := run([]string{"-baseline", baseline, "-candidate", within, "-alloc-frac", "0.02"}, &buf); err != nil {
 		t.Fatalf("1.5%% alloc noise rejected: %v", err)
 	}
 	over := writeReport(t, dir, "real.json", &engbench.Report{
-		Results: []engbench.Measurement{measurement("broadcast/grid-n2048", "channel", 1_000_000, 1_050_000)},
+		Results: []engbench.Measurement{measurement("raft/commit-grid-n1024", "event-loop", 1_000_000, 1_050_000)},
 	})
 	if err := run([]string{"-baseline", baseline, "-candidate", over, "-alloc-frac", "0.02"}, &buf); err == nil {
 		t.Fatal("5% alloc increase passed the 2% tolerance")

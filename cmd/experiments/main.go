@@ -142,10 +142,10 @@ func run(args []string, out *os.File) error {
 }
 
 // writeBenchJSON runs the engine microbenchmark suite (internal/engbench) on
-// every engine each scenario declares and records the measurements — the
-// repository's engine perf trajectory — at path. Short mode runs each light
-// scenario twice per engine and skips the heavy ones (the CI bench gate; two
-// iterations keep single-run scheduler noise out of the regression
+// both engines (or a scenario's named variants) and records the measurements
+// — the repository's engine perf trajectory — at path. Short mode runs each
+// light scenario twice per engine and skips the heavy ones (the CI bench
+// gate; two iterations keep single-run scheduler noise out of the regression
 // comparison); otherwise each measurement lasts at least a second. A filter
 // regexp narrows the suite by scenario name — and since naming a scenario is
 // an explicit request to run it, a filtered run measures matching Heavy

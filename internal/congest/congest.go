@@ -17,6 +17,7 @@
 //
 // # Engine internals
 //
+// There are two engines, and every seeded output is byte-identical on both.
 // The default engine (EngineEventLoop) allocates nothing in the steady
 // state. It exploits the model invariant that each edge-direction carries at
 // most one message per round: every node owns a fixed mailbox of degree(v)
@@ -29,9 +30,14 @@
 // with round-r+1 writers. The round barrier is a single atomic countdown
 // with per-node parking: the last node to arrive becomes the round leader,
 // retires the round inline (round count, watchdog, cost accounting) and
-// unparks the survivors — there is no coordinator goroutine. Engine state
-// (runState) is pooled across runs, so a harness performing thousands of
-// simulations reuses one arena.
+// unparks the survivors — there is no coordinator goroutine.
+//
+// The multi-core engine (EngineSharded, sharded.go) keeps the same mailbox
+// discipline but cuts the arena into worker shards retired in parallel.
+// Both engines embed one runState — the node table, the radio and fault
+// state and the run's outcome — which every Ctx points at, and both pool
+// their state across runs, so a harness performing thousands of simulations
+// reuses one arena.
 package congest
 
 import (
@@ -94,8 +100,8 @@ type Options struct {
 	// one); a nil or empty plan leaves the simulation fault-free and
 	// byte-identical to the pre-fault-layer engine.
 	Faults *FaultPlan
-	// Shards selects the worker-shard count of EngineSharded (ignored by the
-	// other engines): how many contiguous arc-balanced vertex ranges the
+	// Shards selects the worker-shard count of EngineSharded (ignored by
+	// EngineEventLoop): how many contiguous arc-balanced vertex ranges the
 	// mailbox arena is cut into, each retired in parallel at the barrier.
 	// 0 uses the process-wide default (SetDefaultShards), itself defaulting
 	// to GOMAXPROCS; the count is clamped to the node count. The seeded
@@ -154,17 +160,18 @@ const (
 	// atomic-countdown barrier with per-node parking, and pooled run state —
 	// zero allocations per round in the steady state.
 	EngineEventLoop Engine = iota
-	// EngineChannel is the channel-coordinator engine this repository used
-	// before the arena rewrite, kept as the behavioral reference: the golden
-	// identity tests assert byte-identical experiment tables across engines,
-	// and the engine benchmarks measure the speedup inside one binary.
+	// EngineChannel named the channel-coordinator engine this repository
+	// used before the arena rewrite. That engine has been removed; RunOn
+	// returns an error for it.
+	//
+	// Deprecated: use EngineEventLoop or EngineSharded.
 	EngineChannel
 	// EngineSharded is the multi-core engine: the event-loop engine's
 	// arc-slot mailbox discipline with the CSR cut into P contiguous
 	// arc-balanced shards (partition.ShardBounds), per-shard mailbox arenas,
 	// an epoch-stamped cross-shard relay for boundary arcs and a two-level
 	// barrier retired in parallel (see sharded.go). Seeded outputs are
-	// byte-identical to the other engines at every shard count
+	// byte-identical to the event-loop engine at every shard count
 	// (Options.Shards); only wall-clock changes.
 	EngineSharded
 )
@@ -191,9 +198,18 @@ func Run(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 }
 
 // RunOn is Run on an explicitly chosen engine, regardless of the default.
+// Any engine other than EngineEventLoop and EngineSharded is an error, and
+// no node goroutine starts.
 func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
+	if e != EngineEventLoop && e != EngineSharded {
+		return Stats{}, fmt.Errorf("congest: unknown engine %d", e)
+	}
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
+	}
+	// Slot stamps are int32 round numbers.
+	if opts.MaxRounds > math.MaxInt32-2 {
+		opts.MaxRounds = math.MaxInt32 - 2
 	}
 	if opts.Faults == nil {
 		opts.Faults = defaultFaults.Load()
@@ -204,8 +220,11 @@ func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	if opts.Model != ModelCongest && opts.Model != ModelRadio {
 		return Stats{}, fmt.Errorf("congest: unknown Options.Model %d", opts.Model)
 	}
-	if e == EngineChannel {
-		return runChannel(g, proc, opts)
+	if e == EngineSharded && opts.Shards < 0 {
+		return Stats{}, fmt.Errorf("congest: negative Options.Shards %d", opts.Shards)
+	}
+	if g.NumNodes() == 0 {
+		return Stats{}, nil
 	}
 	if e == EngineSharded {
 		return runSharded(g, proc, opts)
@@ -224,11 +243,13 @@ const (
 // send fast paths and the round barrier. A Ctx must only be used from the
 // goroutine running its Proc.
 type Ctx struct {
-	id  graph.NodeID
-	g   *graph.Graph
-	run *runState   // event-loop engine state (nil under the other engines)
-	leg *legacyNode // channel engine state (nil under the other engines)
-	sh  *shardedRun // sharded engine state (nil under the other engines)
+	id graph.NodeID
+	g  *graph.Graph
+	// run is the state both engines share. Exactly one of loop and sh is
+	// set: it is the engine-specific state the node runs under.
+	run  *runState
+	loop *loopRun    // event-loop engine state (nil under EngineSharded)
+	sh   *shardedRun // sharded engine state (nil under EngineEventLoop)
 	// shard is the worker shard owning this node (sharded engine only).
 	shard *shard
 	rng   *rand.Rand
@@ -255,15 +276,14 @@ type Ctx struct {
 	rejoinAt    int32
 	incarnation int32
 
-	// Barrier state (event-loop engine).
+	// Barrier state.
 	arrival int32
 	err     error
 	park    chan struct{}
 	inbox   []Message
 
 	// Send accounting since the last delivery barrier; the round leader
-	// flushes these into the run totals exactly when the channel engine's
-	// delivery pass would have counted them.
+	// flushes these into the run totals when that barrier delivers.
 	pMsgs int64
 	pBits int64
 	pMax  int
@@ -356,32 +376,28 @@ func (c *Ctx) SendArc(k int, p Payload) {
 		c.fail(fmt.Errorf("%w: node %d sent on invalid arc index %d (degree %d) in round %d",
 			ErrModelViolation, c.id, k, len(c.arcs), c.round))
 	}
-	if c.leg != nil {
-		c.leg.sendIdx(c, k, p)
-		return
-	}
 	if c.sh != nil {
 		c.sh.sendArc(c, k, p)
 		return
 	}
-	rs := c.run
+	lr := c.loop
 	stamp := int32(c.round) + 1
 	buf := stamp & 1
-	s := rs.rev[c.lo+int32(k)]
-	if rs.stamp[buf][s] == stamp {
+	s := lr.rev[c.lo+int32(k)]
+	if lr.stamp[buf][s] == stamp {
 		c.fail(fmt.Errorf("%w: node %d sent twice to neighbor %d in round %d", ErrModelViolation, c.id, c.arcs[k].To, c.round))
 	}
 	b := p.Bits()
-	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
+	if limit := lr.opts.MaxMessageBits; limit > 0 && b > limit {
 		c.fail(fmt.Errorf("%w: node %d sent %d-bit message (budget %d) in round %d", ErrModelViolation, c.id, b, limit, c.round))
 	}
-	rs.stamp[buf][s] = stamp
-	rs.pay[buf][s] = p
+	lr.stamp[buf][s] = stamp
+	lr.pay[buf][s] = p
 	// The lossy network still charges the sender: the message consumed its
 	// per-edge budget and counts toward Stats, it just never surfaces in an
 	// inbox (the drop mask hides the slot from both read paths).
-	if rs.dropThresh != 0 && dropped(rs.dropThresh, rs.faultSeed, stamp, s) {
-		rs.dropMask[buf][s] = stamp
+	if lr.dropThresh != 0 && dropped(lr.dropThresh, lr.faultSeed, stamp, s) {
+		lr.dropMask[buf][s] = stamp
 	}
 	c.pMsgs++
 	c.pBits += int64(b)
@@ -401,12 +417,6 @@ func (c *Ctx) SendAll(p Payload) {
 	if c.down() {
 		return // crashed: a dead node's sends are lost (and can't violate)
 	}
-	if c.leg != nil {
-		for i := range c.arcs {
-			c.leg.sendIdx(c, i, p)
-		}
-		return
-	}
 	if c.sh != nil {
 		c.sh.sendAll(c, p)
 		return
@@ -415,23 +425,23 @@ func (c *Ctx) SendAll(p Payload) {
 	if deg == 0 {
 		return
 	}
-	rs := c.run
+	lr := c.loop
 	stamp := int32(c.round) + 1
 	buf := stamp & 1
-	st, pay := rs.stamp[buf], rs.pay[buf]
+	st, pay := lr.stamp[buf], lr.pay[buf]
 	b := p.Bits()
-	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
+	if limit := lr.opts.MaxMessageBits; limit > 0 && b > limit {
 		c.fail(fmt.Errorf("%w: node %d sent %d-bit message (budget %d) in round %d", ErrModelViolation, c.id, b, limit, c.round))
 	}
-	thresh := rs.dropThresh
-	for i, s := range rs.rev[c.lo : c.lo+int32(deg)] {
+	thresh := lr.dropThresh
+	for i, s := range lr.rev[c.lo : c.lo+int32(deg)] {
 		if st[s] == stamp {
 			c.fail(fmt.Errorf("%w: node %d sent twice to neighbor %d in round %d", ErrModelViolation, c.id, c.arcs[i].To, c.round))
 		}
 		st[s] = stamp
 		pay[s] = p
-		if thresh != 0 && dropped(thresh, rs.faultSeed, stamp, s) {
-			rs.dropMask[buf][s] = stamp
+		if thresh != 0 && dropped(thresh, lr.faultSeed, stamp, s) {
+			lr.dropMask[buf][s] = stamp
 		}
 	}
 	c.pMsgs += int64(deg)
@@ -452,9 +462,6 @@ func (c *Ctx) StepRound() []Message {
 		c.fail(fmt.Errorf("%w: node %d called StepRound under ModelRadio in round %d (use Step + RadioRecv)", ErrModelViolation, c.id, c.round))
 	}
 	c.maybeCrash()
-	if c.leg != nil {
-		return c.leg.step(c)
-	}
 	c.stepBarrier()
 	return c.gather()
 }
@@ -463,10 +470,6 @@ func (c *Ctx) StepRound() []Message {
 // inbox, for protocols that read specific arcs through InboxArc instead.
 func (c *Ctx) Step() {
 	c.maybeCrash()
-	if c.leg != nil {
-		c.leg.step(c)
-		return
-	}
 	c.stepBarrier()
 }
 
@@ -488,11 +491,7 @@ func (c *Ctx) maybeCrash() {
 	if c.rejoinAt != noCrash {
 		panic(errCrashedRecover)
 	}
-	if c.leg != nil {
-		c.leg.run.yield <- yieldSignal{id: c.id, kind: yieldDone}
-	} else {
-		c.arrive(arriveDone)
-	}
+	c.arrive(arriveDone)
 	panic(errCrashed)
 }
 
@@ -511,9 +510,6 @@ func (c *Ctx) InboxArc(k int) (Payload, bool) {
 		c.fail(fmt.Errorf("%w: node %d read invalid arc index %d (degree %d) in round %d",
 			ErrModelViolation, c.id, k, len(c.arcs), c.round))
 	}
-	if c.leg != nil {
-		return c.leg.inboxArc(c, k)
-	}
 	if c.sh != nil {
 		return c.sh.inboxArc(c, k)
 	}
@@ -521,15 +517,16 @@ func (c *Ctx) InboxArc(k int) (Payload, bool) {
 	if stamp == 0 {
 		return nil, false
 	}
+	lr := c.loop
 	buf := stamp & 1
 	s := c.lo + int32(k)
-	if c.run.stamp[buf][s] != stamp {
+	if lr.stamp[buf][s] != stamp {
 		return nil, false
 	}
-	if c.run.dropThresh != 0 && c.run.dropMask[buf][s] == stamp {
+	if lr.dropThresh != 0 && lr.dropMask[buf][s] == stamp {
 		return nil, false
 	}
-	return c.run.pay[buf][s], true
+	return lr.pay[buf][s], true
 }
 
 // Idle advances the node through k barriers, discarding anything received.
@@ -554,38 +551,35 @@ func (c *Ctx) gather() []Message {
 	if c.sh != nil {
 		return c.sh.gather(c)
 	}
-	rs := c.run
+	lr := c.loop
 	stamp := int32(c.round)
 	buf := stamp & 1
-	st := rs.stamp[buf]
-	pay := rs.pay[buf]
+	st := lr.stamp[buf]
+	pay := lr.pay[buf]
 	c.inbox = c.inbox[:0]
 	lo := c.lo
-	if thresh := rs.dropThresh; thresh != 0 {
-		dm := rs.dropMask[buf]
-		for _, j := range rs.order[lo : lo+int32(len(c.arcs))] {
+	if thresh := lr.dropThresh; thresh != 0 {
+		dm := lr.dropMask[buf]
+		for _, j := range lr.order[lo : lo+int32(len(c.arcs))] {
 			if s := lo + int32(j); st[s] == stamp && dm[s] != stamp {
 				c.inbox = append(c.inbox, Message{From: c.arcs[j].To, Payload: pay[s]})
 			}
 		}
 	} else {
-		for _, j := range rs.order[lo : lo+int32(len(c.arcs))] {
+		for _, j := range lr.order[lo : lo+int32(len(c.arcs))] {
 			if s := lo + int32(j); st[s] == stamp {
 				c.inbox = append(c.inbox, Message{From: c.arcs[j].To, Payload: pay[s]})
 			}
 		}
 	}
-	if rs.adversary == AdversaryRotate {
-		scrambleInbox(rs.faultSeed, c.round, c.id, c.inbox)
+	if lr.adversary == AdversaryRotate {
+		scrambleInbox(lr.faultSeed, c.round, c.id, c.inbox)
 	}
 	return c.inbox
 }
 
 // fail aborts the run with err, unwinding this goroutine.
 func (c *Ctx) fail(err error) {
-	if c.leg != nil {
-		c.leg.fail(c, err)
-	}
 	c.err = err
 	c.arrive(arriveFail)
 	panic(errAbort)
@@ -602,21 +596,23 @@ func (c *Ctx) arrive(kind int32) {
 		c.sh.arrive(c, kind)
 		return
 	}
-	rs := c.run
-	if rs.pending.Add(-1) == 0 {
-		rs.lead(c)
+	lr := c.loop
+	if lr.pending.Add(-1) == 0 {
+		lr.lead(c)
 	} else if kind == arriveStep {
 		<-c.park
 	} else {
 		return
 	}
-	if kind == arriveStep && rs.aborted {
+	if kind == arriveStep && lr.aborted {
 		panic(errAbort)
 	}
 }
 
-// runState is the pooled per-run engine state: the mailbox arenas, the node
-// table, the live set and the barrier countdown.
+// runState is the per-run state both engines share: the graph and options,
+// the node table, the radio arenas, the fault plan's hot fields and the
+// run's outcome. loopRun and shardedRun each embed one, and every Ctx of
+// the run points at it.
 type runState struct {
 	g    *graph.Graph
 	opts Options
@@ -630,6 +626,148 @@ type runState struct {
 	// arcArena backs every node's Neighbors() slice, laid out exactly like
 	// the CSR arc arrays.
 	arcArena []graph.Arc
+	// txStamp/txPay are the radio-model transmission arenas (one slot per
+	// node, parity-doubled and epoch-stamped like the mailbox arenas; see
+	// radio.go). They are grown only for ModelRadio runs. A transmission slot
+	// has one writer, so the sharded engine keeps them global too.
+	txStamp [2][]int32
+	txPay   [2][]Payload
+	// Fault-layer state (see fault.go): fault-free runs see dropThresh == 0
+	// and skip every drop check.
+	dropThresh uint64
+	faultSeed  int64
+	adversary  Adversary
+	// aborted/err/rounds are written by the round leader and read by nodes
+	// after their release from the barrier.
+	aborted bool
+	err     error
+	rounds  int
+	wg      sync.WaitGroup
+}
+
+// setup binds rs to a run of opts on g: it resets the node table, applies
+// the fault plan's crash schedule and sizes the radio arenas. All buffers
+// grow to high-water marks and are reused across runs; freshly grown arrays
+// are zero and released ones were scrubbed by release, so stamps start
+// unoccupied without a per-run clear. The engine binds each Ctx to its own
+// state afterwards.
+func (rs *runState) setup(g *graph.Graph, opts Options) {
+	n := g.NumNodes()
+	numArcs := int(g.ArcOffset(n))
+	rs.g, rs.opts = g, opts
+	rs.rev, rs.order = g.RevArcs(), g.ArcsByNeighborID()
+	if opts.Model == ModelRadio {
+		for i := range rs.txStamp {
+			rs.txStamp[i] = growInt32(rs.txStamp[i], n)
+			rs.txPay[i] = growPayload(rs.txPay[i], n)
+		}
+	}
+	plan := opts.Faults
+	rs.dropThresh = plan.dropThreshold()
+	rs.faultSeed, rs.adversary = 0, AdversaryNone
+	if plan != nil {
+		rs.faultSeed, rs.adversary = plan.Seed, plan.Adversary
+	}
+	if cap(rs.arcArena) < numArcs {
+		rs.arcArena = make([]graph.Arc, 0, numArcs)
+	}
+	arena := rs.arcArena[:0]
+	for v := 0; v < n; v++ {
+		arena = g.AppendArcs(arena, v)
+	}
+	rs.arcArena = arena
+	if len(rs.nodes) < n {
+		nodes := make([]Ctx, n)
+		copy(nodes, rs.nodes)
+		rs.nodes = nodes
+	}
+	idBits := BitsForID(n)
+	for v := 0; v < n; v++ {
+		nd := &rs.nodes[v]
+		nd.id = v
+		nd.g = g
+		nd.run = rs
+		lo, hi := g.ArcOffset(v), g.ArcOffset(v+1)
+		nd.arcs = arena[lo:hi:hi]
+		nd.lo = lo
+		nd.round = 0
+		nd.idBits = idBits
+		nd.model = opts.Model
+		nd.crashAt = noCrash
+		nd.rejoinAt = noCrash
+		nd.incarnation = 0
+		nd.arrival = 0
+		nd.err = nil
+		nd.inbox = nd.inbox[:0]
+		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
+		seed := mix(opts.Seed, int64(v))
+		if nd.rngSrc == nil {
+			nd.rngSrc = rand.NewSource(seed)
+			nd.rng = rand.New(nd.rngSrc)
+		} else {
+			nd.rngSrc.Seed(seed)
+		}
+		if nd.park == nil {
+			nd.park = make(chan struct{}, 1)
+		}
+	}
+	if plan != nil {
+		for _, cr := range plan.Crashes {
+			// The earliest crash round wins; among equal rounds the first
+			// entry wins (its Downtime rides along).
+			if nd := &rs.nodes[cr.Node]; int32(cr.Round) < nd.crashAt {
+				nd.crashAt = int32(cr.Round)
+				nd.rejoinAt = cr.rejoinRound()
+			}
+		}
+	}
+	rs.aborted = false
+	rs.err = nil
+	rs.rounds = 0
+}
+
+// start runs proc on every node, one goroutine each, and returns once every
+// node has finished. A goroutine's last act is its deferred wg.Done, so it
+// may still be exiting when start returns.
+func (rs *runState) start(proc Proc) {
+	n := rs.g.NumNodes()
+	rs.wg.Add(n)
+	for v := 0; v < n; v++ {
+		go nodeMain(&rs.nodes[v], proc)
+	}
+	rs.wg.Wait()
+}
+
+// release scrubs the radio arenas, the node inboxes and every graph and
+// payload reference, so pooled state neither resurrects ghost messages nor
+// pins a finished run's memory. The engine scrubs its own arenas first.
+func (rs *runState) release() {
+	if rs.opts.Model == ModelRadio {
+		// Only a radio run writes the transmission arenas.
+		for i := range rs.txStamp {
+			clear(rs.txStamp[i])
+			clear(rs.txPay[i])
+		}
+	}
+	n := rs.g.NumNodes()
+	for v := 0; v < n; v++ {
+		nd := &rs.nodes[v]
+		clear(nd.inbox[:cap(nd.inbox)])
+		nd.inbox = nd.inbox[:0]
+		nd.g = nil
+		nd.arcs = nil
+		nd.run, nd.loop, nd.sh, nd.shard = nil, nil, nil, nil
+	}
+	rs.g = nil
+	rs.rev, rs.order = nil, nil
+	rs.dropThresh = 0
+	rs.err = nil
+}
+
+// loopRun is the pooled per-run state of the event-loop engine: the mailbox
+// arenas, the live set and the barrier countdown.
+type loopRun struct {
+	runState
 	// stamp/pay are the mailbox arenas: slot lo(v)+k holds the message
 	// in flight to v from its k-th neighbor, stamped with the round at which
 	// it becomes readable. Two arenas alternate by round parity so round-r
@@ -637,48 +775,35 @@ type runState struct {
 	// simply never match, so nothing is cleared between rounds.
 	stamp [2][]int32
 	pay   [2][]Payload
-	// txStamp/txPay are the radio-model transmission arenas (one slot per
-	// node, parity-doubled and epoch-stamped like the mailbox arenas; see
-	// radio.go). They are grown only for ModelRadio runs.
-	txStamp [2][]int32
-	txPay   [2][]Payload
-	// Fault-layer state (see fault.go). dropMask mirrors the stamp arenas:
-	// a slot whose mask equals the current stamp holds a message the lossy
-	// network swallowed — charged to the sender, invisible to both read
-	// paths. The arenas are grown only for runs whose plan actually drops
-	// (dropThresh != 0) and are epoch-stamped, so nothing is cleared between
-	// rounds; fault-free runs see dropThresh == 0 and skip every check.
-	dropMask   [2][]int32
-	dropThresh uint64
-	faultSeed  int64
-	adversary  Adversary
+	// dropMask mirrors the stamp arenas: a slot whose mask equals the
+	// current stamp holds a message the lossy network swallowed — charged to
+	// the sender, invisible to both read paths. The arenas are grown only for
+	// runs whose plan actually drops and are epoch-stamped, so nothing is
+	// cleared between rounds.
+	dropMask [2][]int32
 	// live lists the nodes still running, ascending; rebuilt in place by the
 	// round leader.
 	live    []int32
 	pending atomic.Int32
-	aborted bool
-	err     error
 
-	rounds  int
 	msgs    int64
 	bitsSum int64
 	maxBits int
-	wg      sync.WaitGroup
 }
 
-var runPool = sync.Pool{New: func() any { return new(runState) }}
+var loopPool = sync.Pool{New: func() any { return new(loopRun) }}
 
 // lead retires the round: it runs on the last node to arrive at the barrier,
 // with every live node accounted for (parked steppers, exiting done/fail
 // arrivals). It classifies arrivals, aborts on failure or watchdog, flushes
 // the arrivers' send accounting when the round delivers, resets the
 // countdown and unparks the survivors.
-func (rs *runState) lead(leader *Ctx) {
-	arrived := rs.live
+func (lr *loopRun) lead(leader *Ctx) {
+	arrived := lr.live
 	var err error
 	steppers := 0
 	for _, id := range arrived {
-		nd := &rs.nodes[id]
+		nd := &lr.nodes[id]
 		switch nd.arrival {
 		case arriveStep:
 			steppers++
@@ -689,40 +814,40 @@ func (rs *runState) lead(leader *Ctx) {
 		}
 	}
 	if err == nil && steppers > 0 {
-		rs.rounds++
-		if rs.rounds > rs.opts.MaxRounds {
-			err = fmt.Errorf("%w (%d)", ErrMaxRounds, rs.opts.MaxRounds)
+		lr.rounds++
+		if lr.rounds > lr.opts.MaxRounds {
+			err = fmt.Errorf("%w (%d)", ErrMaxRounds, lr.opts.MaxRounds)
 		}
 	}
 	deliver := err == nil && steppers > 0
 	w := 0
 	for _, id := range arrived {
-		nd := &rs.nodes[id]
+		nd := &lr.nodes[id]
 		if deliver {
-			// Matches the channel engine's delivery pass: sends buffered by
-			// this barrier are counted even if the sender has finished, and
-			// not counted at all when the run aborts or ends this barrier.
-			rs.msgs += nd.pMsgs
-			rs.bitsSum += nd.pBits
-			if nd.pMax > rs.maxBits {
-				rs.maxBits = nd.pMax
+			// Sends buffered before this barrier are counted even if the
+			// sender has finished, and not counted at all when the run
+			// aborts or ends at this barrier.
+			lr.msgs += nd.pMsgs
+			lr.bitsSum += nd.pBits
+			if nd.pMax > lr.maxBits {
+				lr.maxBits = nd.pMax
 			}
 			nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
 		}
 		if nd.arrival == arriveStep {
-			rs.live[w] = id
+			lr.live[w] = id
 			w++
 		}
 	}
-	rs.live = rs.live[:w]
+	lr.live = lr.live[:w]
 	if err != nil {
-		rs.err = err
-		rs.aborted = true
+		lr.err = err
+		lr.aborted = true
 	} else {
-		rs.pending.Store(int32(w))
+		lr.pending.Store(int32(w))
 	}
-	for _, id := range rs.live {
-		if nd := &rs.nodes[id]; nd != leader {
+	for _, id := range lr.live {
+		if nd := &lr.nodes[id]; nd != leader {
 			nd.park <- struct{}{}
 		}
 	}
@@ -730,23 +855,11 @@ func (rs *runState) lead(leader *Ctx) {
 
 // runEventLoop drives one simulation on the arena engine.
 func runEventLoop(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
-	n := g.NumNodes()
-	if n == 0 {
-		return Stats{}, nil
-	}
-	// Slot stamps are int32 round numbers.
-	if opts.MaxRounds > math.MaxInt32-2 {
-		opts.MaxRounds = math.MaxInt32 - 2
-	}
-	rs := acquireRun(g, opts)
-	rs.wg.Add(n)
-	for v := 0; v < n; v++ {
-		go nodeMain(&rs.nodes[v], proc)
-	}
-	rs.wg.Wait()
-	stats := Stats{Rounds: rs.rounds, Messages: rs.msgs, TotalBits: rs.bitsSum, MaxMessageBits: rs.maxBits}
-	err := rs.err
-	releaseRun(rs)
+	lr := acquireLoop(g, opts)
+	lr.start(proc)
+	stats := Stats{Rounds: lr.rounds, Messages: lr.msgs, TotalBits: lr.bitsSum, MaxMessageBits: lr.maxBits}
+	err := lr.err
+	releaseLoop(lr)
 	return stats, err
 }
 
@@ -755,13 +868,7 @@ func runEventLoop(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 // crash-recovery crash restarts proc after the downtime window, so the loop
 // runs once per incarnation.
 func nodeMain(c *Ctx, proc Proc) {
-	var wg *sync.WaitGroup
-	if c.sh != nil {
-		wg = &c.sh.wg
-	} else {
-		wg = &c.run.wg
-	}
-	defer wg.Done()
+	defer c.run.wg.Done()
 	for {
 		if !runProcOnce(c, proc) {
 			return
@@ -813,9 +920,8 @@ func runProcOnce(c *Ctx, proc Proc) (restart bool) {
 	return false
 }
 
-// downUntilRejoin steps a crashed node silently through its downtime window
-// on the event-loop engine. It reports false when the run aborted while the
-// node was down.
+// downUntilRejoin steps a crashed node silently through its downtime window.
+// It reports false when the run aborted while the node was down.
 func downUntilRejoin(c *Ctx) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -839,168 +945,50 @@ func downUntilRejoin(c *Ctx) (ok bool) {
 // not depend on how many random draws its previous life consumed.
 func (c *Ctx) restart() {
 	c.incarnation++
-	var seed int64
-	switch {
-	case c.leg != nil:
-		seed = c.leg.run.opts.Seed
-	case c.sh != nil:
-		seed = c.sh.opts.Seed
-	default:
-		seed = c.run.opts.Seed
-	}
-	c.rngSrc.Seed(mix(mix(seed, int64(c.id)), int64(c.incarnation)))
+	c.rngSrc.Seed(mix(mix(c.run.opts.Seed, int64(c.id)), int64(c.incarnation)))
 }
 
-// acquireRun takes a runState from the pool and sizes/resets it for g. All
-// buffers grow to high-water marks and are reused across runs; freshly grown
-// arrays are zero and released ones were scrubbed by releaseRun, so stamps
-// start unoccupied without a per-acquire clear.
-func acquireRun(g *graph.Graph, opts Options) *runState {
-	rs := runPool.Get().(*runState)
+// acquireLoop takes a loopRun from the pool and sizes/resets it for g.
+func acquireLoop(g *graph.Graph, opts Options) *loopRun {
+	lr := loopPool.Get().(*loopRun)
+	lr.setup(g, opts)
 	n := g.NumNodes()
 	numArcs := int(g.ArcOffset(n))
-	rs.g, rs.opts = g, opts
-	rs.rev, rs.order = g.RevArcs(), g.ArcsByNeighborID()
-
-	for i := range rs.stamp {
-		rs.stamp[i] = growInt32(rs.stamp[i], numArcs)
-		rs.pay[i] = growPayload(rs.pay[i], numArcs)
+	for i := range lr.stamp {
+		lr.stamp[i] = growInt32(lr.stamp[i], numArcs)
+		lr.pay[i] = growPayload(lr.pay[i], numArcs)
 	}
-	if opts.Model == ModelRadio {
-		for i := range rs.txStamp {
-			rs.txStamp[i] = growInt32(rs.txStamp[i], n)
-			rs.txPay[i] = growPayload(rs.txPay[i], n)
+	if lr.dropThresh != 0 {
+		for i := range lr.dropMask {
+			lr.dropMask[i] = growInt32(lr.dropMask[i], numArcs)
 		}
 	}
-	plan := opts.Faults
-	rs.dropThresh = plan.dropThreshold()
-	rs.faultSeed, rs.adversary = 0, AdversaryNone
-	if plan != nil {
-		rs.faultSeed, rs.adversary = plan.Seed, plan.Adversary
-	}
-	if rs.dropThresh != 0 {
-		for i := range rs.dropMask {
-			rs.dropMask[i] = growInt32(rs.dropMask[i], numArcs)
-		}
-	}
-	if cap(rs.arcArena) < numArcs {
-		rs.arcArena = make([]graph.Arc, 0, numArcs)
-	}
-	arena := rs.arcArena[:0]
+	lr.live = growInt32(lr.live, n)
 	for v := 0; v < n; v++ {
-		arena = g.AppendArcs(arena, v)
+		lr.nodes[v].loop = lr
+		lr.live[v] = int32(v)
 	}
-	rs.arcArena = arena
-	if len(rs.nodes) < n {
-		nodes := make([]Ctx, n)
-		copy(nodes, rs.nodes)
-		rs.nodes = nodes
-	}
-	rs.live = growInt32(rs.live, n)
-	idBits := BitsForID(n)
-	for v := 0; v < n; v++ {
-		nd := &rs.nodes[v]
-		nd.id = v
-		nd.g = g
-		nd.run = rs
-		nd.leg = nil
-		nd.sh = nil
-		nd.shard = nil
-		lo, hi := g.ArcOffset(v), g.ArcOffset(v+1)
-		nd.arcs = arena[lo:hi:hi]
-		nd.lo = lo
-		nd.round = 0
-		nd.idBits = idBits
-		nd.model = opts.Model
-		nd.crashAt = noCrash
-		nd.rejoinAt = noCrash
-		nd.incarnation = 0
-		nd.arrival = 0
-		nd.err = nil
-		nd.inbox = nd.inbox[:0]
-		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
-		seed := mix(opts.Seed, int64(v))
-		if nd.rngSrc == nil {
-			nd.rngSrc = rand.NewSource(seed)
-			nd.rng = rand.New(nd.rngSrc)
-		} else {
-			nd.rngSrc.Seed(seed)
-		}
-		if nd.park == nil {
-			nd.park = make(chan struct{}, 1)
-		}
-		rs.live[v] = int32(v)
-	}
-	if plan != nil {
-		for _, cr := range plan.Crashes {
-			// The earliest crash round wins; among equal rounds the first
-			// entry wins (its Downtime rides along).
-			if nd := &rs.nodes[cr.Node]; int32(cr.Round) < nd.crashAt {
-				nd.crashAt = int32(cr.Round)
-				nd.rejoinAt = cr.rejoinRound()
-			}
-		}
-	}
-	rs.pending.Store(int32(n))
-	rs.aborted = false
-	rs.err = nil
-	rs.rounds, rs.msgs, rs.bitsSum, rs.maxBits = 0, 0, 0, 0
-	return rs
+	lr.pending.Store(int32(n))
+	lr.msgs, lr.bitsSum, lr.maxBits = 0, 0, 0
+	return lr
 }
 
-// releaseRun scrubs stale stamps and payload/graph references (so pooled
-// state neither resurrects ghost messages nor pins a finished run's memory)
-// and returns rs to the pool.
-func releaseRun(rs *runState) {
-	for i := range rs.stamp {
-		st, pay := rs.stamp[i], rs.pay[i]
-		for k := range st {
-			st[k] = 0
-		}
-		for k := range pay {
-			pay[k] = nil
-		}
+// releaseLoop scrubs the mailbox arenas and the shared state (see
+// runState.release) and returns lr to the pool.
+func releaseLoop(lr *loopRun) {
+	for i := range lr.stamp {
+		clear(lr.stamp[i])
+		clear(lr.pay[i])
 	}
-	if rs.dropThresh != 0 {
+	if lr.dropThresh != 0 {
 		// Only a lossy run writes drop-mask stamps; scrub them so a pooled
 		// arena cannot shadow a same-round slot of a later lossy run.
-		for i := range rs.dropMask {
-			dm := rs.dropMask[i]
-			for k := range dm {
-				dm[k] = 0
-			}
-		}
-		rs.dropThresh = 0
-	}
-	if rs.opts.Model == ModelRadio {
-		// Only a radio run writes the transmission arenas; scrub stamps and
-		// payload references like the mailbox arenas above.
-		for i := range rs.txStamp {
-			st, pay := rs.txStamp[i], rs.txPay[i]
-			for k := range st {
-				st[k] = 0
-			}
-			for k := range pay {
-				pay[k] = nil
-			}
+		for i := range lr.dropMask {
+			clear(lr.dropMask[i])
 		}
 	}
-	n := rs.g.NumNodes()
-	for v := 0; v < n; v++ {
-		nd := &rs.nodes[v]
-		inbox := nd.inbox[:cap(nd.inbox)]
-		for k := range inbox {
-			inbox[k] = Message{}
-		}
-		nd.inbox = inbox[:0]
-		nd.g = nil
-		nd.arcs = nil
-		nd.run = nil
-	}
-	rs.g = nil
-	rs.rev, rs.order = nil, nil
-	rs.err = nil
-	runPool.Put(rs)
+	lr.release()
+	loopPool.Put(lr)
 }
 
 func growInt32(s []int32, n int) []int32 {

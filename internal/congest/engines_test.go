@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,17 +12,58 @@ import (
 	"lcshortcut/internal/graph"
 )
 
-// engines enumerates the engine implementations for table-driven tests; every
-// engine must preserve every edge-case behavior of the channel reference.
-// Sharded runs here use the process default shard count installed by TestMain
-// (3 — so cross-shard relays are exercised even on single-core boxes).
+// engines enumerates the engine implementations for table-driven tests; both
+// engines must show every edge-case behavior identically. Sharded runs here
+// use the process default shard count installed by TestMain (3 — so
+// cross-shard relays are exercised even on single-core boxes).
 var engines = []struct {
 	name string
 	e    Engine
 }{
 	{"eventloop", EngineEventLoop},
-	{"channel", EngineChannel},
 	{"sharded", EngineSharded},
+}
+
+// TestRunOnRejectsUnknownEngine pins the engine check: the removed channel
+// engine's name and any other value that is not an engine are errors, from
+// RunOn and from Run after SetEngine, and no node goroutine starts.
+func TestRunOnRejectsUnknownEngine(t *testing.T) {
+	g := gen.Path(4)
+	bad := []struct {
+		name string
+		e    Engine
+	}{
+		{"channel", EngineChannel},
+		{"engine-7", Engine(7)},
+	}
+	for _, b := range bad {
+		e := b.e
+		for _, via := range []string{"RunOn", "SetEngine+Run"} {
+			t.Run(b.name+"/"+via, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				var started atomic.Int32
+				proc := func(ctx *Ctx) error {
+					started.Add(1)
+					return nil
+				}
+				var err error
+				if via == "RunOn" {
+					_, err = RunOn(e, g, proc, Options{})
+				} else {
+					prev := SetEngine(e)
+					_, err = Run(g, proc, Options{})
+					SetEngine(prev)
+				}
+				if err == nil {
+					t.Fatalf("engine %d accepted", e)
+				}
+				if n := started.Load(); n != 0 {
+					t.Fatalf("engine %d ran proc on %d nodes", e, n)
+				}
+				waitGoroutines(t, base)
+			})
+		}
+	}
 }
 
 // TestEnginesSendToFinishedDropped checks that messages addressed to a node
@@ -139,10 +181,9 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestEventLoopWatchdogNoGoroutineLeak checks that a MaxRounds abort unwinds
-// every node goroutine before Run returns: the event-loop engine joins all
-// node goroutines, so the count must be back to baseline immediately; the
-// channel reference may lag by its asynchronous unwinding, which the poll
-// absorbs.
+// every node goroutine. Run joins every node's Proc before it returns, but a
+// goroutine that has run its deferred WaitGroup.Done may not have exited yet,
+// so the count is polled back to baseline with a bound.
 func TestEventLoopWatchdogNoGoroutineLeak(t *testing.T) {
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
@@ -157,24 +198,19 @@ func TestEventLoopWatchdogNoGoroutineLeak(t *testing.T) {
 			if !errors.Is(err, ErrMaxRounds) {
 				t.Fatalf("err = %v, want ErrMaxRounds", err)
 			}
-			// The event-loop and sharded engines join every node goroutine
-			// before returning; only the channel reference may lag.
-			if eng.e != EngineChannel && runtime.NumGoroutine() > base {
-				t.Errorf("%s Run returned with %d goroutines, baseline %d (must join all nodes)",
-					eng.name, runtime.NumGoroutine(), base)
-			}
 			waitGoroutines(t, base)
 		})
 	}
 }
 
 // TestEventLoopAbortNoGoroutineLeak is the same assertion for proc-error and
-// model-violation aborts.
+// model-violation aborts, each of which must surface its own error.
 func TestEventLoopAbortNoGoroutineLeak(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
-		name string
-		proc Proc
+		name    string
+		proc    Proc
+		wantErr error
 	}{
 		{"proc-error", func(ctx *Ctx) error {
 			if ctx.ID() == 3 {
@@ -184,27 +220,24 @@ func TestEventLoopAbortNoGoroutineLeak(t *testing.T) {
 			for {
 				ctx.StepRound()
 			}
-		}},
+		}, boom},
 		{"violation", func(ctx *Ctx) error {
-			if ctx.ID() == 3 && ctx.Round() == 2 {
-				ctx.SendArc(0, intMsg{bits: 1})
-				ctx.SendArc(0, intMsg{bits: 1})
-			}
 			for {
+				if ctx.ID() == 3 && ctx.Round() == 2 {
+					ctx.SendArc(0, intMsg{bits: 1})
+					ctx.SendArc(0, intMsg{bits: 1})
+				}
 				ctx.StepRound()
 			}
-		}},
+		}, ErrModelViolation},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			g := gen.Ring(12)
 			_, err := RunOn(EngineEventLoop, g, tc.proc, Options{})
-			if err == nil {
-				t.Fatal("expected an error")
-			}
-			if runtime.NumGoroutine() > base {
-				t.Errorf("Run returned with %d goroutines, baseline %d", runtime.NumGoroutine(), base)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
 			waitGoroutines(t, base)
 		})

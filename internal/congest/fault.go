@@ -17,12 +17,14 @@ import (
 //   - Determinism. Every fault decision is a pure function of the plan and
 //     static run coordinates (round number, arc slot, node ID), never of
 //     goroutine scheduling, so a (graph, proc, Options) triple still produces
-//     one exact outcome, identical on EngineEventLoop and EngineChannel and
-//     at any harness worker count.
+//     one exact outcome, identical on EngineEventLoop and EngineSharded at
+//     every shard count and at any harness worker count.
 //   - The fault-free fast path is untouched. A nil (or empty) plan costs one
 //     predictable branch per operation: no allocation, no extra memory
-//     traffic. Faulty runs use an epoch-stamped drop mask laid out exactly
-//     like the mailbox stamp arenas (pooled, never cleared between rounds).
+//     traffic. Faulty event-loop runs use an epoch-stamped drop mask laid
+//     out exactly like the mailbox stamp arenas (pooled, never cleared
+//     between rounds); the sharded engine stamps a dropped message with a
+//     nil payload instead.
 //
 // # The fault model's determinism contract
 //
@@ -200,8 +202,8 @@ func faultHash(seed int64, stream uint64, x, y int32) uint64 {
 
 // dropped decides whether the message stamped `stamp` into receiver arc slot
 // s is lost. Both engines key the decision on the receiver-side slot (the
-// global CSR arc index), which the event-loop engine owns natively and the
-// channel engine derives through the same reverse-arc permutation.
+// global CSR arc index, reached through the reverse-arc permutation), so they
+// lose exactly the same messages at every shard count.
 func dropped(thresh uint64, seed int64, stamp, s int32) bool {
 	return faultHash(seed, dropStream, stamp, s) < thresh
 }

@@ -27,11 +27,10 @@ import (
 // does not reach that receiver and does not count toward its collision, so
 // fading links can turn a collision into a clean reception.
 //
-// Determinism: a transmission is one store keyed by round parity, reception
-// is a pure function of the arena contents at the barrier, and both engines
-// share this exact code path (the channel engine holds its arenas on
-// legacyRun; its coordinator channels provide the happens-before edges the
-// event-loop barrier provides natively).
+// Determinism: a transmission is one store keyed by round parity, and
+// reception is a pure function of the arena contents at the barrier. The
+// arenas live on the shared runState, so both engines run this exact code
+// path; their barriers provide the happens-before edges.
 
 // Model selects the engine's communication model.
 type Model int32
@@ -72,32 +71,6 @@ func (s RadioStatus) String() string {
 	return fmt.Sprintf("RadioStatus(%d)", int(s))
 }
 
-// txArenas returns the engine's transmission arenas for one round parity.
-func (c *Ctx) txArenas(buf int32) ([]int32, []Payload) {
-	if c.leg != nil {
-		rs := c.leg.run
-		return rs.txStamp[buf], rs.txPay[buf]
-	}
-	if r := c.sh; r != nil {
-		// Transmission slots are per node with an exclusive writer, so the
-		// sharded engine keeps them global — senders never cross a shard.
-		return r.txStamp[buf], r.txPay[buf]
-	}
-	rs := c.run
-	return rs.txStamp[buf], rs.txPay[buf]
-}
-
-// faultState returns the run's drop threshold and fault seed.
-func (c *Ctx) faultState() (uint64, int64) {
-	if c.leg != nil {
-		return c.leg.run.dropThresh, c.leg.run.faultSeed
-	}
-	if r := c.sh; r != nil {
-		return r.dropThresh, r.faultSeed
-	}
-	return c.run.dropThresh, c.run.faultSeed
-}
-
 // Transmit broadcasts p on the shared channel this round (ModelRadio only).
 // Whether any neighbor can decode it depends on what the rest of the
 // neighborhood does — see RadioRecv. Transmitting twice in one round, or
@@ -111,13 +84,14 @@ func (c *Ctx) Transmit(p Payload) {
 	if c.down() {
 		return // crashed: a dead node's transmissions are lost (and can't violate)
 	}
+	rs := c.run
 	b := p.Bits()
-	if limit := c.maxMessageBits(); limit > 0 && b > limit {
+	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
 		c.fail(fmt.Errorf("%w: node %d transmitted %d-bit message (budget %d) in round %d", ErrModelViolation, c.id, b, limit, c.round))
 	}
 	stamp := int32(c.round) + 1
 	buf := stamp & 1
-	st, pay := c.txArenas(buf)
+	st, pay := rs.txStamp[buf], rs.txPay[buf]
 	if st[c.id] == stamp {
 		c.fail(fmt.Errorf("%w: node %d transmitted twice in round %d", ErrModelViolation, c.id, c.round))
 	}
@@ -147,9 +121,10 @@ func (c *Ctx) RadioRecv() (Payload, graph.NodeID, RadioStatus) {
 	if stamp == 0 {
 		return nil, -1, RadioSilence
 	}
+	rs := c.run
 	buf := stamp & 1
-	st, pay := c.txArenas(buf)
-	thresh, seed := c.faultState()
+	st, pay := rs.txStamp[buf], rs.txPay[buf]
+	thresh, seed := rs.dropThresh, rs.faultSeed
 	var (
 		heard int
 		from  graph.NodeID = -1
@@ -174,15 +149,4 @@ func (c *Ctx) RadioRecv() (Payload, graph.NodeID, RadioStatus) {
 		return nil, -1, RadioSilence
 	}
 	return p, from, RadioMessage
-}
-
-// maxMessageBits returns the run's strict bit budget (0 = unenforced).
-func (c *Ctx) maxMessageBits() int {
-	if c.leg != nil {
-		return c.leg.run.opts.MaxMessageBits
-	}
-	if r := c.sh; r != nil {
-		return r.opts.MaxMessageBits
-	}
-	return c.run.opts.MaxMessageBits
 }

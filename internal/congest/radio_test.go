@@ -318,12 +318,12 @@ func TestRadioCrossEngineDifferential(t *testing.T) {
 				check(fmt.Sprintf("eventloop/trial%d", trial), out, stats)
 			}
 			out := make([]int, g.NumNodes())
-			stats, err := RunOn(EngineChannel, g, radioMessyProc(12, out),
+			stats, err := RunOn(EngineSharded, g, radioMessyProc(12, out),
 				Options{Seed: int64(gi + 10*pi), Model: ModelRadio, Faults: plan})
 			if err != nil {
-				t.Fatalf("graph %d plan %d channel: %v", gi, pi, err)
+				t.Fatalf("graph %d plan %d sharded: %v", gi, pi, err)
 			}
-			check("channel", out, stats)
+			check("sharded", out, stats)
 		}
 	}
 }

@@ -2,8 +2,6 @@ package congest
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -132,17 +130,12 @@ type shard struct {
 	pad [64]byte //nolint:unused // padding only
 }
 
-// shardedRun is the pooled per-run state of the sharded engine.
+// shardedRun is the pooled per-run state of the sharded engine: the shared
+// run state plus the shard cut, the per-shard arenas and the relay rings.
+// Drops need no mask here: a dropped local send stores a nil payload, a
+// dropped cross-shard send is never relayed.
 type shardedRun struct {
-	g    *graph.Graph
-	opts Options
-	rev  []int32
-	// order aliases the graph's by-neighbor-ID arc view, shared with gather.
-	order []int32
-	nodes []Ctx
-	// arcArena backs every node's Neighbors() slice, as in the event-loop
-	// engine.
-	arcArena  []graph.Arc
+	runState
 	shards    []shard
 	numShards int
 	// bounds/arcBounds are the shard cut: node and arc breakpoints
@@ -152,41 +145,17 @@ type shardedRun struct {
 	// rings[parity] holds numShards² relay rings; pair (src, dst) lives at
 	// src*numShards+dst.
 	rings [2][]relayRing
-	// Radio-model transmission arenas: global per-node slots (exclusive
-	// writer), exactly as in the event-loop engine.
-	txStamp [2][]int32
-	txPay   [2][]Payload
-	// Fault-layer state, as in runState (drops need no mask here: a dropped
-	// local send stores a nil payload, a dropped cross-shard send is never
-	// relayed).
-	dropThresh uint64
-	faultSeed  int64
-	adversary  Adversary
 
 	shardsPending atomic.Int32
-	// deliver/aborted/err/rounds are written by the global leader and read
-	// by shard wakers after their park receive.
+	// deliver is written by the global leader and read by shard wakers
+	// after their park receive, like the shared aborted/err/rounds.
 	deliver bool
-	aborted bool
-	err     error
-	rounds  int
-	wg      sync.WaitGroup
 }
 
 var shardedPool = sync.Pool{New: func() any { return new(shardedRun) }}
 
 // runSharded drives one simulation on the sharded engine.
 func runSharded(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
-	if opts.Shards < 0 {
-		return Stats{}, fmt.Errorf("congest: negative Options.Shards %d", opts.Shards)
-	}
-	n := g.NumNodes()
-	if n == 0 {
-		return Stats{}, nil
-	}
-	if opts.MaxRounds > math.MaxInt32-2 {
-		opts.MaxRounds = math.MaxInt32 - 2
-	}
 	p := opts.Shards
 	if p == 0 {
 		p = DefaultShards()
@@ -195,11 +164,7 @@ func runSharded(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 		p = runtime.GOMAXPROCS(0)
 	}
 	r := acquireSharded(g, opts, p)
-	r.wg.Add(n)
-	for v := 0; v < n; v++ {
-		go nodeMain(&r.nodes[v], proc)
-	}
-	r.wg.Wait()
+	r.start(proc)
 	stats := Stats{Rounds: r.rounds}
 	for i := 0; i < r.numShards; i++ {
 		d := &r.shards[i]
@@ -566,15 +531,11 @@ func (r *shardedRun) drainInto(d *shard) {
 }
 
 // acquireSharded takes a shardedRun from the pool and sizes/resets it for g
-// cut into p shards. Like acquireRun, all buffers grow to high-water marks;
+// cut into p shards. Like acquireLoop, all buffers grow to high-water marks;
 // released state was scrubbed, so stamps start unoccupied.
 func acquireSharded(g *graph.Graph, opts Options, p int) *shardedRun {
 	r := shardedPool.Get().(*shardedRun)
-	n := g.NumNodes()
-	numArcs := int(g.ArcOffset(n))
-	r.g, r.opts = g, opts
-	r.rev, r.order = g.RevArcs(), g.ArcsByNeighborID()
-
+	r.setup(g, opts)
 	bounds := partition.ShardBounds(g, p)
 	p = len(bounds) - 1
 	r.bounds = bounds
@@ -609,7 +570,10 @@ func acquireSharded(g *graph.Graph, opts Options, p int) *shardedRun {
 		nn := int(d.hiNode - d.loNode)
 		d.live = growInt32(d.live, nn)
 		for j := 0; j < nn; j++ {
-			d.live[j] = d.loNode + int32(j)
+			v := d.loNode + int32(j)
+			d.live[j] = v
+			r.nodes[v].sh = r
+			r.nodes[v].shard = d
 		}
 		d.pending.Store(int32(nn))
 		if d.park == nil {
@@ -623,82 +587,8 @@ func acquireSharded(g *graph.Graph, opts Options, p int) *shardedRun {
 	if p > 1 {
 		r.sizeRings(p)
 	}
-	if opts.Model == ModelRadio {
-		for i := range r.txStamp {
-			r.txStamp[i] = growInt32(r.txStamp[i], n)
-			r.txPay[i] = growPayload(r.txPay[i], n)
-		}
-	}
-	plan := opts.Faults
-	r.dropThresh = plan.dropThreshold()
-	r.faultSeed, r.adversary = 0, AdversaryNone
-	if plan != nil {
-		r.faultSeed, r.adversary = plan.Seed, plan.Adversary
-	}
-	if cap(r.arcArena) < numArcs {
-		r.arcArena = make([]graph.Arc, 0, numArcs)
-	}
-	arena := r.arcArena[:0]
-	for v := 0; v < n; v++ {
-		arena = g.AppendArcs(arena, v)
-	}
-	r.arcArena = arena
-	if len(r.nodes) < n {
-		nodes := make([]Ctx, n)
-		copy(nodes, r.nodes)
-		r.nodes = nodes
-	}
-	idBits := BitsForID(n)
-	for i := 0; i < p; i++ {
-		d := &r.shards[i]
-		for v := int(d.loNode); v < int(d.hiNode); v++ {
-			nd := &r.nodes[v]
-			nd.id = v
-			nd.g = g
-			nd.run = nil
-			nd.leg = nil
-			nd.sh = r
-			nd.shard = d
-			lo, hi := g.ArcOffset(v), g.ArcOffset(v+1)
-			nd.arcs = arena[lo:hi:hi]
-			nd.lo = lo
-			nd.round = 0
-			nd.idBits = idBits
-			nd.model = opts.Model
-			nd.crashAt = noCrash
-			nd.rejoinAt = noCrash
-			nd.incarnation = 0
-			nd.arrival = 0
-			nd.err = nil
-			nd.inbox = nd.inbox[:0]
-			nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
-			seed := mix(opts.Seed, int64(v))
-			if nd.rngSrc == nil {
-				nd.rngSrc = rand.NewSource(seed)
-				nd.rng = rand.New(nd.rngSrc)
-			} else {
-				nd.rngSrc.Seed(seed)
-			}
-			if nd.park == nil {
-				nd.park = make(chan struct{}, 1)
-			}
-		}
-	}
-	if plan != nil {
-		for _, cr := range plan.Crashes {
-			// The earliest crash round wins; among equal rounds the first
-			// entry wins (its Downtime rides along) — as in acquireRun.
-			if nd := &r.nodes[cr.Node]; int32(cr.Round) < nd.crashAt {
-				nd.crashAt = int32(cr.Round)
-				nd.rejoinAt = cr.rejoinRound()
-			}
-		}
-	}
 	r.shardsPending.Store(int32(p))
 	r.deliver = false
-	r.aborted = false
-	r.err = nil
-	r.rounds = 0
 	return r
 }
 
@@ -734,24 +624,16 @@ func (r *shardedRun) sizeRings(p int) {
 	}
 }
 
-// releaseSharded scrubs stale stamps, payload references and node state (as
-// releaseRun does for the event-loop engine) and returns r to the pool.
+// releaseSharded scrubs the shard arenas, the relay rings and the shared
+// state (see runState.release) and returns r to the pool.
 func releaseSharded(r *shardedRun) {
 	for i := 0; i < r.numShards; i++ {
 		d := &r.shards[i]
 		for b := range d.stamp {
-			st, pay := d.stamp[b], d.pay[b]
-			for k := range st {
-				st[k] = 0
-			}
-			for k := range pay {
-				pay[k] = nil
-			}
+			clear(d.stamp[b])
+			clear(d.pay[b])
 			if r.numShards > 1 {
-				os := d.outStamp[b]
-				for k := range os {
-					os[k] = 0
-				}
+				clear(d.outStamp[b])
 			}
 		}
 	}
@@ -759,41 +641,11 @@ func releaseSharded(r *shardedRun) {
 		for b := range r.rings {
 			for i := range r.rings[b] {
 				ring := &r.rings[b][i]
-				buf := ring.buf[:cap(ring.buf)]
-				for k := range buf {
-					buf[k] = relayMsg{}
-				}
+				clear(ring.buf[:cap(ring.buf)])
 				ring.cur.Store(0)
 			}
 		}
 	}
-	if r.opts.Model == ModelRadio {
-		for i := range r.txStamp {
-			st, pay := r.txStamp[i], r.txPay[i]
-			for k := range st {
-				st[k] = 0
-			}
-			for k := range pay {
-				pay[k] = nil
-			}
-		}
-	}
-	r.dropThresh = 0
-	n := r.g.NumNodes()
-	for v := 0; v < n; v++ {
-		nd := &r.nodes[v]
-		inbox := nd.inbox[:cap(nd.inbox)]
-		for k := range inbox {
-			inbox[k] = Message{}
-		}
-		nd.inbox = inbox[:0]
-		nd.g = nil
-		nd.arcs = nil
-		nd.sh = nil
-		nd.shard = nil
-	}
-	r.g = nil
-	r.rev, r.order = nil, nil
-	r.err = nil
+	r.release()
 	shardedPool.Put(r)
 }

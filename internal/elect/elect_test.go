@@ -1,6 +1,7 @@
 package elect
 
 import (
+	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
@@ -13,7 +14,15 @@ var engines = []struct {
 	e    congest.Engine
 }{
 	{"eventloop", congest.EngineEventLoop},
-	{"channel", congest.EngineChannel},
+	{"sharded", congest.EngineSharded},
+}
+
+// TestMain installs a default shard count of 3 for the whole test binary, so
+// every EngineSharded run below cuts its graph into three shards and
+// exercises cross-shard relays even where GOMAXPROCS is 1.
+func TestMain(m *testing.M) {
+	congest.SetDefaultShards(3)
+	os.Exit(m.Run())
 }
 
 // skipCrashed builds an Agreed skip function from a crash schedule.

@@ -17,7 +17,7 @@ var engines = []struct {
 	e    congest.Engine
 }{
 	{"eventloop", congest.EngineEventLoop},
-	{"channel", congest.EngineChannel},
+	{"sharded", congest.EngineSharded},
 }
 
 // raftOver runs the committing Raft over the reliable transport.

@@ -1,7 +1,6 @@
 // Package engbench defines the CONGEST engine microbenchmark scenarios and a
-// self-contained harness for measuring them on every engine (the legacy
-// channel coordinator, the event-loop arena engine, and the sharded
-// multi-core engine). The scenarios
+// self-contained harness for measuring them on both engines (the event-loop
+// arena engine and the sharded multi-core engine). The scenarios
 // are shared by the repository's `go test -bench BenchmarkCongest` suite and
 // by `cmd/experiments -bench-json`, which records the measurements in
 // BENCH_engine.json so the engine's perf trajectory is tracked in-repo;
@@ -17,9 +16,8 @@
 //     run across every graph family (meshes, expanders, scale-free hubs,
 //     communities, surfaces) since degree profile dominates this cost.
 //   - sparse token ring — one token circulates a large ring: almost no
-//     traffic, isolating per-round engine overhead (the channel engine paid
-//     an O(n) inbox-clear sweep and a sort per barrier here regardless of
-//     traffic; the arena engine pays O(degree) per stepping node).
+//     traffic, isolating per-round engine overhead (the barrier and the
+//     O(degree) inbox scan of every stepping node).
 //   - BFS opening — the real bfsproto phase every composite protocol starts
 //     with, on the two largest families (grid at 65536, er-sparse at 50000).
 //   - min-cut packing — the full internal/mincut protocol (two packed MSTs
@@ -75,11 +73,6 @@ type Scenario struct {
 	// Run performs one simulation on g under the currently selected engine.
 	// nil when Variants is set.
 	Run func(g *graph.Graph) (congest.Stats, error)
-	// Engines restricts which engines measure this scenario; empty means the
-	// full default set (channel, event-loop, sharded). The million-node
-	// scenario drops the legacy channel engine, whose per-round allocation
-	// storm would turn a single iteration into a GC benchmark.
-	Engines []congest.Engine
 	// Variants, when non-empty, replaces the per-engine measurement: the
 	// scenario is measured once per variant and the variant name fills the
 	// report's engine column. Used by workloads whose interesting axis is not
@@ -94,16 +87,10 @@ type Variant struct {
 	Run  func(g *graph.Graph) (congest.Stats, error)
 }
 
-// defaultEngines is the full engine axis measured when a scenario does not
-// restrict it.
-var defaultEngines = []congest.Engine{congest.EngineChannel, congest.EngineEventLoop, congest.EngineSharded}
-
-// EngineList resolves the engines this scenario is measured on.
-func (s *Scenario) EngineList() []congest.Engine {
-	if len(s.Engines) > 0 {
-		return s.Engines
-	}
-	return defaultEngines
+// Engines returns the engine axis every scenario without Variants is
+// measured on.
+func Engines() []congest.Engine {
+	return []congest.Engine{congest.EngineEventLoop, congest.EngineSharded}
 }
 
 // BroadcastProc floods every edge in both directions for `rounds` rounds —
@@ -173,19 +160,16 @@ func broadcastOn(family string, n int, seed int64) Scenario {
 // family, constructed through the chunked streaming CSR path (BuildLarge:
 // int64 offsets, no dedup map, O(n) transient memory). The workload exists
 // to compare the event-loop engine against the sharded multi-core engine at
-// a scale where per-round parallelism dominates — the legacy channel engine
-// is excluded (its per-round allocation storm at 2m ≈ 6M arcs would measure
-// the GC, not the engine) and the flood is cut to 24 rounds so a single
-// Heavy iteration stays in seconds.
+// a scale where per-round parallelism dominates; the flood is cut to 24
+// rounds so a single Heavy iteration stays in seconds.
 func broadcastLargeOn(family string, n int, seed int64) Scenario {
 	const floodSteps = 24
 	sc := scenario.MustGet(family)
 	name := fmt.Sprintf("%s-n%d", family, sc.NumNodes(n))
 	return Scenario{
-		Name:    "broadcast/" + name,
-		Heavy:   true,
-		Graph:   cached(func() *graph.Graph { return sc.BuildLarge(n, seed) }),
-		Engines: []congest.Engine{congest.EngineEventLoop, congest.EngineSharded},
+		Name:  "broadcast/" + name,
+		Heavy: true,
+		Graph: cached(func() *graph.Graph { return sc.BuildLarge(n, seed) }),
 		Run: func(g *graph.Graph) (congest.Stats, error) {
 			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1})
 		},
@@ -423,9 +407,9 @@ func Scenarios() []Scenario {
 	)
 	// The million-node flood (PR 9): preferential attachment keeps the
 	// diameter logarithmic, so 24 rounds saturate every arc without the
-	// ~2000-round diameter a million-node mesh would need. Event-loop vs
-	// sharded only; the nightly large-n CI job gates the sharded engine
-	// faster on every n >= 1e5 scenario.
+	// ~2000-round diameter a million-node mesh would need. The nightly
+	// large-n CI job gates the sharded engine faster on every n >= 1e5
+	// scenario.
 	suite = append(suite, broadcastLargeOn("ba", 1000000, 7))
 	// The centralized FindShortcut construction hot path, sequential vs the
 	// parallel worker pool, on a mid-size mesh and the two largest families
@@ -441,10 +425,7 @@ func Scenarios() []Scenario {
 
 // EngineName renders an engine for reports.
 func EngineName(e congest.Engine) string {
-	switch e {
-	case congest.EngineChannel:
-		return "channel"
-	case congest.EngineSharded:
+	if e == congest.EngineSharded {
 		return "sharded"
 	}
 	return "event-loop"
@@ -461,18 +442,17 @@ type Measurement struct {
 	SimMessages int64  `json:"sim_messages"`
 }
 
-// Report is the BENCH_engine.json document: per-engine measurements plus the
-// event-loop-over-channel speedup per scenario. The host metadata
+// Report is the BENCH_engine.json document: one measurement per (scenario,
+// engine or variant). The host metadata
 // (go_version, gomaxprocs, engines) is load-bearing: cmd/benchdiff refuses
 // to compare reports whose recording configurations differ, since absolute
 // ns/op does not transfer across Go releases or core counts (the sharded
 // engine's numbers in particular are meaningless without GOMAXPROCS).
 type Report struct {
-	GoVersion  string             `json:"go_version"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Engines    []string           `json:"engines"`
-	Results    []Measurement      `json:"results"`
-	Speedup    map[string]float64 `json:"speedup_event_loop_vs_channel"`
+	GoVersion  string        `json:"go_version"`
+	GoMaxProcs int           `json:"gomaxprocs"`
+	Engines    []string      `json:"engines"`
+	Results    []Measurement `json:"results"`
 }
 
 // Measure runs every suite scenario on both engines and assembles the
@@ -492,18 +472,15 @@ func MeasureSuite(suite []Scenario, minIters int, minDuration time.Duration, ski
 	rep := &Report{
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Speedup:    make(map[string]float64),
 	}
-	for _, e := range defaultEngines {
+	for _, e := range Engines() {
 		rep.Engines = append(rep.Engines, EngineName(e))
 	}
-	perScenario := make(map[string]map[string]int64)
 	for _, sc := range suite {
 		if sc.Heavy && skipHeavy {
 			continue
 		}
 		g := sc.Graph()
-		perScenario[sc.Name] = make(map[string]int64)
 		if len(sc.Variants) > 0 {
 			for _, v := range sc.Variants {
 				m, err := measureRun(sc.Name, v.Name, sc.Heavy, v.Run, g, minIters, minDuration)
@@ -511,22 +488,15 @@ func MeasureSuite(suite []Scenario, minIters int, minDuration time.Duration, ski
 					return nil, err
 				}
 				rep.Results = append(rep.Results, m)
-				perScenario[sc.Name][m.Engine] = m.NsPerOp
 			}
 			continue
 		}
-		for _, e := range sc.EngineList() {
+		for _, e := range Engines() {
 			m, err := measureOne(sc, g, e, minIters, minDuration)
 			if err != nil {
 				return nil, err
 			}
 			rep.Results = append(rep.Results, m)
-			perScenario[sc.Name][m.Engine] = m.NsPerOp
-		}
-	}
-	for name, engines := range perScenario {
-		if ch, ev := engines["channel"], engines["event-loop"]; ch > 0 && ev > 0 {
-			rep.Speedup[name] = float64(ch) / float64(ev)
 		}
 	}
 	return rep, nil

@@ -83,8 +83,8 @@ func TestSuiteShape(t *testing.T) {
 	if fsc == 0 {
 		t.Error("no findshortcut construction scenarios in the suite")
 	}
-	// The million-node flood is registered Heavy with the channel engine
-	// excluded; every other scenario measures the full default engine axis.
+	// The million-node flood is registered Heavy: smoke runs skip it and
+	// Measure times exactly one iteration.
 	large, ok := func() (Scenario, bool) {
 		for _, sc := range suite {
 			if sc.Name == "broadcast/ba-n1000000" {
@@ -98,14 +98,6 @@ func TestSuiteShape(t *testing.T) {
 	}
 	if !large.Heavy {
 		t.Error("broadcast/ba-n1000000 must be Heavy (single timed iteration, skipped by smoke runs)")
-	}
-	for _, e := range large.EngineList() {
-		if e == congest.EngineChannel {
-			t.Error("broadcast/ba-n1000000 must not measure the channel engine")
-		}
-	}
-	if len(large.EngineList()) != 2 {
-		t.Errorf("broadcast/ba-n1000000: want 2 engines (event-loop, sharded), got %d", len(large.EngineList()))
 	}
 }
 
@@ -126,8 +118,8 @@ func TestMeasureSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Results) != 5 {
-		t.Fatalf("want 5 measurements (3 engines + 2 variants), got %d", len(rep.Results))
+	if len(rep.Results) != 4 {
+		t.Fatalf("want 4 measurements (2 engines + 2 variants), got %d", len(rep.Results))
 	}
 	engines := map[string]bool{}
 	for _, m := range rep.Results {
@@ -139,19 +131,16 @@ func TestMeasureSmoke(t *testing.T) {
 			t.Errorf("%s/%s: no simulated rounds %+v", m.Scenario, m.Engine, m)
 		}
 	}
-	for _, want := range []string{"channel", "event-loop", "sharded", "sequential", "parallel"} {
+	for _, want := range []string{"event-loop", "sharded", "sequential", "parallel"} {
 		if !engines[want] {
 			t.Errorf("missing measurement column %q", want)
 		}
-	}
-	if len(rep.Speedup) == 0 {
-		t.Error("no speedup entries")
 	}
 	// Host metadata is what cmd/benchdiff's mismatch refusal keys on.
 	if rep.GoVersion == "" || rep.GoMaxProcs < 1 {
 		t.Errorf("report missing host metadata: go_version=%q gomaxprocs=%d", rep.GoVersion, rep.GoMaxProcs)
 	}
-	wantEngines := []string{"channel", "event-loop", "sharded"}
+	wantEngines := []string{"event-loop", "sharded"}
 	if len(rep.Engines) != len(wantEngines) {
 		t.Fatalf("report engines = %v, want %v", rep.Engines, wantEngines)
 	}

@@ -53,13 +53,12 @@ func TestGoldenBaselineFile(t *testing.T) {
 	}
 }
 
-// TestGoldenEngineIdentity is the cross-engine contract behind the rewrite:
-// the full registry must produce byte-identical JSON on the event-loop,
-// channel and sharded engines, sequentially and on eight harness workers —
-// and, for the sharded engine, across shard counts 1, 4 and 8, since the
-// shard cut must never leak into seeded protocol output (deliveries are
-// merged back into by-neighbor-ID inbox order regardless of which shard
-// relayed them).
+// TestGoldenEngineIdentity is the cross-engine contract: the full registry
+// must produce byte-identical JSON on the event-loop and sharded engines,
+// sequentially and on eight harness workers — and, for the sharded engine,
+// across shard counts 1, 4 and 8, since the shard cut must never leak into
+// seeded protocol output (deliveries are merged back into by-neighbor-ID
+// inbox order regardless of which shard relayed them).
 func TestGoldenEngineIdentity(t *testing.T) {
 	type variant struct {
 		engine  congest.Engine
@@ -69,8 +68,6 @@ func TestGoldenEngineIdentity(t *testing.T) {
 	ref := encodeRun(t, 1) // current default engine, sequential
 	variants := []variant{
 		{congest.EngineEventLoop, 8, 0},
-		{congest.EngineChannel, 1, 0},
-		{congest.EngineChannel, 8, 0},
 		{congest.EngineSharded, 1, 4},
 	}
 	if !raceEnabled {

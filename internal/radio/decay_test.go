@@ -2,6 +2,7 @@ package radio_test
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
@@ -16,7 +17,15 @@ var engines = []struct {
 	e    congest.Engine
 }{
 	{"eventloop", congest.EngineEventLoop},
-	{"channel", congest.EngineChannel},
+	{"sharded", congest.EngineSharded},
+}
+
+// TestMain installs a default shard count of 3 for the whole test binary, so
+// every EngineSharded run below cuts its graph into three shards even where
+// GOMAXPROCS is 1.
+func TestMain(m *testing.M) {
+	congest.SetDefaultShards(3)
+	os.Exit(m.Run())
 }
 
 func runDecay(t *testing.T, e congest.Engine, g *graph.Graph, cfg radio.DecayConfig, opts congest.Options) []radio.DecayOutcome {

@@ -3,6 +3,7 @@ package reliable_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
@@ -18,7 +19,15 @@ var engines = []struct {
 	e    congest.Engine
 }{
 	{"eventloop", congest.EngineEventLoop},
-	{"channel", congest.EngineChannel},
+	{"sharded", congest.EngineSharded},
+}
+
+// TestMain installs a default shard count of 3 for the whole test binary, so
+// every EngineSharded run below cuts its graph into three shards and
+// exercises cross-shard relays even where GOMAXPROCS is 1.
+func TestMain(m *testing.M) {
+	congest.SetDefaultShards(3)
+	os.Exit(m.Run())
 }
 
 // floodOver runs the flood-max election over the reliable transport.
