@@ -26,7 +26,9 @@ func (aggDownMsg) Bits() int { return 64 }
 // traffic a desynchronized protocol leaks onto non-tree arcs during the
 // aggregate window is no longer detected as an "unexpected payload" (wrong
 // payload types on the tree arcs still are) — alignment is the composition
-// contract, and the cross-engine golden tests pin it.
+// contract, and the cross-engine golden tests pin it. Between its own
+// actions a node waits in StepUntil: for mail or its report round h−depth,
+// then for mail or the phase end.
 func AggregatePhase(ctx congest.Net, info *Info, local int64, combine func(a, b int64) int64) (int64, error) {
 	h := info.Height
 	acc := local
@@ -39,7 +41,8 @@ func AggregatePhase(ctx congest.Net, info *Info, local int64, combine func(a, b 
 			ctx.SendArc(ka, aggDownMsg{v: result})
 		}
 	}
-	for k := 0; k <= 2*h+2; k++ {
+	start := ctx.Round()
+	for k := 0; ; k = ctx.Round() - start {
 		if k > 0 {
 			if info.ParentArc != -1 {
 				if p, ok := ctx.InboxArc(info.ParentArc); ok {
@@ -76,9 +79,14 @@ func AggregatePhase(ctx congest.Net, info *Info, local int64, combine func(a, b 
 				deliver()
 			}
 		}
-		if k < 2*h+2 {
-			ctx.Step()
+		if k >= 2*h+2 {
+			break
 		}
+		next := 2*h + 2
+		if k < h-info.Depth {
+			next = h - info.Depth
+		}
+		ctx.StepUntil(start + next)
 	}
 	if !haveResult {
 		return 0, fmt.Errorf("bfsproto: node %d finished aggregate without a result", ctx.ID())

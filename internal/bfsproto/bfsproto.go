@@ -14,6 +14,7 @@ package bfsproto
 
 import (
 	"fmt"
+	"math"
 
 	"lcshortcut/internal/congest"
 	"lcshortcut/internal/graph"
@@ -88,8 +89,16 @@ func Phase(ctx congest.Net, root graph.NodeID, seed int64) (*Info, error) {
 		ctx.SendAll(offerMsg{depth: 0, n: n})
 	}
 	for done == nil {
+		// Between offers, accepts, echoes and the done message only the
+		// echo can fire without mail: in the round after the neighborhood
+		// resolves and every child has reported (at the root with no
+		// neighbors, at once; after an adoption, the round after).
+		next := math.MaxInt
+		if adopted && !echoSent && resolved == ctx.Degree() && childEcho == len(info.Children) {
+			next = ctx.Round() + 1
+		}
 		acceptArc := -1
-		for _, m := range ctx.StepRound() {
+		for _, m := range ctx.StepUntil(next) {
 			switch msg := m.Payload.(type) {
 			case offerMsg:
 				resolved++

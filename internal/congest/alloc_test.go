@@ -212,3 +212,41 @@ func TestAllocGuardTokenRing(t *testing.T) {
 		t.Errorf("token ring steady state allocates %.3f allocs/round, want 0", per)
 	}
 }
+
+// sleepyConvergecastProc repeats an aggregate-shaped wait on a path
+// 0-1-…-(n-1) rooted at 0: in each (n+1)-round period node v sleeps in
+// StepUntil until its report round n-1-v, when its child's report arrives,
+// reports to its parent and idles to the period's end. Most node-rounds are
+// spent asleep; the run lasts exactly `rounds` rounds.
+func sleepyConvergecastProc(rounds int) congest.Proc {
+	return func(ctx *congest.Ctx) error {
+		id, n := ctx.ID(), ctx.N()
+		parent := ctx.ArcIndex(id - 1)
+		for ctx.Round()+n+1 <= rounds {
+			start := ctx.Round()
+			if report := start + n - 1 - id; report > ctx.Round() {
+				ctx.StepUntil(report)
+			}
+			if parent >= 0 {
+				ctx.SendArc(parent, pulse{})
+			}
+			ctx.Idle(start + n + 1 - ctx.Round())
+		}
+		ctx.Idle(rounds - ctx.Round())
+		return nil
+	}
+}
+
+// TestAllocGuardSleep is the sleeping-barrier guard: nodes filed in the wake
+// heap, woken by mail marks and by their wake round, must not allocate per
+// round on the event-loop engine.
+func TestAllocGuardSleep(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
+	}
+	prev := congest.SetEngine(congest.EngineEventLoop)
+	defer congest.SetEngine(prev)
+	if per := perRoundAllocs(t, gen.Path(32), congest.Options{Seed: 3}, sleepyConvergecastProc); per > 0.02 {
+		t.Errorf("sleeping steady state allocates %.3f allocs/round, want 0", per)
+	}
+}

@@ -32,6 +32,20 @@
 // retires the round inline (round count, watchdog, cost accounting) and
 // unparks the survivors — there is no coordinator goroutine.
 //
+// Only awake nodes join the countdown. A node with nothing to do until a
+// message or a known round (Ctx.StepUntil, Ctx.Idle, a crash-recovery
+// downtime) arrives as a sleeper: the leader files it in an indexed min-heap
+// keyed by (wake round, node ID) and leaves it parked. A send to a sleeping
+// receiver marks it — one CAS on a per-node flag, then a slot in a
+// preallocated wake list — so the next leader re-arms exactly the nodes that
+// stepped, got mail or are due. A node falling asleep in the round being
+// retired cannot have been marked yet, so the leader scans its slots for
+// that round's stamp instead. When no node is awake, the leader jumps the
+// round counter to the earliest wake round; the skipped rounds count in
+// Stats.Rounds and against the watchdog exactly as stepped ones would. A
+// run therefore pays for the node-rounds that do work, not for every live
+// node in every round.
+//
 // The multi-core engine (EngineSharded, sharded.go) keeps the same mailbox
 // discipline but cuts the arena into worker shards retired in parallel.
 // Both engines embed one runState — the node table, the radio and fault
@@ -46,6 +60,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -233,8 +248,14 @@ func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 }
 
 // Barrier arrival kinds published by a node before it joins the countdown.
+// arriveSleep and arriveIdle are stepping arrivals that leave the countdown
+// until the node's wake round (event-loop engine only); a sleeping node also
+// wakes at its first readable message, an idle one does not. Kinds below
+// arriveDone keep the node running.
 const (
 	arriveStep int32 = iota + 1
+	arriveSleep
+	arriveIdle
 	arriveDone
 	arriveFail
 )
@@ -276,8 +297,9 @@ type Ctx struct {
 	rejoinAt    int32
 	incarnation int32
 
-	// Barrier state.
+	// Barrier state. wakeAt is the wake round of a sleep or idle arrival.
 	arrival int32
+	wakeAt  int32
 	err     error
 	park    chan struct{}
 	inbox   []Message
@@ -395,9 +417,12 @@ func (c *Ctx) SendArc(k int, p Payload) {
 	lr.pay[buf][s] = p
 	// The lossy network still charges the sender: the message consumed its
 	// per-edge budget and counts toward Stats, it just never surfaces in an
-	// inbox (the drop mask hides the slot from both read paths).
+	// inbox (the drop mask hides the slot from both read paths) and never
+	// wakes a sleeping receiver.
 	if lr.dropThresh != 0 && dropped(lr.dropThresh, lr.faultSeed, stamp, s) {
 		lr.dropMask[buf][s] = stamp
+	} else if lr.sleepers != 0 {
+		lr.markMail(c.arcs[k].To)
 	}
 	c.pMsgs++
 	c.pBits += int64(b)
@@ -408,8 +433,8 @@ func (c *Ctx) SendArc(k int, p Payload) {
 
 // SendAll sends the same payload to every neighbor this round. On the
 // event-loop engine it is a single pass over the node's reverse-arc slice
-// with the budget checks hoisted out of the loop — the broadcast-flood fast
-// path.
+// with the budget checks and the sleeper check hoisted out of the loop — the
+// broadcast-flood fast path.
 func (c *Ctx) SendAll(p Payload) {
 	if c.model != ModelCongest {
 		c.fail(fmt.Errorf("%w: node %d called SendAll under ModelRadio in round %d", ErrModelViolation, c.id, c.round))
@@ -444,6 +469,13 @@ func (c *Ctx) SendAll(p Payload) {
 			lr.dropMask[buf][s] = stamp
 		}
 	}
+	if lr.sleepers != 0 {
+		for i, s := range lr.rev[c.lo : c.lo+int32(deg)] {
+			if thresh == 0 || lr.dropMask[buf][s] != stamp {
+				lr.markMail(c.arcs[i].To)
+			}
+		}
+	}
 	c.pMsgs += int64(deg)
 	c.pBits += int64(deg) * int64(b)
 	if b > c.pMax {
@@ -471,6 +503,36 @@ func (c *Ctx) StepRound() []Message {
 func (c *Ctx) Step() {
 	c.maybeCrash()
 	c.stepBarrier()
+}
+
+// StepUntil is the barrier for a node with nothing to do until a message
+// arrives or the clock reaches round: it performs at least one barrier, keeps
+// stepping until the node has a readable message or Round() >= round, and
+// returns that round's inbox under StepRound's ordering and reuse rules.
+// StepUntil(r) with r <= Round()+1 is StepRound; math.MaxInt waits for mail
+// alone (the watchdog still bounds it). On the event-loop engine the node
+// sleeps outside the barrier meanwhile, so the skipped rounds cost it
+// nothing; every other engine steps through them. The outcome is the same.
+func (c *Ctx) StepUntil(round int) []Message {
+	if c.model != ModelCongest {
+		c.fail(fmt.Errorf("%w: node %d called StepUntil under ModelRadio in round %d (use Step + RadioRecv)", ErrModelViolation, c.id, c.round))
+	}
+	for {
+		c.maybeCrash()
+		c.sleepBarrier(round, true)
+		if c.round >= round || c.hasMail() {
+			return c.gather()
+		}
+	}
+}
+
+// hasMail reports whether a readable (undropped) message waits for the node
+// this round, without materializing the inbox.
+func (c *Ctx) hasMail() bool {
+	if c.sh != nil {
+		return c.sh.hasMail(c)
+	}
+	return c.loop.hasMail(c, int32(c.round))
 }
 
 // maybeCrash enforces the node's scheduled crash at the barrier ending round
@@ -531,9 +593,13 @@ func (c *Ctx) InboxArc(k int) (Payload, bool) {
 
 // Idle advances the node through k barriers, discarding anything received.
 // Use it only where the protocol guarantees no meaningful traffic arrives.
+// On the event-loop engine the node sleeps through them: messages do not
+// wake it, and those that arrive meanwhile are never read.
 func (c *Ctx) Idle(k int) {
-	for i := 0; i < k; i++ {
-		c.Step()
+	target := c.round + min(k, c.run.opts.MaxRounds+1)
+	for c.round < target {
+		c.maybeCrash()
+		c.sleepBarrier(target, false)
 	}
 }
 
@@ -542,6 +608,33 @@ func (c *Ctx) Idle(k int) {
 func (c *Ctx) stepBarrier() {
 	c.arrive(arriveStep)
 	c.round++
+}
+
+// sleepBarrier ends the round like stepBarrier, but on the event-loop engine
+// a node whose wake round is two or more rounds ahead leaves the countdown:
+// it is released at its wake round or, with mail set, at the first round it
+// has a readable message, whichever comes first. The wake round is clamped
+// to MaxRounds+1 (the watchdog's round) and to the round before a pending
+// scheduled crash, so maybeCrash still fires at the crash barrier. Radio runs
+// and the sharded engine step once.
+func (c *Ctx) sleepBarrier(target int, mail bool) {
+	limit := c.run.opts.MaxRounds + 1
+	if crash := int(c.crashAt) - 1; c.round < crash && crash < limit {
+		limit = crash
+	}
+	target = min(target, limit)
+	if c.sh != nil || c.model != ModelCongest || target < c.round+2 {
+		c.stepBarrier()
+		return
+	}
+	c.wakeAt = int32(target)
+	if mail {
+		c.arrive(arriveSleep)
+	} else {
+		c.arrive(arriveIdle)
+	}
+	// A sleeper may have skipped rounds: the run's counter is its clock.
+	c.round = c.loop.rounds
 }
 
 // gather materializes this round's inbox from the mailbox slots, scanning
@@ -587,9 +680,9 @@ func (c *Ctx) fail(err error) {
 
 // arrive publishes this node's barrier arrival and joins the countdown. The
 // last arriver leads the round (classification, accounting, watchdog, wake).
-// Stepping nodes return once released into the next round; done/fail
-// arrivals return immediately after their (possible) leadership duty, since
-// their goroutine is exiting.
+// Stepping and sleeping nodes return once released into a later round;
+// done/fail arrivals return immediately after their (possible) leadership
+// duty, since their goroutine is exiting.
 func (c *Ctx) arrive(kind int32) {
 	c.arrival = kind
 	if c.sh != nil {
@@ -598,13 +691,15 @@ func (c *Ctx) arrive(kind int32) {
 	}
 	lr := c.loop
 	if lr.pending.Add(-1) == 0 {
-		lr.lead(c)
-	} else if kind == arriveStep {
+		if lr.lead(c) {
+			<-c.park
+		}
+	} else if kind < arriveDone {
 		<-c.park
 	} else {
 		return
 	}
-	if kind == arriveStep && lr.aborted {
+	if kind < arriveDone && lr.aborted {
 		panic(errAbort)
 	}
 }
@@ -765,7 +860,7 @@ func (rs *runState) release() {
 }
 
 // loopRun is the pooled per-run state of the event-loop engine: the mailbox
-// arenas, the live set and the barrier countdown.
+// arenas, the awake set, the sleep state and the barrier countdown.
 type loopRun struct {
 	runState
 	// stamp/pay are the mailbox arenas: slot lo(v)+k holds the message
@@ -781,10 +876,20 @@ type loopRun struct {
 	// runs whose plan actually drops and are epoch-stamped, so nothing is
 	// cleared between rounds.
 	dropMask [2][]int32
-	// live lists the nodes still running, ascending; rebuilt in place by the
-	// round leader.
-	live    []int32
+	// awake lists the nodes that arrive at the next barrier, ascending;
+	// rebuilt in place by the round leader. pending counts them down.
+	awake   []int32
 	pending atomic.Int32
+	// Sleep state. asleep holds each node's sleep flag (sleepNone, sleepMail,
+	// sleepTimer); a sender CASes sleepMail to sleepNone and the winner
+	// appends the receiver to wakeList at wakeCur. wakeHeap orders
+	// the sleepers by wake round. sleepers is the heap size, written by the
+	// leader and read by senders, which skip the flag when it is zero.
+	asleep   []atomic.Int32
+	wakeList []int32
+	wakeCur  atomic.Int32
+	wakeHeap wakeHeap
+	sleepers int32
 
 	msgs    int64
 	bitsSum int64
@@ -793,33 +898,45 @@ type loopRun struct {
 
 var loopPool = sync.Pool{New: func() any { return new(loopRun) }}
 
-// lead retires the round: it runs on the last node to arrive at the barrier,
-// with every live node accounted for (parked steppers, exiting done/fail
-// arrivals). It classifies arrivals, aborts on failure or watchdog, flushes
-// the arrivers' send accounting when the round delivers, resets the
-// countdown and unparks the survivors.
-func (lr *loopRun) lead(leader *Ctx) {
-	arrived := lr.live
+// Sleep flags (loopRun.asleep).
+const (
+	sleepNone int32 = iota
+	sleepMail
+	sleepTimer
+)
+
+// lead retires the round: it runs on the last awake node to arrive at the
+// barrier, with every awake node accounted for (parked steppers and
+// sleepers, exiting done/fail arrivals). It classifies arrivals, aborts on
+// failure or watchdog, flushes the arrivers' send accounting when the round
+// delivers, files new sleepers, wakes the marked and due ones (jumping the
+// clock when nobody is awake), resets the countdown and unparks the awake
+// set. It reports whether the leader itself sleeps on.
+func (lr *loopRun) lead(leader *Ctx) (leaderSleeps bool) {
+	arrived := lr.awake
 	var err error
-	steppers := 0
+	errID := int32(math.MaxInt32)
+	live := int(lr.sleepers) // sleepers are live steppers
 	for _, id := range arrived {
 		nd := &lr.nodes[id]
 		switch nd.arrival {
-		case arriveStep:
-			steppers++
+		case arriveStep, arriveSleep, arriveIdle:
+			live++
 		case arriveFail:
-			if err == nil {
-				err = nd.err
+			// The lowest failing node ID wins, whatever the list order.
+			if id < errID {
+				err, errID = nd.err, id
 			}
 		}
 	}
-	if err == nil && steppers > 0 {
+	if err == nil && live > 0 {
 		lr.rounds++
 		if lr.rounds > lr.opts.MaxRounds {
 			err = fmt.Errorf("%w (%d)", ErrMaxRounds, lr.opts.MaxRounds)
 		}
 	}
-	deliver := err == nil && steppers > 0
+	deliver := err == nil && live > 0
+	stamp := int32(lr.rounds)
 	w := 0
 	for _, id := range arrived {
 		nd := &lr.nodes[id]
@@ -834,22 +951,192 @@ func (lr *loopRun) lead(leader *Ctx) {
 			}
 			nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
 		}
-		if nd.arrival == arriveStep {
-			lr.live[w] = id
+		switch nd.arrival {
+		case arriveStep:
+			lr.awake[w] = id
 			w++
+		case arriveSleep:
+			// Senders of the retired round saw this node awake and did not
+			// mark it: look for their messages directly.
+			if deliver && lr.hasMail(nd, stamp) {
+				lr.awake[w] = id
+				w++
+			} else {
+				lr.sleep(nd)
+			}
+		case arriveIdle:
+			lr.sleep(nd)
 		}
 	}
-	lr.live = lr.live[:w]
+	lr.awake = lr.awake[:w]
+	if err == nil {
+		err = lr.wake()
+	}
 	if err != nil {
 		lr.err = err
 		lr.aborted = true
-	} else {
-		lr.pending.Store(int32(w))
+		// Release every parked node, sleepers included; each unwinds.
+		for _, id := range lr.awake {
+			if nd := &lr.nodes[id]; nd != leader {
+				nd.park <- struct{}{}
+			}
+		}
+		for _, it := range lr.wakeHeap.items {
+			if nd := &lr.nodes[it.node]; nd != leader {
+				nd.park <- struct{}{}
+			}
+		}
+		return false
 	}
-	for _, id := range lr.live {
+	lr.pending.Store(int32(len(lr.awake)))
+	leaderSleeps = lr.asleep[leader.id].Load() != sleepNone
+	for _, id := range lr.awake {
 		if nd := &lr.nodes[id]; nd != leader {
 			nd.park <- struct{}{}
 		}
+	}
+	return leaderSleeps
+}
+
+// sleep files an arriving sleeper or idler in the wake heap.
+func (lr *loopRun) sleep(nd *Ctx) {
+	flag := sleepTimer
+	if nd.arrival == arriveSleep {
+		flag = sleepMail
+	}
+	lr.asleep[nd.id].Store(flag)
+	lr.wakeHeap.push(int32(nd.id), nd.wakeAt)
+}
+
+// wake moves the sleepers marked by the retired round's senders and those
+// due at the new round into the awake set. When nobody is awake it first
+// jumps the clock to the earliest wake round, failing with ErrMaxRounds (at
+// MaxRounds+1 rounds, as stepping would) when that round is past the
+// watchdog bound. The awake set is left in ascending ID order, so the
+// released nodes walk the node table and the mailbox arena in address
+// order.
+func (lr *loopRun) wake() error {
+	stepped := len(lr.awake)
+	for _, id := range lr.wakeList[:lr.wakeCur.Load()] {
+		lr.wakeHeap.remove(id)
+		lr.rouse(id)
+	}
+	lr.wakeCur.Store(0)
+	h := &lr.wakeHeap
+	if len(lr.awake) == 0 && len(h.items) > 0 {
+		next := int(h.items[0].round)
+		if next > lr.opts.MaxRounds {
+			lr.rounds = lr.opts.MaxRounds + 1
+			return fmt.Errorf("%w (%d)", ErrMaxRounds, lr.opts.MaxRounds)
+		}
+		lr.rounds = next
+	}
+	for now := int32(lr.rounds); len(h.items) > 0 && h.items[0].round <= now; {
+		id := h.items[0].node
+		h.remove(id)
+		lr.rouse(id)
+	}
+	lr.sleepers = int32(len(h.items))
+	if len(lr.awake) > stepped {
+		slices.Sort(lr.awake)
+	}
+	return nil
+}
+
+// rouse clears a woken node's sleep flag (a mail wake's sender already did)
+// and adds it to the awake set.
+func (lr *loopRun) rouse(id int32) {
+	lr.asleep[id].Store(sleepNone)
+	lr.awake = append(lr.awake, id)
+}
+
+// hasMail reports whether a readable (undropped) message stamped for round
+// stamp waits in one of nd's mailbox slots.
+func (lr *loopRun) hasMail(nd *Ctx, stamp int32) bool {
+	buf := stamp & 1
+	lo := nd.lo
+	for s := lo; s < lo+int32(len(nd.arcs)); s++ {
+		if lr.stamp[buf][s] == stamp && (lr.dropThresh == 0 || lr.dropMask[buf][s] != stamp) {
+			return true
+		}
+	}
+	return false
+}
+
+// markMail wakes sleeping receiver v for the round a message sent to it
+// becomes readable: the first sender to flip its flag files it in the wake
+// list. A timer sleeper's flag never matches, so mail does not wake it.
+func (lr *loopRun) markMail(v graph.NodeID) {
+	if f := &lr.asleep[v]; f.Load() == sleepMail && f.CompareAndSwap(sleepMail, sleepNone) {
+		lr.wakeList[lr.wakeCur.Add(1)-1] = int32(v)
+	}
+}
+
+// wakeHeap is an indexed binary min-heap of sleeping nodes ordered by (wake
+// round, node ID); pos[v] is v's index in items while v sleeps. Both arrays
+// are sized to the node count when a run starts, so no operation allocates.
+type wakeHeap struct {
+	items []wakeItem
+	pos   []int32
+}
+
+type wakeItem struct{ round, node int32 }
+
+func (h *wakeHeap) less(i, j int) bool {
+	a, b := h.items[i], h.items[j]
+	return a.round < b.round || (a.round == b.round && a.node < b.node)
+}
+
+func (h *wakeHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i].node] = int32(i)
+	h.pos[h.items[j].node] = int32(j)
+}
+
+func (h *wakeHeap) push(node, round int32) {
+	h.items = append(h.items, wakeItem{round: round, node: node})
+	h.pos[node] = int32(len(h.items) - 1)
+	h.up(len(h.items) - 1)
+}
+
+// remove deletes node v, which must be in the heap.
+func (h *wakeHeap) remove(v int32) {
+	i, last := int(h.pos[v]), len(h.items)-1
+	if i != last {
+		h.swap(i, last)
+	}
+	h.items = h.items[:last]
+	if i != last {
+		h.down(i)
+		h.up(i)
+	}
+}
+
+func (h *wakeHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *wakeHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h.items) {
+			return
+		}
+		if r := m + 1; r < len(h.items) && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h.swap(i, m)
+		i = m
 	}
 }
 
@@ -920,8 +1207,8 @@ func runProcOnce(c *Ctx, proc Proc) (restart bool) {
 	return false
 }
 
-// downUntilRejoin steps a crashed node silently through its downtime window.
-// It reports false when the run aborted while the node was down.
+// downUntilRejoin sleeps a crashed node through its downtime window, deaf to
+// mail. It reports false when the run aborted while the node was down.
 func downUntilRejoin(c *Ctx) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -933,7 +1220,7 @@ func downUntilRejoin(c *Ctx) (ok bool) {
 		}
 	}()
 	for int32(c.round) < c.rejoinAt {
-		c.stepBarrier()
+		c.sleepBarrier(int(c.rejoinAt), false)
 	}
 	return true
 }
@@ -963,11 +1250,23 @@ func acquireLoop(g *graph.Graph, opts Options) *loopRun {
 			lr.dropMask[i] = growInt32(lr.dropMask[i], numArcs)
 		}
 	}
-	lr.live = growInt32(lr.live, n)
+	lr.awake = growInt32(lr.awake, n)
+	lr.wakeList = growInt32(lr.wakeList, n)
+	lr.wakeHeap.pos = growInt32(lr.wakeHeap.pos, n)
+	if cap(lr.wakeHeap.items) < n {
+		lr.wakeHeap.items = make([]wakeItem, 0, n)
+	}
+	lr.wakeHeap.items = lr.wakeHeap.items[:0]
+	if len(lr.asleep) < n {
+		lr.asleep = make([]atomic.Int32, n)
+	}
 	for v := 0; v < n; v++ {
 		lr.nodes[v].loop = lr
-		lr.live[v] = int32(v)
+		lr.awake[v] = int32(v)
+		lr.asleep[v].Store(sleepNone)
 	}
+	lr.wakeCur.Store(0)
+	lr.sleepers = 0
 	lr.pending.Store(int32(n))
 	lr.msgs, lr.bitsSum, lr.maxBits = 0, 0, 0
 	return lr

@@ -244,6 +244,35 @@ func TestEventLoopAbortNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestEventLoopAbortWhileAsleepNoGoroutineLeak fails one node while every
+// other node sleeps toward a far round — half in StepUntil, half in Idle:
+// the leader must release every sleeper, so each goroutine unwinds and
+// exits.
+func TestEventLoopAbortWhileAsleepNoGoroutineLeak(t *testing.T) {
+	boom := errors.New("boom")
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			_, err := RunOn(eng.e, gen.Grid(6, 6), func(ctx *Ctx) error {
+				switch {
+				case ctx.ID() == 7:
+					ctx.Idle(3)
+					return boom
+				case ctx.ID()%2 == 0:
+					ctx.StepUntil(10_000)
+				default:
+					ctx.Idle(10_000)
+				}
+				return nil
+			}, Options{})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want %v", err, boom)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
 // TestEnginesDifferential runs a messy randomized protocol — uneven
 // termination, traffic to finished nodes, random payload sizes — on both
 // engines and requires identical per-node outputs and identical Stats.

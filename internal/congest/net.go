@@ -19,6 +19,14 @@ import (
 // sender ID, and InboxArc is valid between a barrier and the next. Wrappers
 // may stretch one logical round over several physical ones, but Round()
 // always counts the logical rounds the protocol experienced.
+//
+// StepUntil(round) performs at least one barrier, keeps stepping until the
+// node has a readable message or Round() >= round, and returns that round's
+// inbox as StepRound would; with round <= Round()+1 it is StepRound. It is
+// for waits that mean "nothing to do until a message or a known round": an
+// implementation may let the node sleep through the rounds in between, but
+// the rounds, messages and inboxes the protocol sees are those of stepping.
+// Idle(k) is k barriers whose receipts are discarded, and may likewise sleep.
 type Net interface {
 	// Identity and topology.
 	ID() graph.NodeID
@@ -38,6 +46,7 @@ type Net interface {
 	// Barriers and receiving.
 	StepRound() []Message
 	Step()
+	StepUntil(round int) []Message
 	InboxArc(k int) (Payload, bool)
 	Idle(k int)
 }

@@ -317,6 +317,23 @@ func (r *shardedRun) inboxArc(c *Ctx, k int) (Payload, bool) {
 	return p, true
 }
 
+// hasMail is Ctx.hasMail on the sharded engine: a scan of the node's slots
+// for this round's stamp over a payload the network did not drop.
+func (r *shardedRun) hasMail(c *Ctx) bool {
+	stamp := int32(c.round)
+	buf := stamp & 1
+	d := c.shard
+	lo := c.lo - d.arcLo
+	hi := lo + int32(len(c.arcs))
+	pay := d.pay[buf][lo:hi]
+	for i, s := range d.stamp[buf][lo:hi] {
+		if s == stamp && pay[i] != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // gather is Ctx.gather on the sharded engine: same by-neighbor-ID scan over
 // the shard's slice of the arena.
 func (r *shardedRun) gather(c *Ctx) []Message {

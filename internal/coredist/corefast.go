@@ -132,8 +132,10 @@ func routeUp(
 
 	var inbox []congest.Message
 	for {
-		// Routing chunk: each round, forward the smallest unforwarded ID.
-		for r := 0; r < chunk; r++ {
+		// Routing chunk: each round, forward the smallest unforwarded ID;
+		// with none left, wait for a child's ID or the end of the chunk.
+		end := ctx.Round() + chunk
+		for ctx.Round() < end {
 			if err := process(inbox); err != nil {
 				return nil, err
 			}
@@ -141,7 +143,11 @@ func routeUp(
 				ctx.SendArc(info.ParentArc, routeMsg{part: unforwarded[0], n: n})
 				unforwarded = unforwarded[1:]
 			}
-			inbox = ctx.StepRound()
+			next := end
+			if ns.ParentUsable && len(unforwarded) > 0 {
+				next = ctx.Round() + 1
+			}
+			inbox = ctx.StepUntil(next)
 		}
 		// Completion check: OR-convergecast of pending status, then a
 		// broadcast of the continue/stop decision; everyone stays aligned.
@@ -180,7 +186,9 @@ func routeUp(
 // decides whether another routing chunk is needed. process handles stray
 // route messages still in flight at the chunk boundary; pending reports this
 // node's status (evaluated at its scheduled report round, after in-flight
-// messages have been absorbed). Returns the decision and the final inbox.
+// messages have been absorbed). Between its own actions a node waits in
+// StepUntil, as in bfsproto.AggregatePhase. Returns the decision and the
+// final inbox.
 func completionCheck(
 	ctx *congest.Ctx,
 	info *bfsproto.Info,
@@ -193,7 +201,8 @@ func completionCheck(
 	childReports := 0
 	decision := false
 	haveDecision := info.Parent == -1 && len(info.Children) == 0 // trivial tree
-	for k := 0; k <= 2*h+2; k++ {
+	start := ctx.Round()
+	for k := 0; ; k = ctx.Round() - start {
 		var stray []congest.Message
 		for _, m := range inbox {
 			switch msg := m.Payload.(type) {
@@ -229,11 +238,15 @@ func completionCheck(
 				}
 			}
 		}
-		if k < 2*h+2 {
-			inbox = ctx.StepRound()
-		} else {
+		if k >= 2*h+2 {
 			inbox = nil
+			break
 		}
+		next := 2*h + 2
+		if k < h-info.Depth {
+			next = h - info.Depth
+		}
+		inbox = ctx.StepUntil(start + next)
 	}
 	if !haveDecision {
 		return false, nil, fmt.Errorf("coredist: node %d finished check without a decision", ctx.ID())

@@ -26,7 +26,9 @@ func (termMsg) Bits() int { return 2 }
 // its phase, a node gathers the part IDs visible over usable child edges
 // (plus its own, subject to the remaining and activeOnly filters), declares
 // its parent edge unusable when overLimit(count) holds, and otherwise
-// serially transmits the IDs to its parent followed by a terminator.
+// serially transmits the IDs to its parent followed by a terminator. Outside
+// its transmission a node waits in StepUntil for its children's messages
+// and its phase, then for the end of the pass.
 func upwardPass(
 	ctx *congest.Ctx,
 	info *bfsproto.Info,
@@ -48,7 +50,8 @@ func upwardPass(
 		termSent bool
 		inbox    []congest.Message
 	)
-	for r := 0; r <= total; r++ {
+	start := ctx.Round()
+	for r := 0; ; r = ctx.Round() - start {
 		for _, m := range inbox {
 			k := ns.ChildIndex(m.From)
 			if k < 0 {
@@ -90,9 +93,16 @@ func upwardPass(
 				termSent = true
 			}
 		}
-		if r < total {
-			inbox = ctx.StepRound()
+		if r >= total {
+			break
 		}
+		next := total
+		if r < myPhase*phaseLen {
+			next = myPhase * phaseLen
+		} else if info.Parent != -1 && !termSent {
+			next = r + 1
+		}
+		inbox = ctx.StepUntil(start + next)
 	}
 	return ns, nil
 }

@@ -277,15 +277,18 @@ func agreeShortcut(ctx *congest.Ctx, info *bfsproto.Info, frag *int, own mstVal,
 
 // agreeNoShortcut floods the minimum outgoing edge inside each fragment
 // using only G[P_i] edges, in chunks with a global convergence check — the
-// baseline whose cost per phase is the fragment diameter. nbrFrag is indexed
-// by arc.
+// baseline whose cost per phase is the fragment diameter. Only a better
+// value from a neighbor gives a node something to send, so between sends it
+// waits in StepUntil for mail or the end of the chunk. nbrFrag is indexed by
+// arc.
 func agreeNoShortcut(ctx *congest.Ctx, info *bfsproto.Info, frag int, nbrFrag []int, own mstVal) (mstVal, error) {
 	const chunk = 16
 	cur := own
 	changedSinceSend := true
 	for {
 		changedInChunk := false
-		for r := 0; r < chunk; r++ {
+		end := ctx.Round() + chunk
+		for ctx.Round() < end {
 			if changedSinceSend {
 				for k := range ctx.Neighbors() {
 					if nbrFrag[k] == frag {
@@ -294,7 +297,7 @@ func agreeNoShortcut(ctx *congest.Ctx, info *bfsproto.Info, frag int, nbrFrag []
 				}
 				changedSinceSend = false
 			}
-			ctx.Step()
+			ctx.StepUntil(end)
 			for k := range ctx.Neighbors() {
 				p, ok := ctx.InboxArc(k)
 				if !ok {

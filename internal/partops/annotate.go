@@ -25,7 +25,9 @@ func (m annMsg) Bits() int { return 3*congest.BitsForID(m.n) + 1 }
 // priority; by the broadcast half of Lemma 2 the pass completes within
 // depth(T) + CMax rounds — Annotate runs exactly CastBudget rounds and
 // errors if anything is left undelivered (which would disprove the bound).
-// All nodes enter and leave aligned.
+// A node with no queued annotation whose root it knows waits in StepUntil
+// for its parent's message or the end of the budget. All nodes enter and
+// leave aligned.
 func (m *Membership) Annotate(ctx congest.Net) error {
 	// Roots know themselves.
 	for _, i := range m.Parts {
@@ -42,8 +44,9 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 		}
 	}
 	budget := m.CastBudget()
+	start := ctx.Round()
 	var inbox []congest.Message
-	for r := 0; r <= budget; r++ {
+	for r := 0; ; r = ctx.Round() - start {
 		for _, msg := range inbox {
 			am, ok := msg.Payload.(annMsg)
 			if !ok {
@@ -59,16 +62,7 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 			break
 		}
 		for ch, parts := range pending {
-			best := -1
-			for _, i := range parts {
-				if _, known := m.RootDepth[i]; !known {
-					continue
-				}
-				if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
-					best = i
-				}
-			}
-			if best != -1 {
+			if best := m.bestKnown(parts); best != -1 {
 				ctx.SendArc(m.childArc[ch], annMsg{part: best, rootDepth: m.RootDepth[best], rootID: m.RootID[best], n: m.Info.Count})
 				pending[ch] = removeInt(parts, best)
 				if len(pending[ch]) == 0 {
@@ -76,7 +70,14 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 				}
 			}
 		}
-		inbox = ctx.StepRound()
+		next := start + budget
+		for _, parts := range pending {
+			if m.bestKnown(parts) != -1 {
+				next = ctx.Round() + 1
+				break
+			}
+		}
+		inbox = ctx.StepUntil(next)
 	}
 	if len(pending) > 0 {
 		return fmt.Errorf("partops: node %d: annotation unfinished after %d rounds (Lemma 2 budget violated)", ctx.ID(), budget)
@@ -87,6 +88,21 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 		}
 	}
 	return nil
+}
+
+// bestKnown returns the highest-priority queued part whose block root is
+// already known, or -1 if none is.
+func (m *Membership) bestKnown(parts []int) int {
+	best := -1
+	for _, i := range parts {
+		if _, known := m.RootDepth[i]; !known {
+			continue
+		}
+		if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
+			best = i
+		}
+	}
+	return best
 }
 
 // less2 orders (rootDepth, part) pairs — the Lemma 2 routing priority.

@@ -68,6 +68,8 @@ func (m exchMsg) Bits() int { return 1 + m.val.Bits() }
 // Gather and Scatter read only the tree arcs their traffic can arrive on
 // (InboxArc fast path); stray traffic on other arcs during the cast window
 // is ignored rather than reported, relying on the phase-alignment contract.
+// A node with nothing ready or queued to send waits in StepUntil for a
+// message or the end of the budget.
 func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine func(a, b Value) Value, extraRounds int) (map[int]Value, error) {
 	acc := make(map[int]Value, len(m.Parts))
 	await := make(map[int]int, len(m.Parts))
@@ -78,7 +80,8 @@ func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine f
 		await[i] = len(m.ChildrenIn[i])
 	}
 	budget := m.CastBudget() + extraRounds
-	for r := 0; r <= budget; r++ {
+	start := ctx.Round()
+	for r := 0; ; r = ctx.Round() - start {
 		if r > 0 {
 			// Gather traffic climbs tree edges only: read the child arcs
 			// directly instead of materializing an inbox.
@@ -99,20 +102,17 @@ func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine f
 			break
 		}
 		// Send the highest-priority ready value up the parent edge.
-		best := -1
-		for _, i := range unsent {
-			if !m.ParentIn[i] || await[i] != 0 {
-				continue
-			}
-			if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
-				best = i
-			}
-		}
-		if best != -1 {
+		if best := m.bestReady(unsent, await); best != -1 {
 			ctx.SendArc(m.Info.ParentArc, castMsg{part: best, rootDepth: m.RootDepth[best], n: m.Info.Count, val: acc[best]})
 			unsent = removeInt(unsent, best)
 		}
-		ctx.Step()
+		// Without another ready value only a child's message can give this
+		// node work before the budget ends.
+		next := start + budget
+		if m.bestReady(unsent, await) != -1 {
+			next = ctx.Round() + 1
+		}
+		ctx.StepUntil(next)
 	}
 	results := make(map[int]Value)
 	for _, i := range m.Parts {
@@ -149,7 +149,8 @@ func (m *Membership) Scatter(ctx congest.Net, atRoot func(part int) Value, extra
 		}
 	}
 	budget := m.CastBudget() + extraRounds
-	for r := 0; r <= budget; r++ {
+	start := ctx.Round()
+	for r := 0; ; r = ctx.Round() - start {
 		if r > 0 && m.Info.ParentArc != -1 {
 			// Scatter traffic descends tree edges: only the parent arc can
 			// carry a message to this node.
@@ -181,7 +182,13 @@ func (m *Membership) Scatter(ctx congest.Net, atRoot func(part int) Value, extra
 				}
 			}
 		}
-		ctx.Step()
+		// With nothing queued only the parent's message can give this node
+		// work before the budget ends.
+		next := start + budget
+		if len(pending) > 0 {
+			next = ctx.Round() + 1
+		}
+		ctx.StepUntil(next)
 	}
 	if len(pending) > 0 {
 		return nil, fmt.Errorf("partops: node %d: scatter unfinished (budget %d)", ctx.ID(), budget)
@@ -220,6 +227,21 @@ func (m *Membership) Exchange(ctx congest.Net, val Value) (map[graph.NodeID]Valu
 		got[a.To] = em.val
 	}
 	return got, nil
+}
+
+// bestReady returns the highest-priority part still to be sent up whose
+// child values have all arrived, or -1 if none is ready.
+func (m *Membership) bestReady(unsent []int, await map[int]int) int {
+	best := -1
+	for _, i := range unsent {
+		if !m.ParentIn[i] || await[i] != 0 {
+			continue
+		}
+		if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
+			best = i
+		}
+	}
+	return best
 }
 
 func removeUnsorted(list []int, x int) []int {

@@ -306,6 +306,18 @@ func (c *Ctx) Step() {
 	c.flush()
 }
 
+// StepUntil completes logical rounds until the logical inbox is non-empty or
+// the logical clock reaches round, and returns that inbox (see congest.Net).
+// Every logical round still runs the transport: correct, not faster.
+func (c *Ctx) StepUntil(round int) []congest.Message {
+	for {
+		c.flush()
+		if in := c.materialize(); len(in) > 0 || c.round >= round {
+			return in
+		}
+	}
+}
+
 // InboxArc returns the payload the neighbor at arc k sent in the previous
 // logical round, if any. Valid between a Step/StepRound and the next.
 func (c *Ctx) InboxArc(k int) (congest.Payload, bool) {
