@@ -5,7 +5,6 @@
 //	graphgen -list-families
 //	graphgen -family surface -n 1024
 //	graphgen -family ba -n 4096 -seed 3 -dot > ba.dot
-//	graphgen -family ba -n 1000000 -seed 7 -large   # chunked streaming CSR build
 //	graphgen -graph torus:8x8
 //	graphgen -graph lowerbound:4x8 -dot > lb.dot
 package main
@@ -36,7 +35,6 @@ func run() error {
 		list    = flag.Bool("list-families", false, "list the scenario registry (name, tags, sizes, paper relevance) and exit")
 		spec    = flag.String("graph", "grid:8x8", "legacy graph family spec (see shortcutctl -help)")
 		dot     = flag.Bool("dot", false, "emit Graphviz DOT instead of statistics")
-		large   = flag.Bool("large", false, "build through the chunked streaming CSR path (int64 offsets, no dedup map) — the million-node constructor; requires -family")
 		weights = flag.Int64("weights", 0, "assign random weights in [1,W] (0 = unit)")
 		seed    = flag.Int64("seed", 1, "build seed for -family and weight seed")
 	)
@@ -53,15 +51,8 @@ func run() error {
 		if !ok {
 			return fmt.Errorf("unknown family %q (run -list-families; have %s)", *family, strings.Join(scenario.Names(), ", "))
 		}
-		if *large {
-			g = s.BuildLarge(*n, *seed)
-			label = fmt.Sprintf("%s (n=%d, seed=%d, streamed)", s.Name, *n, *seed)
-		} else {
-			g = s.Build(*n, *seed)
-			label = fmt.Sprintf("%s (n=%d, seed=%d)", s.Name, *n, *seed)
-		}
-	} else if *large {
-		return fmt.Errorf("-large requires -family (the streaming path is registry-driven)")
+		g = s.Build(*n, *seed)
+		label = fmt.Sprintf("%s (n=%d, seed=%d)", s.Name, *n, *seed)
 	} else {
 		g, err = build(*spec)
 		if err != nil {

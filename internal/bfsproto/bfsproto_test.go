@@ -55,7 +55,7 @@ func TestBFSOnFamilies(t *testing.T) {
 		g    *graph.Graph
 		root graph.NodeID
 	}{
-		{"single", graph.MustNewBuilder(1).Finalize(), 0},
+		{"single", graph.MustFromEdges(1, nil), 0},
 		{"path20", gen.Path(20), 0},
 		{"path20mid", gen.Path(20), 10},
 		{"grid8x8", gen.Grid(8, 8), 0},

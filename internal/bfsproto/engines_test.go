@@ -77,11 +77,7 @@ func TestBfsprotoEnginesIdentical(t *testing.T) {
 // the watchdog fires — on the event-loop engine through a round jump. Both
 // engines must report ErrMaxRounds with identical Stats.
 func TestBfsprotoEnginesIdenticalWatchdog(t *testing.T) {
-	b := graph.MustNewBuilder(7)
-	for _, e := range [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}} {
-		b.MustAddEdge(e[0], e[1], 1)
-	}
-	g := b.Finalize()
+	g := graph.MustFromEdges(7, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}, {U: 5, V: 6, W: 1}})
 	const maxRounds = 40
 	_, stats, err := congesttest.Identical(t, func() (any, congest.Stats, error) {
 		infos, stats, err := Run(g, 0, 7, congest.Options{MaxRounds: maxRounds})

@@ -157,19 +157,17 @@ func broadcastOn(family string, n int, seed int64) Scenario {
 }
 
 // broadcastLargeOn builds a short flood on a million-node-scale registry
-// family, constructed through the chunked streaming CSR path (BuildLarge:
-// int64 offsets, no dedup map, O(n) transient memory). The workload exists
-// to compare the event-loop engine against the sharded multi-core engine at
-// a scale where per-round parallelism dominates; the flood is cut to 24
-// rounds so a single Heavy iteration stays in seconds.
+// family. The workload exists to compare the event-loop engine against the
+// sharded multi-core engine at a scale where per-round parallelism
+// dominates; the flood is cut to 24 rounds so a single Heavy iteration stays
+// in seconds.
 func broadcastLargeOn(family string, n int, seed int64) Scenario {
 	const floodSteps = 24
-	sc := scenario.MustGet(family)
-	name := fmt.Sprintf("%s-n%d", family, sc.NumNodes(n))
+	name, g := graphOf(family, n, seed)
 	return Scenario{
 		Name:  "broadcast/" + name,
 		Heavy: true,
-		Graph: cached(func() *graph.Graph { return sc.BuildLarge(n, seed) }),
+		Graph: g,
 		Run: func(g *graph.Graph) (congest.Stats, error) {
 			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1})
 		},

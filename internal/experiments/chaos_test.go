@@ -37,7 +37,7 @@ func TestChaosEmptyPlanGoldenIdentity(t *testing.T) {
 	}
 	prev := congest.SetDefaultFaults(&congest.FaultPlan{})
 	defer congest.SetDefaultFaults(prev)
-	got := encodeRun(t, 1)
+	got := runShortUncached(t, 1).json
 	if !bytes.Equal(want.Bytes(), got) {
 		t.Fatal("registry output drifted under the empty FaultPlan — the disabled fault layer is not a no-op")
 	}

@@ -3,14 +3,23 @@ package experiments
 import (
 	"bytes"
 	"os"
+	"sync"
 	"testing"
 
 	"lcshortcut/internal/congest"
 )
 
-// encodeRun renders one full registry run (short grids) as the wall-stripped
-// JSON document `cmd/experiments -short -json` would emit.
-func encodeRun(t *testing.T, workers int) []byte {
+// shortRun is one full registry run (short grids): its results with the
+// wall-clock field zeroed, and the JSON document `cmd/experiments -short
+// -json` would emit for them.
+type shortRun struct {
+	results []*Result
+	json    []byte
+}
+
+// runShortUncached computes a shortRun on workers harness workers under the
+// process-wide engine, shard count and fault plan.
+func runShortUncached(t *testing.T, workers int) *shortRun {
 	t.Helper()
 	results, err := RunAll(Options{Workers: workers, Short: true})
 	if err != nil {
@@ -21,7 +30,38 @@ func encodeRun(t *testing.T, workers int) []byte {
 	if err := WriteJSON(&buf, results); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return &shortRun{results: results, json: buf.Bytes()}
+}
+
+// shortRuns memoizes runShort per test binary. Several tests compare the
+// same run (the sequential default-engine run is shared by four, the
+// 8-worker one by three), and each run takes a quarter of a minute.
+var shortRuns = struct {
+	sync.Mutex
+	m map[shortRunKey]*shortRun
+}{m: map[shortRunKey]*shortRun{}}
+
+type shortRunKey struct {
+	engine  congest.Engine
+	workers int
+	shards  int
+}
+
+// runShort is runShortUncached computed once per (engine, workers, shards)
+// and shared; callers must not modify the result. It assumes no default
+// fault plan is installed: the chaos test, which installs one, runs
+// uncached.
+func runShort(t *testing.T, workers int) *shortRun {
+	t.Helper()
+	key := shortRunKey{congest.CurrentEngine(), workers, congest.DefaultShards()}
+	shortRuns.Lock()
+	defer shortRuns.Unlock()
+	r, ok := shortRuns.m[key]
+	if !ok {
+		r = runShortUncached(t, workers)
+		shortRuns.m[key] = r
+	}
+	return r
 }
 
 // TestGoldenBaselineFile pins every experiment table, grid and simulated-cost
@@ -47,7 +87,7 @@ func TestGoldenBaselineFile(t *testing.T) {
 	if err := WriteJSON(&want, baseline); err != nil {
 		t.Fatal(err)
 	}
-	got := encodeRun(t, 1)
+	got := runShort(t, 1).json
 	if !bytes.Equal(want.Bytes(), got) {
 		t.Fatalf("experiment output drifted from the PR 2 golden baseline\n--- want (testdata/golden_short.json)\n%s\n--- got\n%s", want.Bytes(), got)
 	}
@@ -65,7 +105,7 @@ func TestGoldenEngineIdentity(t *testing.T) {
 		workers int
 		shards  int
 	}
-	ref := encodeRun(t, 1) // current default engine, sequential
+	ref := runShort(t, 1).json // current default engine, sequential
 	variants := []variant{
 		{congest.EngineEventLoop, 8, 0},
 		{congest.EngineSharded, 1, 4},
@@ -87,7 +127,7 @@ func TestGoldenEngineIdentity(t *testing.T) {
 		if v.shards > 0 {
 			prevShards = congest.SetDefaultShards(v.shards)
 		}
-		got := encodeRun(t, v.workers)
+		got := runShort(t, v.workers).json
 		if v.shards > 0 {
 			congest.SetDefaultShards(prevShards)
 		}

@@ -21,14 +21,7 @@ func stripWall(results []*Result) {
 // (Workers=1) and a parallel run produce byte-identical tables — and in
 // fact identical everything except wall time.
 func TestParallelMatchesSequential(t *testing.T) {
-	seq, err := RunAll(Options{Workers: 1, Short: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunAll(Options{Workers: 8, Short: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := runShort(t, 1).results, runShort(t, 8).results
 	if len(seq) != len(par) {
 		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -38,8 +31,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Errorf("%s: parallel table differs from sequential:\n--- sequential\n%s--- parallel\n%s", seq[i].ID, sTbl, pTbl)
 		}
 	}
-	stripWall(seq)
-	stripWall(par)
 	sJSON, _ := json.Marshal(seq)
 	pJSON, _ := json.Marshal(par)
 	if !bytes.Equal(sJSON, pJSON) {
@@ -129,26 +120,13 @@ func TestWriteDocs(t *testing.T) {
 
 // TestGoldenJSONDeterminism is the byte-level golden contract behind
 // `cmd/experiments -short -json`: modulo the wall-clock metric (the one field
-// documented as nondeterministic and zeroed here exactly as in
-// TestParallelMatchesSequential), the emitted JSON must be byte-identical
-// whether the registry ran on one worker or eight — the CSR graph core and
-// scratch pooling must not leak scheduling into any table, grid or metric.
+// documented as nondeterministic, zeroed by runShort), the emitted JSON must
+// be byte-identical whether the registry ran on one worker or eight — the CSR
+// graph core and scratch pooling must not leak scheduling into any table,
+// grid or metric.
 func TestGoldenJSONDeterminism(t *testing.T) {
-	encode := func(workers int) []byte {
-		t.Helper()
-		results, err := RunAll(Options{Workers: workers, Short: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stripWall(results)
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, results); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	one := encode(1)
-	eight := encode(8)
+	one := runShort(t, 1).json
+	eight := runShort(t, 8).json
 	if !bytes.Equal(one, eight) {
 		t.Fatalf("-workers=1 and -workers=8 JSON differ:\n--- workers=1\n%s\n--- workers=8\n%s", one, eight)
 	}

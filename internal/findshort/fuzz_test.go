@@ -14,10 +14,18 @@ import (
 // byte 2 seeds the Voronoi regions, byte 3 the protocol randomness; the
 // remaining bytes first wire a random spanning tree (vertex v attaches to a
 // decoded earlier vertex) and then add extra edges from raw endpoint pairs,
-// rejecting loops and duplicates exactly as the Builder does.
+// skipping loops and duplicates.
 func fuzzInstance(data []byte) (*graph.Graph, *partition.Partition, int64) {
 	n := 4 + int(data[0])%40
-	b := graph.MustNewBuilder(n)
+	var edges []graph.Edge
+	seen := map[[2]graph.NodeID]bool{}
+	add := func(u, v graph.NodeID) {
+		key := [2]graph.NodeID{min(u, v), max(u, v)}
+		if u != v && !seen[key] {
+			seen[key] = true
+			edges = append(edges, graph.Edge{U: u, V: v, W: 1})
+		}
+	}
 	pos := 4
 	next := func() int {
 		if pos >= len(data) {
@@ -28,17 +36,12 @@ func fuzzInstance(data []byte) (*graph.Graph, *partition.Partition, int64) {
 		return v
 	}
 	for v := 1; v < n; v++ {
-		b.MustAddEdge(v, next()%v, 1)
+		add(v, next()%v)
 	}
 	for pos+1 < len(data) {
-		u, v := graph.NodeID(next()%n), graph.NodeID(next()%n)
-		if u != v {
-			if _, err := b.AddEdge(u, v, 1); err != nil {
-				continue // duplicate edge: the builder rejects, the fuzz input moves on
-			}
-		}
+		add(next()%n, next()%n)
 	}
-	g := b.Finalize()
+	g := graph.MustFromEdges(n, edges)
 	numParts := 1 + int(data[1])%10
 	if numParts > n {
 		numParts = n
@@ -47,7 +50,7 @@ func fuzzInstance(data []byte) (*graph.Graph, *partition.Partition, int64) {
 	return g, p, int64(data[3])
 }
 
-// FuzzFindShortcut mirrors graph's FuzzBuilder for the protocol layer: on
+// FuzzFindShortcut mirrors graph's FuzzFromEdges for the protocol layer: on
 // random connected graphs and partitions, the distributed FindShortcut at
 // the unconditional witness parameters (c*, 1) must succeed, and the lifted
 // shortcut must satisfy the paper's structural invariants — a per-edge

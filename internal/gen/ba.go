@@ -25,13 +25,13 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 		panic(fmt.Sprintf("gen: Barabási–Albert needs m >= 1 and n >= m+2, got n=%d m=%d", n, m))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.MustNewBuilder(n)
+	edges := make([]graph.Edge, 0, m*(m+1)/2+(n-m-1)*m)
 	// pool holds one entry per edge endpoint, so drawing uniformly from it
 	// samples vertices with probability proportional to degree.
-	pool := make([]graph.NodeID, 0, 2*(m*(m+1)/2+(n-m-1)*m))
+	pool := make([]int32, 0, 2*cap(edges))
 	addEdge := func(u, v graph.NodeID) {
-		g.MustAddEdge(u, v, 1)
-		pool = append(pool, u, v)
+		edges = append(edges, unit(u, v))
+		pool = append(pool, int32(u), int32(v))
 	}
 	// Seed graph: a clique on m+1 vertices, so every seed vertex starts at
 	// degree m and the attachment process preserves minimum degree m.
@@ -44,7 +44,7 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 	for v := m + 1; v < n; v++ {
 		targets = targets[:0]
 		for len(targets) < m {
-			t := pool[rng.Intn(len(pool))]
+			t := graph.NodeID(pool[rng.Intn(len(pool))])
 			dup := false
 			for _, u := range targets {
 				if u == t {
@@ -60,5 +60,5 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 			addEdge(v, t)
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }

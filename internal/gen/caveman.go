@@ -22,7 +22,7 @@ func Caveman(k, s int) *graph.Graph {
 	if k < 3 || s < 3 {
 		panic(fmt.Sprintf("gen: caveman graph needs k >= 3 cliques of size s >= 3, got k=%d s=%d", k, s))
 	}
-	g := graph.MustNewBuilder(k * s)
+	edges := make([]graph.Edge, 0, k*s*(s-1)/2)
 	for c := 0; c < k; c++ {
 		off := c * s
 		for i := 0; i < s; i++ {
@@ -30,12 +30,12 @@ func Caveman(k, s int) *graph.Graph {
 				if i == 0 && j == 1 {
 					continue // rewired to the next cave
 				}
-				g.MustAddEdge(off+i, off+j, 1)
+				edges = append(edges, unit(off+i, off+j))
 			}
 		}
-		g.MustAddEdge(off+1, ((c+1)%k)*s, 1)
+		edges = append(edges, unit(off+1, ((c+1)%k)*s))
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(k*s, edges)
 }
 
 // CavemanParts returns the community partition of a Caveman graph: one part

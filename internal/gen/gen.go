@@ -8,6 +8,12 @@
 // All generators are deterministic given their arguments (and seed, when they
 // take one), produce connected simple graphs, and set every edge weight to 1;
 // use WithRandomWeights or WithUniqueWeights to re-weight for MST workloads.
+// Each is written once: it appends its edges, in a fixed order, to one slice
+// (preallocated to the exact edge count where that has a closed form) and
+// hands it to graph.MustFromEdges. Where a family could repeat an edge, a
+// structural test skips the repeat instead of a dedup map: Erdős–Rényi's
+// backbone check, RandomGeometric's backbone check, HandledGrid's free-pair
+// test and RandomRegular's swap repair.
 package gen
 
 import (
@@ -31,29 +37,33 @@ func (gi GridIndexer) Coords(v graph.NodeID) (x, y int) { return v % gi.W, v / g
 
 // Grid returns the W×H planar grid graph (genus 0). Node (x, y) is adjacent
 // to (x±1, y) and (x, y±1).
-func Grid(w, h int) *graph.Graph { return gridBuilder(w, h).Finalize() }
+func Grid(w, h int) *graph.Graph {
+	return graph.MustFromEdges(w*h, appendGrid(make([]graph.Edge, 0, gridEdges(w, h)), w, h))
+}
 
-// gridBuilder is the unfinalized form of Grid, shared with generators that
-// extend a grid with extra edges before finalizing.
-func gridBuilder(w, h int) *graph.Builder { return gridBuilderN(w, h, 0) }
+// gridEdges is the W×H grid's edge count, 0 for an empty grid.
+func gridEdges(w, h int) int { return max(2*w*h-w-h, 0) }
 
-// gridBuilderN is gridBuilder with room for extra vertices beyond the grid
-// (SurfaceMesh appends its handle tubes after the grid vertices).
-func gridBuilderN(w, h, extra int) *graph.Builder {
-	g := graph.MustNewBuilder(w*h + extra)
+// appendGrid appends the W×H grid's edges to edges, row by row, each vertex's
+// right edge before its down edge. Generators that extend a grid (HandledGrid,
+// SurfaceMesh) start from it.
+func appendGrid(edges []graph.Edge, w, h int) []graph.Edge {
 	gi := GridIndexer{W: w, H: h}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			if x+1 < w {
-				g.MustAddEdge(gi.Node(x, y), gi.Node(x+1, y), 1)
+				edges = append(edges, unit(gi.Node(x, y), gi.Node(x+1, y)))
 			}
 			if y+1 < h {
-				g.MustAddEdge(gi.Node(x, y), gi.Node(x, y+1), 1)
+				edges = append(edges, unit(gi.Node(x, y), gi.Node(x, y+1)))
 			}
 		}
 	}
-	return g
+	return edges
 }
+
+// unit returns the weight-1 edge {u, v}; every generator emits unit weights.
+func unit(u, v graph.NodeID) graph.Edge { return graph.Edge{U: u, V: v, W: 1} }
 
 // Torus returns the W×H toroidal grid (genus 1 when w, h ≥ 3): a grid with
 // horizontal and vertical wraparound edges.
@@ -61,26 +71,53 @@ func Torus(w, h int) *graph.Graph {
 	if w < 3 || h < 3 {
 		panic(fmt.Sprintf("gen: torus needs w,h >= 3, got %dx%d", w, h))
 	}
-	g := graph.MustNewBuilder(w * h)
+	edges := make([]graph.Edge, 0, 2*w*h)
 	gi := GridIndexer{W: w, H: h}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			g.MustAddEdge(gi.Node(x, y), gi.Node((x+1)%w, y), 1)
-			g.MustAddEdge(gi.Node(x, y), gi.Node(x, (y+1)%h), 1)
+			edges = append(edges,
+				unit(gi.Node(x, y), gi.Node((x+1)%w, y)),
+				unit(gi.Node(x, y), gi.Node(x, (y+1)%h)))
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(w*h, edges)
 }
 
 // HandledGrid returns a W×H grid with `handles` extra long-range edges, each
-// connecting mirrored border vertices. Adding k edges to a planar graph
-// yields a graph of genus at most k, so the result has genus ≤ handles; this
-// is the controlled genus-g family used by the E5 experiment.
+// connecting a left-border vertex to a right-border vertex. Adding k edges to
+// a planar graph yields a graph of genus at most k, so the result has genus
+// ≤ handles; this is the controlled genus-g family used by the E5
+// experiment. It panics when the border has fewer free left/right pairs than
+// handles.
 func HandledGrid(w, h, handles int) *graph.Graph {
-	g := gridBuilder(w, h)
+	if handles > 0 && (w < 1 || h < 1) {
+		panic(fmt.Sprintf("gen: handled grid needs w,h >= 1 for handles, got %dx%d", w, h))
+	}
+	edges := appendGrid(make([]graph.Edge, 0, gridEdges(w, h)+max(handles, 0)), w, h)
+	gridM := len(edges)
 	gi := GridIndexer{W: w, H: h}
-	added := 0
-	for i := 0; added < handles; i++ {
+	// free reports whether {u, v} is neither a self loop, a grid edge nor a
+	// handle already placed: the only edges present when a handle is tried.
+	free := func(u, v graph.NodeID) bool {
+		ux, uy := gi.Coords(u)
+		vx, vy := gi.Coords(v)
+		if u == v || abs(ux-vx)+abs(uy-vy) == 1 {
+			return false
+		}
+		for _, e := range edges[gridM:] {
+			if (e.U == u && e.V == v) || (e.U == v && e.V == u) {
+				return false
+			}
+		}
+		return true
+	}
+	// Both candidate rules below depend on i only modulo h, so h attempts in a
+	// row without a free pair mean none is left.
+	for i, misses := 0, 0; len(edges)-gridM < handles; i++ {
+		if misses == h {
+			panic(fmt.Sprintf("gen: %dx%d grid has fewer than %d free left/right border pairs", w, h, handles))
+		}
+		misses++
 		// Connect left-border row r to right-border row (h-1-r), spreading the
 		// attachment rows over the border.
 		r := (i * (h / (handles + 1))) % h
@@ -89,132 +126,146 @@ func HandledGrid(w, h, handles int) *graph.Graph {
 			r = (r + 1) % h
 			u, v = gi.Node(0, r), gi.Node(w-1, h-1-r)
 		}
-		if _, err := g.AddEdge(u, v, 1); err == nil {
-			added++
-			continue
-		}
-		// Fall back to the next row pair when a duplicate shows up.
-		for r2 := 0; r2 < h; r2++ {
-			u, v = gi.Node(0, r2), gi.Node(w-1, (h-1-r2+i)%h)
-			if u != v {
-				if _, err := g.AddEdge(u, v, 1); err == nil {
-					added++
+		if !free(u, v) {
+			// Fall back to the first free pair at row offset i.
+			for r2 := 0; r2 < h; r2++ {
+				if u, v = gi.Node(0, r2), gi.Node(w-1, (h-1-r2+i)%h); free(u, v) {
 					break
 				}
 			}
 		}
+		if free(u, v) {
+			edges = append(edges, unit(u, v))
+			misses = 0
+		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(w*h, edges)
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // Path returns the path graph on n vertices (0-1-2-...-(n-1)).
-func Path(n int) *graph.Graph { return pathBuilder(n).Finalize() }
-
-func pathBuilder(n int) *graph.Builder {
-	g := graph.MustNewBuilder(n)
+func Path(n int) *graph.Graph {
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for i := 0; i+1 < n; i++ {
-		g.MustAddEdge(i, i+1, 1)
+		edges = append(edges, unit(i, i+1))
 	}
-	return g
+	return graph.MustFromEdges(n, edges)
 }
 
 // Ring returns the cycle graph on n ≥ 3 vertices.
-func Ring(n int) *graph.Graph { return ringBuilder(n).Finalize() }
+func Ring(n int) *graph.Graph {
+	return graph.MustFromEdges(n, appendRing(make([]graph.Edge, 0, n), n))
+}
 
-// ringBuilder is the unfinalized form of Ring, shared with generators that
-// triangulate or otherwise extend a cycle before finalizing.
-func ringBuilder(n int) *graph.Builder {
+// appendRing appends the n-cycle 0-1-...-(n-1)-0 to edges; it panics for
+// n < 3.
+func appendRing(edges []graph.Edge, n int) []graph.Edge {
 	if n < 3 {
 		panic(fmt.Sprintf("gen: ring needs n >= 3, got %d", n))
 	}
-	g := pathBuilder(n)
-	g.MustAddEdge(n-1, 0, 1)
-	return g
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, unit(i, i+1))
+	}
+	return append(edges, unit(n-1, 0))
 }
 
 // Star returns the star graph: center 0 connected to 1..n-1.
 func Star(n int) *graph.Graph {
-	g := graph.MustNewBuilder(n)
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(0, i, 1)
+		edges = append(edges, unit(0, i))
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }
 
 // CompleteBinaryTree returns the complete binary tree of the given depth
 // (depth 0 is a single root). Node i has children 2i+1 and 2i+2.
 func CompleteBinaryTree(depth int) *graph.Graph {
 	n := (1 << (depth + 1)) - 1
-	g := graph.MustNewBuilder(n)
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(i, (i-1)/2, 1)
+		edges = append(edges, unit(i, (i-1)/2))
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }
 
 // RandomTree returns a uniformly-attached random tree on n vertices: vertex i
 // attaches to a uniformly random earlier vertex.
 func RandomTree(n int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.MustNewBuilder(n)
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(i, rng.Intn(i), 1)
+		edges = append(edges, unit(i, rng.Intn(i)))
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }
 
 // Caterpillar returns a caterpillar: a spine path of the given length with
 // legs pendant vertices attached to every spine vertex.
 func Caterpillar(spine, legs int) *graph.Graph {
-	g := graph.MustNewBuilder(spine * (1 + legs))
+	edges := make([]graph.Edge, 0, max(spine-1, 0)+max(spine*legs, 0))
 	for i := 0; i+1 < spine; i++ {
-		g.MustAddEdge(i, i+1, 1)
+		edges = append(edges, unit(i, i+1))
 	}
 	next := spine
 	for i := 0; i < spine; i++ {
 		for l := 0; l < legs; l++ {
-			g.MustAddEdge(i, next, 1)
+			edges = append(edges, unit(i, next))
 			next++
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(spine*(1+legs), edges)
 }
 
 // Lollipop returns a clique of cliqueSize vertices with a path of pathLen
 // vertices hanging off vertex 0. Its diameter is pathLen+1 while the clique
 // part has diameter 1 — a stress case for per-part diameters.
 func Lollipop(cliqueSize, pathLen int) *graph.Graph {
-	g := graph.MustNewBuilder(cliqueSize + pathLen)
+	var edges []graph.Edge
 	for i := 0; i < cliqueSize; i++ {
 		for j := i + 1; j < cliqueSize; j++ {
-			g.MustAddEdge(i, j, 1)
+			edges = append(edges, unit(i, j))
 		}
 	}
 	prev := 0
 	for i := 0; i < pathLen; i++ {
-		g.MustAddEdge(prev, cliqueSize+i, 1)
+		edges = append(edges, unit(prev, cliqueSize+i))
 		prev = cliqueSize + i
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(cliqueSize+pathLen, edges)
 }
 
 // ErdosRenyi returns a connected G(n, p)-style random graph: a random tree
 // backbone (guaranteeing connectivity) plus each remaining pair independently
-// with probability p.
+// with probability p. Every pair {u, v} with u < v draws one coin; a pair
+// that is v's own backbone edge (parent[v] == u) is already present and is
+// skipped after its draw, so the coin sequence is the same either way.
 func ErdosRenyi(n int, p float64, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.MustNewBuilder(n)
+	parent := make([]int32, n)
+	edges := make([]graph.Edge, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
-		g.MustAddEdge(i, rng.Intn(i), 1)
+		parent[i] = int32(rng.Intn(i))
+		edges = append(edges, unit(i, int(parent[i])))
 	}
+	// The coin loop keeps only its counters in registers: the edge list is
+	// reached through a pointer, so it is not spilled and reloaded around
+	// every one of the O(n²) coin draws.
+	out := &edges
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				g.AddEdge(u, v, 1) //nolint:errcheck // duplicate backbone edges are fine
+			if rng.Float64() < p && int(parent[v]) != u {
+				*out = append(*out, unit(u, v))
 			}
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }
 
 // OuterplanarTriangulation returns a random maximal outerplanar graph
@@ -222,11 +273,8 @@ func ErdosRenyi(n int, p float64, seed int64) *graph.Graph {
 // triangulation of its interior, built by recursive fan splits. It has
 // exactly 2n-3 edges.
 func OuterplanarTriangulation(n int, seed int64) *graph.Graph {
-	if n < 3 {
-		panic(fmt.Sprintf("gen: triangulation needs n >= 3, got %d", n))
-	}
 	rng := rand.New(rand.NewSource(seed))
-	g := ringBuilder(n)
+	edges := appendRing(make([]graph.Edge, 0, max(2*n-3, 0)), n)
 	var split func(lo, hi int)
 	split = func(lo, hi int) {
 		if hi-lo < 2 {
@@ -234,29 +282,29 @@ func OuterplanarTriangulation(n int, seed int64) *graph.Graph {
 		}
 		mid := lo + 1 + rng.Intn(hi-lo-1)
 		if mid-lo >= 2 {
-			g.MustAddEdge(lo, mid, 1)
+			edges = append(edges, unit(lo, mid))
 		}
 		if hi-mid >= 2 {
-			g.MustAddEdge(mid, hi, 1)
+			edges = append(edges, unit(mid, hi))
 		}
 		split(lo, mid)
 		split(mid, hi)
 	}
 	split(0, n-1)
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }
 
 // PathPower returns the k-th power of a path on n vertices: i~j iff
 // 0 < |i-j| ≤ k. Its pathwidth is exactly k, making it the controlled
 // bounded-pathwidth family mentioned in the paper's Section 1.3.
 func PathPower(n, k int) *graph.Graph {
-	g := graph.MustNewBuilder(n)
+	var edges []graph.Edge
 	for i := 0; i < n; i++ {
 		for d := 1; d <= k && i+d < n; d++ {
-			g.MustAddEdge(i, i+d, 1)
+			edges = append(edges, unit(i, i+d))
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }
 
 // LowerBound returns the Peleg–Rubinovich style hard instance behind the
@@ -280,24 +328,24 @@ func LowerBound(numPaths, pathLen int) *graph.Graph {
 	}
 	treeN := 2*leaves - 1
 	base := numPaths * pathLen
-	g := graph.MustNewBuilder(base + treeN)
+	edges := make([]graph.Edge, 0, numPaths*(pathLen-1)+treeN-1+pathLen*numPaths)
 	pathNode := func(p, j int) graph.NodeID { return p*pathLen + j }
 	treeNode := func(i int) graph.NodeID { return base + i } // heap-indexed
 	for p := 0; p < numPaths; p++ {
 		for j := 0; j+1 < pathLen; j++ {
-			g.MustAddEdge(pathNode(p, j), pathNode(p, j+1), 1)
+			edges = append(edges, unit(pathNode(p, j), pathNode(p, j+1)))
 		}
 	}
 	for i := 1; i < treeN; i++ {
-		g.MustAddEdge(treeNode(i), treeNode((i-1)/2), 1)
+		edges = append(edges, unit(treeNode(i), treeNode((i-1)/2)))
 	}
 	for j := 0; j < pathLen; j++ {
 		leaf := treeNode(leaves - 1 + j)
 		for p := 0; p < numPaths; p++ {
-			g.MustAddEdge(leaf, pathNode(p, j), 1)
+			edges = append(edges, unit(leaf, pathNode(p, j)))
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(base+treeN, edges)
 }
 
 // LowerBoundPaths returns the part decomposition of a LowerBound graph (one
@@ -320,17 +368,17 @@ func RingOfCliques(k, s int) *graph.Graph {
 	if k < 3 || s < 1 {
 		panic(fmt.Sprintf("gen: ring of cliques needs k >= 3, s >= 1, got %d,%d", k, s))
 	}
-	g := graph.MustNewBuilder(k * s)
+	edges := make([]graph.Edge, 0, k*(s*(s-1)/2+1))
 	for c := 0; c < k; c++ {
 		off := c * s
 		for i := 0; i < s; i++ {
 			for j := i + 1; j < s; j++ {
-				g.MustAddEdge(off+i, off+j, 1)
+				edges = append(edges, unit(off+i, off+j))
 			}
 		}
-		g.MustAddEdge(off, ((c+1)%k)*s, 1)
+		edges = append(edges, unit(off, ((c+1)%k)*s))
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(k*s, edges)
 }
 
 // WithRandomWeights returns a clone of g in which each edge has an

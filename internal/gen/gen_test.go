@@ -3,6 +3,7 @@ package gen
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"lcshortcut/internal/graph"
 )
@@ -56,6 +57,27 @@ func TestHandledGrid(t *testing.T) {
 		}
 		if !g.Connected() {
 			t.Errorf("handles=%d: not connected", handles)
+		}
+	}
+}
+
+// TestHandledGridTooManyHandles pins the argument panic for more handles
+// than free left/right border pairs: the attempt loop must give up within a
+// bounded number of tries instead of spinning forever.
+func TestHandledGridTooManyHandles(t *testing.T) {
+	for _, tc := range []struct{ w, h, handles int }{{2, 2, 3}, {3, 3, 20}} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			HandledGrid(tc.w, tc.h, tc.handles)
+		}()
+		select {
+		case r := <-done:
+			if r == nil {
+				t.Errorf("HandledGrid(%d,%d,%d) returned instead of panicking", tc.w, tc.h, tc.handles)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("HandledGrid(%d,%d,%d) did not return within 10s", tc.w, tc.h, tc.handles)
 		}
 	}
 }
@@ -222,8 +244,8 @@ func TestGeneratorsAreDeterministic(t *testing.T) {
 	}
 }
 
-// Property: every generator family stays simple — AddEdge would have rejected
-// duplicates, so the seen-edge map and adjacency agree in size.
+// Property: every generator family stays simple — graph.FromEdges rejects
+// duplicates, so the degree sum and the edge count agree.
 func TestSimpleGraphProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {

@@ -52,11 +52,11 @@ func RandomGeometric(n int, radius float64, seed int64) *graph.Graph {
 		px[newID], py[newID] = xs[old], ys[old]
 	}
 
-	g := graph.MustNewBuilder(n)
 	// Morton backbone: consecutive points on the Z-curve are spatially close,
 	// so these edges keep the disk-graph character while forcing connectivity.
+	edges := make([]graph.Edge, 0, n-1)
 	for i := 0; i+1 < n; i++ {
-		g.MustAddEdge(i, i+1, 1)
+		edges = append(edges, unit(i, i+1))
 	}
 	// Disk edges via a bucket grid with cell side = radius: all pairs within
 	// radius live in the same or an adjacent cell.
@@ -75,10 +75,10 @@ func RandomGeometric(n int, radius float64, seed int64) *graph.Graph {
 		}
 		return cx, cy
 	}
-	bucket := make(map[[2]int][]int, n)
+	bucket := make(map[[2]int][]int32, n)
 	for i := 0; i < n; i++ {
 		cx, cy := cellOf(i)
-		bucket[[2]int{cx, cy}] = append(bucket[[2]int{cx, cy}], i)
+		bucket[[2]int{cx, cy}] = append(bucket[[2]int{cx, cy}], int32(i))
 	}
 	r2 := radius * radius
 	var cand []int
@@ -88,23 +88,23 @@ func RandomGeometric(n int, radius float64, seed int64) *graph.Graph {
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
 				for _, j := range bucket[[2]int{cx + dx, cy + dy}] {
-					if j > i {
-						cand = append(cand, j)
+					if int(j) > i {
+						cand = append(cand, int(j))
 					}
 				}
 			}
 		}
 		sort.Ints(cand)
+		// Candidates j > i each appear once, so the only edge a disk pair can
+		// repeat is the backbone edge {i, i+1}.
 		for _, j := range cand {
 			dx, dy := px[i]-px[j], py[i]-py[j]
-			if dx*dx+dy*dy <= r2 {
-				if _, dup := g.FindEdge(i, j); !dup {
-					g.MustAddEdge(i, j, 1)
-				}
+			if dx*dx+dy*dy <= r2 && j != i+1 {
+				edges = append(edges, unit(i, j))
 			}
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }
 
 // GeometricRadius returns the radius giving expected average degree avgDeg

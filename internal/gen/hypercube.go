@@ -21,13 +21,13 @@ func Hypercube(dim int) *graph.Graph {
 		panic(fmt.Sprintf("gen: hypercube needs 1 <= dim <= 24, got %d", dim))
 	}
 	n := 1 << dim
-	g := graph.MustNewBuilder(n)
+	edges := make([]graph.Edge, 0, dim*n/2)
 	for v := 0; v < n; v++ {
 		for b := 0; b < dim; b++ {
 			if u := v ^ (1 << b); u > v {
-				g.MustAddEdge(v, u, 1)
+				edges = append(edges, unit(v, u))
 			}
 		}
 	}
-	return g.Finalize()
+	return graph.MustFromEdges(n, edges)
 }

@@ -23,19 +23,30 @@ func RandomRegular(n, d int, seed int64) *graph.Graph {
 	validateRegular(n, d)
 	rng := rand.New(rand.NewSource(seed))
 	for attempt := 0; attempt < regularMaxAttempts; attempt++ {
-		if g, ok := pairingAttempt(n, d, rng); ok && g.Connected() {
-			return g
+		pairs, ok := pairingPairs(n, d, rng)
+		if !ok {
+			continue
 		}
+		uf := graph.NewUnionFind(n)
+		for _, p := range pairs {
+			uf.Union(p[0], p[1])
+		}
+		if uf.Sets() != 1 {
+			continue
+		}
+		edges := make([]graph.Edge, len(pairs))
+		for k, p := range pairs {
+			edges[k] = unit(p[0], p[1])
+		}
+		return graph.MustFromEdges(n, edges)
 	}
 	panic(fmt.Sprintf("gen: no simple connected %d-regular graph on %d vertices after %d attempts", d, n, regularMaxAttempts))
 }
 
-// regularMaxAttempts bounds the fresh-draw retry loop, shared with the stream
-// form so both consume the seeded stream identically.
+// regularMaxAttempts bounds RandomRegular's fresh-draw retry loop.
 const regularMaxAttempts = 1000
 
-// validateRegular holds RandomRegular's argument validation, shared with the
-// stream form.
+// validateRegular holds RandomRegular's argument validation.
 func validateRegular(n, d int) {
 	switch {
 	case d < 1 || d >= n:
@@ -49,24 +60,9 @@ func validateRegular(n, d int) {
 	}
 }
 
-// pairingAttempt draws one configuration-model pairing and builds the graph.
-// It reports failure (forcing a fresh draw) if the repair loop stops making
-// progress.
-func pairingAttempt(n, d int, rng *rand.Rand) (*graph.Graph, bool) {
-	pairs, ok := pairingPairs(n, d, rng)
-	if !ok {
-		return nil, false
-	}
-	g := graph.MustNewBuilder(n)
-	for _, p := range pairs {
-		g.MustAddEdge(p[0], p[1], 1)
-	}
-	return g.Finalize(), true
-}
-
 // pairingPairs draws one configuration-model pairing and repairs self loops
-// and duplicates by random pair swaps. Consumes rng identically whether the
-// caller builds a Builder graph or streams the pairs.
+// and duplicates by random pair swaps. It reports failure (forcing a fresh
+// draw) if the repair loop stops making progress.
 func pairingPairs(n, d int, rng *rand.Rand) ([][2]graph.NodeID, bool) {
 	m := n * d / 2
 	pairs := make([][2]graph.NodeID, m)

@@ -30,14 +30,11 @@ func SurfaceMesh(w, h, g, tube int) *graph.Graph {
 	if g == 0 {
 		return Grid(w, h)
 	}
-	stride := 0
-	if g > 0 {
-		stride = (w - 3) / g
-	}
+	stride := (w - 3) / g
 	if stride < 2 || h < 6 {
 		panic(fmt.Sprintf("gen: %dx%d grid too small for %d handles (need w >= 2*g+3, h >= 6)", w, h, g))
 	}
-	b := gridBuilderN(w, h, 4*tube*g)
+	edges := appendGrid(make([]graph.Edge, 0, gridEdges(w, h)+g*(8*tube+4)), w, h)
 	gi := GridIndexer{W: w, H: h}
 	// face returns the 4-cycle bounding the unit face with lower-left corner
 	// (x, y), in cyclic order.
@@ -59,14 +56,15 @@ func SurfaceMesh(w, h, g, tube int) *graph.Graph {
 				next++
 			}
 			for i := range ring {
-				b.MustAddEdge(ring[i], ring[(i+1)%4], 1) // ring cycle
-				b.MustAddEdge(prev[i], ring[i], 1)       // glue to previous ring / face A
+				edges = append(edges,
+					unit(ring[i], ring[(i+1)%4]), // ring cycle
+					unit(prev[i], ring[i]))       // glue to previous ring / face A
 			}
 			prev = ring
 		}
 		for i := range c {
-			b.MustAddEdge(prev[i], c[i], 1) // glue the last ring to face B
+			edges = append(edges, unit(prev[i], c[i])) // glue the last ring to face B
 		}
 	}
-	return b.Finalize()
+	return graph.MustFromEdges(w*h+4*tube*g, edges)
 }

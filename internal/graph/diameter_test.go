@@ -84,42 +84,42 @@ func componentsDiameter(g *Graph) int {
 }
 
 func gridGraph(w, h int) *Graph {
-	b := MustNewBuilder(w * h)
+	var edges []Edge
 	for r := 0; r < h; r++ {
 		for c := 0; c < w; c++ {
 			v := r*w + c
 			if c+1 < w {
-				b.MustAddEdge(v, v+1, 1)
+				edges = append(edges, Edge{U: v, V: v + 1, W: 1})
 			}
 			if r+1 < h {
-				b.MustAddEdge(v, v+w, 1)
+				edges = append(edges, Edge{U: v, V: v + w, W: 1})
 			}
 		}
 	}
-	return b.Finalize()
+	return MustFromEdges(w*h, edges)
 }
 
 // componentMix is a disconnected graph: a 10-vertex path (diameter 9), a
 // 4-cycle, a 3×3 grid and an isolated vertex, interleaved over the IDs.
 func componentMix(t testing.TB) *Graph {
-	b := MustNewBuilder(24)
+	var es edgeSet
 	path := []NodeID{0, 3, 6, 9, 12, 15, 18, 21, 22, 23}
 	for k := 0; k+1 < len(path); k++ {
-		b.MustAddEdge(path[k], path[k+1], 1)
+		es.add(path[k], path[k+1])
 	}
 	for _, e := range [][2]NodeID{{1, 4}, {4, 7}, {7, 10}, {10, 1}} {
-		b.MustAddEdge(e[0], e[1], 1)
+		es.add(e[0], e[1])
 	}
 	grid := []NodeID{2, 5, 8, 11, 14, 16, 17, 19, 20}
 	for k, v := range grid {
 		if k%3 < 2 {
-			b.MustAddEdge(v, grid[k+1], 1)
+			es.add(v, grid[k+1])
 		}
 		if k+3 < len(grid) {
-			b.MustAddEdge(v, grid[k+3], 1)
+			es.add(v, grid[k+3])
 		}
 	}
-	g := b.Finalize() // vertex 13 stays isolated
+	g := MustFromEdges(24, es.edges) // vertex 13 stays isolated
 	if g.Connected() {
 		t.Fatal("componentMix is connected")
 	}
@@ -192,14 +192,11 @@ func FuzzExactDiameter(f *testing.F) {
 			return
 		}
 		n := 1 + int(data[0])%40
-		b := MustNewBuilder(n)
+		var es edgeSet
 		for i := 1; i+1 < len(data); i += 2 {
-			u, v := NodeID(data[i])%n, NodeID(data[i+1])%n
-			if u != v {
-				_, _ = b.AddEdge(u, v, 1) // a repeated edge is rejected; that is fine
-			}
+			es.add(NodeID(data[i])%n, NodeID(data[i+1])%n)
 		}
-		g := b.Finalize()
+		g := MustFromEdges(n, es.edges)
 		s := NewScratch(0)
 		want := allPairsDiameter(g.arcOffsets, g.arcTo)
 		if got := ExactDiameter(s, g.arcOffsets, g.arcTo); got != want {

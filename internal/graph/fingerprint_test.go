@@ -19,11 +19,11 @@ func canonical(g *Graph) string {
 }
 
 func buildFrom(n int, edges [][3]int) *Graph {
-	b := MustNewBuilder(n)
-	for _, e := range edges {
-		b.MustAddEdge(e[0], e[1], int64(e[2]))
+	out := make([]Edge, len(edges))
+	for i, e := range edges {
+		out[i] = Edge{U: e[0], V: e[1], W: int64(e[2])}
 	}
-	return b.Finalize()
+	return MustFromEdges(n, out)
 }
 
 // TestFingerprintDifferential pins the fingerprint contract: across a family

@@ -2,12 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // refGraph is a deliberately naive reimplementation of the pre-CSR
-// slice-of-slices adjacency build. The fuzzer checks the CSR Builder against
-// it arc for arc.
+// slice-of-slices adjacency build. The fuzzer checks FromEdges against it
+// arc for arc.
 type refGraph struct {
 	adj   [][]Arc
 	edges []Edge
@@ -22,51 +23,59 @@ func (r *refGraph) addEdge(u, v NodeID, w int64) (EdgeID, bool) {
 	if u == v || u < 0 || u >= len(r.adj) || v < 0 || v >= len(r.adj) {
 		return 0, false
 	}
-	if _, dup := r.seen[edgeKey(u, v)]; dup {
+	key := [2]NodeID{min(u, v), max(u, v)}
+	if _, dup := r.seen[key]; dup {
 		return 0, false
 	}
 	id := len(r.edges)
 	r.edges = append(r.edges, Edge{U: u, V: v, W: w})
 	r.adj[u] = append(r.adj[u], Arc{To: v, Edge: id})
 	r.adj[v] = append(r.adj[v], Arc{To: u, Edge: id})
-	r.seen[edgeKey(u, v)] = id
+	r.seen[key] = id
 	return id, true
 }
 
-// FuzzBuilder decodes a byte stream into a vertex count and a sequence of
-// edge insertions, replays it against both the CSR Builder and the reference
-// adjacency build, and asserts they accept/reject identically and agree on
-// degrees, neighbor order, edge IDs and edge lookup in the finalized graph.
-func FuzzBuilder(f *testing.F) {
+// FuzzFromEdges decodes a byte stream into a vertex count and a raw edge
+// sequence (endpoints unreduced, so out-of-range ones occur), replays it
+// against the reference adjacency build, and checks two things. FromEdges
+// over the raw sequence fails with ErrBadEdge exactly when the reference
+// rejects some edge. FromEdges over the accepted edges agrees with the
+// reference on degrees, arc order, edge IDs, FindEdge for present and absent
+// pairs, and BFS distances.
+func FuzzFromEdges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 0, 1, 1, 2, 0, 2})
 	f.Add([]byte{1, 0, 0})
 	f.Add([]byte{7, 0, 1, 0, 1, 1, 0, 6, 5})
 	f.Add(bytes.Repeat([]byte{13, 2, 11}, 9))
+	f.Add([]byte{5, 0, 1, 0, 1, 3, 4, 2, 0})
+	f.Add([]byte{64, 0, 63, 9, 9, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		n := 1 + int(data[0])%64
-		b := MustNewBuilder(n)
 		ref := newRefGraph(n)
+		var raw, accepted []Edge
+		rejected := false
 		for i := 1; i+1 < len(data); i += 2 {
-			// Raw bytes, unreduced: out-of-range endpoints must be rejected by
-			// both builds, not masked away by the decoder.
-			u, v := NodeID(data[i]), NodeID(data[i+1])
-			w := int64(i)
-			wantID, wantOK := ref.addEdge(u, v, w)
-			gotID, err := b.AddEdge(u, v, w)
-			if wantOK != (err == nil) {
-				t.Fatalf("AddEdge(%d,%d): builder err=%v, reference ok=%v", u, v, err, wantOK)
-			}
-			if wantOK && gotID != wantID {
-				t.Fatalf("AddEdge(%d,%d): EdgeID %d, reference %d", u, v, gotID, wantID)
+			e := Edge{U: NodeID(data[i]), V: NodeID(data[i+1]), W: int64(i)}
+			raw = append(raw, e)
+			if _, ok := ref.addEdge(e.U, e.V, e.W); ok {
+				accepted = append(accepted, e)
+			} else {
+				rejected = true
 			}
 		}
-		g := b.Finalize()
+		if _, err := FromEdges(n, raw); rejected != (err != nil) || (err != nil && !errors.Is(err, ErrBadEdge)) {
+			t.Fatalf("FromEdges over the raw edges: err=%v, reference rejected some edge: %v", err, rejected)
+		}
+		g, err := FromEdges(n, accepted)
+		if err != nil {
+			t.Fatalf("FromEdges rejected the reference-accepted edges: %v", err)
+		}
 		if g.NumNodes() != n || g.NumEdges() != len(ref.edges) {
-			t.Fatalf("finalized %d nodes / %d edges, reference %d / %d",
+			t.Fatalf("built %d nodes / %d edges, reference %d / %d",
 				g.NumNodes(), g.NumEdges(), n, len(ref.edges))
 		}
 		for id, want := range ref.edges {
@@ -75,6 +84,15 @@ func FuzzBuilder(f *testing.F) {
 			}
 			if eid, ok := g.FindEdge(want.V, want.U); !ok || eid != id {
 				t.Fatalf("FindEdge(%d,%d) = %d,%v, want %d,true", want.V, want.U, eid, ok, id)
+			}
+		}
+		for u := 0; u < n && u < 8; u++ {
+			for v := u + 1; v < n && v < 8; v++ {
+				wid, wok := ref.seen[[2]NodeID{u, v}]
+				gid, gok := g.FindEdge(u, v)
+				if wok != gok || (wok && wid != gid) {
+					t.Fatalf("FindEdge(%d,%d) = %d,%v, reference %d,%v", u, v, gid, gok, wid, wok)
+				}
 			}
 		}
 		for v := 0; v < n; v++ {

@@ -8,12 +8,12 @@
 // their integer ID.
 //
 // A Graph is immutable in structure once built (only edge weights may be
-// rewritten). Construct one by accumulating edges in a Builder and calling
-// Finalize, which lays the adjacency out in compressed-sparse-row form: one
-// flat offsets array plus two flat arc arrays (neighbor, edge ID), so
-// traversals stream through contiguous memory instead of chasing per-vertex
-// slice headers. Hot loops iterate with Arcs; the Scratch pool makes repeated
-// traversals allocation-free.
+// rewritten). FromEdges is the one constructor: it takes an edge slice and
+// lays the adjacency out in compressed-sparse-row form, one flat offsets
+// array plus two flat arc arrays (neighbor, edge ID), so traversals stream
+// through contiguous memory instead of chasing per-vertex slice headers. Hot
+// loops iterate with Arcs; the Scratch pool makes repeated traversals
+// allocation-free.
 package graph
 
 import (
@@ -45,7 +45,7 @@ type Arc struct {
 
 // Graph is a simple undirected graph (no self loops, no parallel edges) with
 // int64 edge weights, stored in compressed-sparse-row form. The zero value is
-// not usable; construct with a Builder.
+// not usable; construct with FromEdges.
 type Graph struct {
 	// arcOffsets has NumNodes+1 entries; the arcs of vertex v occupy indices
 	// [arcOffsets[v], arcOffsets[v+1]) of arcTo and arcEdge. Within a vertex,
@@ -56,16 +56,8 @@ type Graph struct {
 	arcTo      []int32
 	arcEdge    []int32
 	edges      []Edge
-	seen       map[[2]NodeID]EdgeID
 	// views holds lazily-built derived arc arrays (see arcviews.go).
 	views arcViews
-}
-
-func edgeKey(u, v NodeID) [2]NodeID {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]NodeID{u, v}
 }
 
 // NumNodes returns the number of vertices.
@@ -107,17 +99,12 @@ func (g *Graph) Edge(id EdgeID) Edge { return g.edges[id] }
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // SetWeight replaces the weight of edge id — the only permitted mutation of a
-// finalized graph.
+// built graph.
 func (g *Graph) SetWeight(id EdgeID, w int64) { g.edges[id].W = w }
 
-// FindEdge returns the ID of edge {u,v} if present. Builder-built graphs
-// answer from the adopted dedup map in O(1); stream-built graphs (see
-// BuildStreamed) carry no map and scan the smaller endpoint's adjacency.
+// FindEdge returns the ID of edge {u,v} if present, scanning the smaller
+// endpoint's adjacency.
 func (g *Graph) FindEdge(u, v NodeID) (EdgeID, bool) {
-	if g.seen != nil {
-		id, ok := g.seen[edgeKey(u, v)]
-		return id, ok
-	}
 	if u < 0 || v < 0 || u >= g.NumNodes() || v >= g.NumNodes() {
 		return 0, false
 	}
@@ -148,11 +135,7 @@ func (g *Graph) Other(id EdgeID, v NodeID) NodeID {
 
 // Clone returns a deep copy of g (same node/edge IDs, independent weights).
 func (g *Graph) Clone() *Graph {
-	b := MustNewBuilder(g.NumNodes())
-	for _, e := range g.edges {
-		b.MustAddEdge(e.U, e.V, e.W)
-	}
-	return b.Finalize()
+	return MustFromEdges(g.NumNodes(), append([]Edge(nil), g.edges...))
 }
 
 // TotalWeight returns the sum of all edge weights.

@@ -1,62 +1,52 @@
 package graph
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func pathBuilder(t testing.TB, n int) *Builder {
-	t.Helper()
-	g := MustNewBuilder(n)
+// pathEdges returns the unit-weight edges of the path 0-1-...-(n-1).
+func pathEdges(n int) []Edge {
+	var edges []Edge
 	for i := 0; i+1 < n; i++ {
-		g.MustAddEdge(i, i+1, 1)
+		edges = append(edges, Edge{U: i, V: i + 1, W: 1})
 	}
-	return g
+	return edges
 }
 
 func path(t testing.TB, n int) *Graph {
 	t.Helper()
-	return pathBuilder(t, n).Finalize()
+	return MustFromEdges(n, pathEdges(n))
 }
 
 func cycle(t testing.TB, n int) *Graph {
 	t.Helper()
-	g := pathBuilder(t, n)
-	g.MustAddEdge(n-1, 0, 1)
-	return g.Finalize()
+	return MustFromEdges(n, append(pathEdges(n), Edge{U: n - 1, V: 0, W: 1}))
 }
 
-func TestAddEdgeValidation(t *testing.T) {
-	g := MustNewBuilder(3)
-	if _, err := g.AddEdge(0, 0, 1); !errors.Is(err, ErrBadEdge) {
-		t.Errorf("self loop: got err %v, want ErrBadEdge", err)
+// edgeSet collects unit-weight edges for tests that draw random pairs: it
+// drops self loops and every repeat of a pair already added.
+type edgeSet struct {
+	edges []Edge
+	seen  map[[2]NodeID]bool
+}
+
+func (s *edgeSet) add(u, v NodeID) {
+	key := [2]NodeID{min(u, v), max(u, v)}
+	if u == v || s.seen[key] {
+		return
 	}
-	if _, err := g.AddEdge(0, 3, 1); !errors.Is(err, ErrBadEdge) {
-		t.Errorf("out of range: got err %v, want ErrBadEdge", err)
+	if s.seen == nil {
+		s.seen = map[[2]NodeID]bool{}
 	}
-	if _, err := g.AddEdge(-1, 1, 1); !errors.Is(err, ErrBadEdge) {
-		t.Errorf("negative endpoint: got err %v, want ErrBadEdge", err)
-	}
-	if _, err := g.AddEdge(0, 1, 1); err != nil {
-		t.Fatalf("valid edge: %v", err)
-	}
-	if _, err := g.AddEdge(1, 0, 2); !errors.Is(err, ErrBadEdge) {
-		t.Errorf("duplicate (reversed): got err %v, want ErrBadEdge", err)
-	}
-	if g.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", g.NumEdges())
-	}
-	if fg := g.Finalize(); fg.NumEdges() != 1 || fg.NumNodes() != 3 {
-		t.Errorf("finalized graph has %d nodes / %d edges, want 3 / 1", fg.NumNodes(), fg.NumEdges())
-	}
+	s.seen[key] = true
+	s.edges = append(s.edges, Edge{U: u, V: v, W: 1})
 }
 
 func TestAdjacencySymmetry(t *testing.T) {
-	b := MustNewBuilder(4)
-	id := b.MustAddEdge(1, 3, 7)
-	g := b.Finalize()
+	const id = 0
+	g := MustFromEdges(4, []Edge{{U: 1, V: 3, W: 7}})
 	if got := g.Other(id, 1); got != 3 {
 		t.Errorf("Other(%d, 1) = %d, want 3", id, got)
 	}
@@ -85,10 +75,7 @@ func TestBFSPath(t *testing.T) {
 }
 
 func TestBFSDisconnected(t *testing.T) {
-	b := MustNewBuilder(4)
-	b.MustAddEdge(0, 1, 1)
-	b.MustAddEdge(2, 3, 1)
-	g := b.Finalize()
+	g := MustFromEdges(4, []Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 	dist := g.BFS(0)
 	if dist[2] != Unreached || dist[3] != Unreached {
 		t.Errorf("dist across components = %d,%d, want Unreached", dist[2], dist[3])
@@ -125,12 +112,12 @@ func TestDiameter(t *testing.T) {
 		{"path10", path(t, 10), 9},
 		{"cycle10", cycle(t, 10), 5},
 		{"cycle9", cycle(t, 9), 4},
-		{"single", MustNewBuilder(1).Finalize(), 0},
+		{"single", MustFromEdges(1, nil), 0},
 		{"grid6x5", gridGraph(6, 5), 9},
 		// Disconnected graphs report their largest component diameter.
 		{"components", componentMix(t), 9},
-		{"edgeless", MustNewBuilder(3).Finalize(), 0},
-		{"empty", MustNewBuilder(0).Finalize(), 0},
+		{"edgeless", MustFromEdges(3, nil), 0},
+		{"empty", MustFromEdges(0, nil), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,10 +217,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestTotalWeight(t *testing.T) {
-	b := MustNewBuilder(3)
-	b.MustAddEdge(0, 1, 5)
-	b.MustAddEdge(1, 2, -2)
-	g := b.Finalize()
+	g := MustFromEdges(3, []Edge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: -2}})
 	if got := g.TotalWeight(); got != 3 {
 		t.Errorf("TotalWeight = %d, want 3", got)
 	}
@@ -268,18 +252,14 @@ func TestUnionFindMatchesComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(40)
-		b := MustNewBuilder(n)
+		var es edgeSet
 		uf := NewUnionFind(n)
 		for tries := 0; tries < 2*n; tries++ {
 			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			if _, err := b.AddEdge(u, v, 1); err == nil {
-				uf.Union(u, v)
-			}
+			es.add(u, v)
+			uf.Union(u, v)
 		}
-		label, k := b.Finalize().Components()
+		label, k := MustFromEdges(n, es.edges).Components()
 		if uf.Sets() != k {
 			t.Fatalf("trial %d: uf.Sets=%d components=%d", trial, uf.Sets(), k)
 		}
@@ -300,17 +280,14 @@ func TestEccentricityProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		b := MustNewBuilder(n)
+		var es edgeSet
 		for i := 1; i < n; i++ { // random tree keeps it connected
-			b.MustAddEdge(i, rng.Intn(i), 1)
+			es.add(i, rng.Intn(i))
 		}
 		for tries := 0; tries < n/2; tries++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				b.AddEdge(u, v, 1) //nolint:errcheck // duplicates fine
-			}
+			es.add(rng.Intn(n), rng.Intn(n))
 		}
-		g := b.Finalize()
+		g := MustFromEdges(n, es.edges)
 		diam := g.Diameter()
 		for v := 0; v < n; v++ {
 			ecc := g.Eccentricity(v)
@@ -332,17 +309,14 @@ func TestRevArcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(40)
-		b := MustNewBuilder(n)
+		var es edgeSet
 		for i := 1; i < n; i++ {
-			b.MustAddEdge(i, rng.Intn(i), 1)
+			es.add(i, rng.Intn(i))
 		}
 		for tries := 0; tries < n; tries++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				b.AddEdge(u, v, 1) //nolint:errcheck // duplicates fine
-			}
+			es.add(rng.Intn(n), rng.Intn(n))
 		}
-		g := b.Finalize()
+		g := MustFromEdges(n, es.edges)
 		rev := g.RevArcs()
 		for u := 0; u < n; u++ {
 			to, edge := g.Arcs(u)
@@ -374,17 +348,14 @@ func TestArcsByNeighborID(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(40)
-		b := MustNewBuilder(n)
+		var es edgeSet
 		for i := 1; i < n; i++ {
-			b.MustAddEdge(i, rng.Intn(i), 1)
+			es.add(i, rng.Intn(i))
 		}
 		for tries := 0; tries < 2*n; tries++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				b.AddEdge(u, v, 1) //nolint:errcheck // duplicates fine
-			}
+			es.add(rng.Intn(n), rng.Intn(n))
 		}
-		g := b.Finalize()
+		g := MustFromEdges(n, es.edges)
 		order := g.ArcsByNeighborID()
 		for v := 0; v < n; v++ {
 			to, _ := g.Arcs(v)

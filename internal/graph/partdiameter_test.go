@@ -42,11 +42,11 @@ func partGraph(g *graph.Graph, p *partition.Partition, s *core.Shortcut, i int) 
 		local(e.U)
 		local(e.V)
 	}
-	b := graph.MustNewBuilder(len(verts))
-	for _, e := range edges {
-		b.MustAddEdge(idx[e.U], idx[e.V], 1)
+	relabeled := make([]graph.Edge, len(edges))
+	for k, e := range edges {
+		relabeled[k] = graph.Edge{U: idx[e.U], V: idx[e.V], W: 1}
 	}
-	return b.Finalize()
+	return graph.MustFromEdges(len(verts), relabeled)
 }
 
 // TestExactDiameterOnShortcutParts is the differential test of the

@@ -37,24 +37,29 @@ func bruteMinCut(tb testing.TB, g *graph.Graph) int64 {
 // internal edge weighs 10, so the bridge is the unique minimum cut.
 func bridgeGraph(tb testing.TB, w int64) *graph.Graph {
 	tb.Helper()
-	b := graph.MustNewBuilder(18)
+	var edges []graph.Edge
 	add := func(off int) {
 		for y := 0; y < 3; y++ {
 			for x := 0; x < 3; x++ {
 				v := off + y*3 + x
 				if x+1 < 3 {
-					b.MustAddEdge(v, v+1, 10)
+					edges = append(edges, graph.Edge{U: v, V: v + 1, W: 10})
 				}
 				if y+1 < 3 {
-					b.MustAddEdge(v, v+3, 10)
+					edges = append(edges, graph.Edge{U: v, V: v + 3, W: 10})
 				}
 			}
 		}
 	}
 	add(0)
 	add(9)
-	b.MustAddEdge(8, 9, w)
-	return b.Finalize()
+	edges = append(edges, graph.Edge{U: 8, V: 9, W: w})
+	return graph.MustFromEdges(18, edges)
+}
+
+// twoEdges is the disconnected graph 0-1, 2-3.
+func twoEdges() *graph.Graph {
+	return graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
 }
 
 func TestStoerWagnerVsBruteForce(t *testing.T) {
@@ -111,7 +116,7 @@ func TestStoerWagnerKnownCuts(t *testing.T) {
 }
 
 func TestStoerWagnerErrors(t *testing.T) {
-	if _, _, err := StoerWagner(graph.MustNewBuilder(1).Finalize()); err == nil {
+	if _, _, err := StoerWagner(graph.MustFromEdges(1, nil)); err == nil {
 		t.Error("single-node graph accepted")
 	}
 	g := gen.Path(3)
@@ -119,10 +124,7 @@ func TestStoerWagnerErrors(t *testing.T) {
 	if _, _, err := StoerWagner(g); err == nil {
 		t.Error("zero-weight edge accepted")
 	}
-	b := graph.MustNewBuilder(4)
-	b.MustAddEdge(0, 1, 1)
-	b.MustAddEdge(2, 3, 1)
-	if got, _, err := StoerWagner(b.Finalize()); err != nil || got != 0 {
+	if got, _, err := StoerWagner(twoEdges()); err != nil || got != 0 {
 		t.Errorf("disconnected graph: cut=%d err=%v, want 0 nil", got, err)
 	}
 }
@@ -162,10 +164,7 @@ func TestGreedyPackProperties(t *testing.T) {
 			t.Fatalf("loads %v, membership recount %v", loads, recount)
 		}
 	}
-	b := graph.MustNewBuilder(4)
-	b.MustAddEdge(0, 1, 1)
-	b.MustAddEdge(2, 3, 1)
-	if _, _, err := GreedyPack(b.Finalize(), 2); err == nil {
+	if _, _, err := GreedyPack(twoEdges(), 2); err == nil {
 		t.Error("disconnected graph packed")
 	}
 }
@@ -286,7 +285,7 @@ func TestRunFindsPlantedBridge(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, _, err := Run(graph.MustNewBuilder(1).Finalize(), 0, 1, Config{}, congest.Options{}); err == nil {
+	if _, _, err := Run(graph.MustFromEdges(1, nil), 0, 1, Config{}, congest.Options{}); err == nil {
 		t.Error("single-node graph accepted")
 	}
 	g := gen.Path(4)

@@ -111,10 +111,8 @@ func TestMSTWeightOfOverride(t *testing.T) {
 // TestBoruvkaCentralRejectsDisconnected covers the central verifier's
 // disconnection branch (Kruskal's is covered in mst_test.go).
 func TestBoruvkaCentralRejectsDisconnected(t *testing.T) {
-	b := graph.MustNewBuilder(4)
-	b.MustAddEdge(0, 1, 1)
-	b.MustAddEdge(2, 3, 1)
-	if _, _, err := BoruvkaCentral(b.Finalize()); err == nil {
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
+	if _, _, err := BoruvkaCentral(g); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
 }

@@ -33,10 +33,8 @@ func TestKruskalMatchesBoruvkaCentral(t *testing.T) {
 }
 
 func TestKruskalRejectsDisconnected(t *testing.T) {
-	b := graph.MustNewBuilder(4)
-	b.MustAddEdge(0, 1, 1)
-	b.MustAddEdge(2, 3, 1)
-	if _, _, err := Kruskal(b.Finalize()); err == nil {
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
+	if _, _, err := Kruskal(g); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
 }
@@ -106,7 +104,7 @@ func TestMSTWithDuplicateWeights(t *testing.T) {
 }
 
 func TestMSTSingleNodeAndEdge(t *testing.T) {
-	g1 := graph.MustNewBuilder(1).Finalize()
+	g1 := graph.MustFromEdges(1, nil)
 	results, _, err := Run(g1, 0, 1, Config{Strategy: StrategyShortcut}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -62,12 +62,11 @@ func TestDecayCollisionsResolve(t *testing.T) {
 	// Star(9): source is the center after phase 1 informs ALL 8 leaves at
 	// once; a second stage would collide forever under naive flooding. Hang
 	// one extra node off a leaf to force a second boundary crossing.
-	b := graph.MustNewBuilder(10)
+	var edges []graph.Edge
 	for v := 1; v <= 8; v++ {
-		b.MustAddEdge(0, v, 1)
+		edges = append(edges, graph.Edge{U: 0, V: v, W: 1})
 	}
-	b.MustAddEdge(8, 9, 1)
-	gr := b.Finalize()
+	gr := graph.MustFromEdges(10, append(edges, graph.Edge{U: 8, V: 9, W: 1}))
 	for _, eng := range engines {
 		out := runDecay(t, eng.e, gr, radio.DecayConfig{Phases: 12}, congest.Options{Seed: 3})
 		informed, total := radio.DecayCoverage(out, nil)

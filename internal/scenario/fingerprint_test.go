@@ -19,9 +19,8 @@ func graphKey(g *graph.Graph) string {
 
 // TestFingerprintAcrossRegistry pins the cache-key contract shortcutd relies
 // on, across every registry family at two sizes and two seeds: rebuilds
-// (Build twice, and Build vs the streamed BuildLarge path) agree, and
-// any two distinct fingerprints in the whole sweep correspond to distinct
-// structures — fingerprint equality ⇔ byte-identical structure.
+// agree, and any two distinct fingerprints in the whole sweep correspond to
+// distinct structures — fingerprint equality ⇔ byte-identical structure.
 func TestFingerprintAcrossRegistry(t *testing.T) {
 	type entry struct {
 		label string
@@ -36,9 +35,6 @@ func TestFingerprintAcrossRegistry(t *testing.T) {
 				fp := g.Fingerprint()
 				if got := sc.Build(n, seed).Fingerprint(); got != fp {
 					t.Errorf("%s n=%d seed=%d: rebuild changed fingerprint", sc.Name, n, seed)
-				}
-				if lg := sc.BuildLarge(n, seed); lg.Fingerprint() != fp {
-					t.Errorf("%s n=%d seed=%d: BuildLarge fingerprint differs from Build", sc.Name, n, seed)
 				}
 				entries = append(entries, entry{
 					label: fmt.Sprintf("%s/n%d/s%d", sc.Name, n, seed),

@@ -61,10 +61,6 @@ func init() {
 			s := sideOf(n, 2)
 			return gen.Grid(s, s)
 		},
-		Stream: func(n int, _ int64) (int, graph.EdgeStream) {
-			s := sideOf(n, 2)
-			return gen.GridStream(s, s)
-		},
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { s := sideOf(n, 2); return s * s },
@@ -81,10 +77,6 @@ func init() {
 		Build: func(n int, _ int64) *graph.Graph {
 			s := sideOf(n, 3)
 			return gen.Torus(s, s)
-		},
-		Stream: func(n int, _ int64) (int, graph.EdgeStream) {
-			s := sideOf(n, 3)
-			return gen.TorusStream(s, s)
 		},
 		Invariants: Invariants{
 			Connected: true,
@@ -103,10 +95,6 @@ func init() {
 		Build: func(n int, _ int64) *graph.Graph {
 			s := sideOf(n, 3*surfaceGenus+3)
 			return gen.SurfaceMesh(s, s, surfaceGenus, surfaceTube)
-		},
-		Stream: func(n int, _ int64) (int, graph.EdgeStream) {
-			s := sideOf(n, 3*surfaceGenus+3)
-			return gen.SurfaceMeshStream(s, s, surfaceGenus, surfaceTube)
 		},
 		Invariants: Invariants{
 			Connected: true,
@@ -131,10 +119,6 @@ func init() {
 			s := sideOf(n, 4)
 			return gen.HandledGrid(s, s, handledH)
 		},
-		Stream: func(n int, _ int64) (int, graph.EdgeStream) {
-			s := sideOf(n, 4)
-			return gen.HandledGridStream(s, s, handledH)
-		},
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { s := sideOf(n, 4); return s * s },
@@ -149,7 +133,6 @@ func init() {
 		Description: "cycle on n vertices",
 		Sizes:       []int{256, 1024},
 		Build:       func(n int, _ int64) *graph.Graph { return gen.Ring(max(n, 3)) },
-		Stream:      func(n int, _ int64) (int, graph.EdgeStream) { return gen.RingStream(max(n, 3)) },
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { return max(n, 3) },
@@ -165,7 +148,6 @@ func init() {
 		Description: "uniform random attachment tree",
 		Sizes:       []int{256, 1024},
 		Build:       func(n int, seed int64) *graph.Graph { return gen.RandomTree(n, seed) },
-		Stream:      func(n int, seed int64) (int, graph.EdgeStream) { return gen.RandomTreeStream(n, seed) },
 		Invariants: Invariants{
 			Connected: true,
 			Edges:     func(n int) int { return n - 1 },
@@ -179,9 +161,6 @@ func init() {
 		Description: "random maximal outerplanar triangulation",
 		Sizes:       []int{256, 1024},
 		Build:       func(n int, seed int64) *graph.Graph { return gen.OuterplanarTriangulation(max(n, 3), seed) },
-		Stream: func(n int, seed int64) (int, graph.EdgeStream) {
-			return gen.OuterplanarTriangulationStream(max(n, 3), seed)
-		},
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { return max(n, 3) },
@@ -198,9 +177,6 @@ func init() {
 		Build: func(n int, seed int64) *graph.Graph {
 			return gen.ErdosRenyi(n, float64(erSparseDeg)/float64(n-1), seed)
 		},
-		Stream: func(n int, seed int64) (int, graph.EdgeStream) {
-			return gen.ErdosRenyiStream(n, float64(erSparseDeg)/float64(n-1), seed)
-		},
 		Invariants: Invariants{Connected: true},
 	})
 	Register(&Scenario{
@@ -212,9 +188,6 @@ func init() {
 		Build: func(n int, seed int64) *graph.Graph {
 			return gen.ErdosRenyi(n, float64(erDenseDeg)/float64(n-1), seed)
 		},
-		Stream: func(n int, seed int64) (int, graph.EdgeStream) {
-			return gen.ErdosRenyiStream(n, float64(erDenseDeg)/float64(n-1), seed)
-		},
 		Invariants: Invariants{Connected: true},
 	})
 	Register(&Scenario{
@@ -224,9 +197,6 @@ func init() {
 		Description: "Barabási–Albert preferential attachment (m=3)",
 		Sizes:       []int{256, 1024},
 		Build:       func(n int, seed int64) *graph.Graph { return gen.BarabasiAlbert(max(n, baM+2), baM, seed) },
-		Stream: func(n int, seed int64) (int, graph.EdgeStream) {
-			return gen.BarabasiAlbertStream(max(n, baM+2), baM, seed)
-		},
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { return max(n, baM+2) },
@@ -246,10 +216,6 @@ func init() {
 			n = max(n, 2)
 			return gen.RandomGeometric(n, gen.GeometricRadius(n, geoAvgDeg), seed)
 		},
-		Stream: func(n int, seed int64) (int, graph.EdgeStream) {
-			n = max(n, 2)
-			return gen.RandomGeometricStream(n, gen.GeometricRadius(n, geoAvgDeg), seed)
-		},
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { return max(n, 2) },
@@ -262,9 +228,6 @@ func init() {
 		Description: "random 4-regular graph (pairing model)",
 		Sizes:       []int{256, 1024},
 		Build:       func(n int, seed int64) *graph.Graph { return gen.RandomRegular(max(n, regularD+1), regularD, seed) },
-		Stream: func(n int, seed int64) (int, graph.EdgeStream) {
-			return gen.RandomRegularStream(max(n, regularD+1), regularD, seed)
-		},
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { return max(n, regularD+1) },
@@ -279,7 +242,6 @@ func init() {
 		Description: "Boolean hypercube (n rounded to a power of two)",
 		Sizes:       []int{256, 1024},
 		Build:       func(n int, _ int64) *graph.Graph { return gen.Hypercube(dimOf(n)) },
-		Stream:      func(n int, _ int64) (int, graph.EdgeStream) { return gen.HypercubeStream(dimOf(n)) },
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { return 1 << dimOf(n) },
@@ -294,7 +256,6 @@ func init() {
 		Description: "k caves of 8 vertices, one rewired edge each, joined in a ring",
 		Sizes:       []int{256, 1024},
 		Build:       func(n int, _ int64) *graph.Graph { return gen.Caveman(cavesOf(n), cavemanSize) },
-		Stream:      func(n int, _ int64) (int, graph.EdgeStream) { return gen.CavemanStream(cavesOf(n), cavemanSize) },
 		Invariants: Invariants{
 			Connected: true,
 			Nodes:     func(n int) int { return cavesOf(n) * cavemanSize },

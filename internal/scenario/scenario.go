@@ -16,7 +16,8 @@
 //
 // Every Build is deterministic per (n, seed): repeated builds produce
 // byte-identical CSR layouts, which is what lets the golden tests pin every
-// downstream seeded output. The size parameter n is a requested node count;
+// downstream seeded output. Build is the one constructor at every size, up to
+// million-node graphs. The size parameter n is a requested node count;
 // families with structural size constraints (square grids, power-of-two
 // hypercubes, fixed cave sizes) round it to the nearest realizable count,
 // reported exactly by Invariants.Nodes.
@@ -48,11 +49,6 @@ type Scenario struct {
 	// Build constructs the graph for requested size n. Deterministic per
 	// (n, seed); families without random structure ignore the seed.
 	Build func(n int, seed int64) *graph.Graph
-	// Stream provides the family in replayable edge-stream form (realized
-	// node count plus the stream) for the chunked CSR construction path;
-	// see BuildLarge. The registry property tests pin Stream output
-	// byte-identical to Build on every family that declares one.
-	Stream func(n int, seed int64) (nodes int, stream graph.EdgeStream)
 	// Invariants are the structural guarantees Build's output satisfies.
 	Invariants Invariants
 }
@@ -84,19 +80,6 @@ func (s *Scenario) NumNodes(n int) int {
 		return s.Invariants.Nodes(n)
 	}
 	return n
-}
-
-// BuildLarge constructs the scenario through the chunked, dedup-map-free CSR
-// path (graph.BuildStreamed) — the constructor for very large sizes (10^6+
-// nodes), byte-identical to Build but with O(n) transient memory instead of
-// a map entry per edge. Families without a registered Stream fall back to
-// Build.
-func (s *Scenario) BuildLarge(n int, seed int64) *graph.Graph {
-	if s.Stream == nil {
-		return s.Build(n, seed)
-	}
-	nodes, stream := s.Stream(n, seed)
-	return graph.MustBuildStreamed(nodes, stream)
 }
 
 var (

@@ -154,16 +154,14 @@ func (r *Request) build(cfg Config) (*graph.Graph, *partition.Partition, error) 
 			return nil, nil, badRequestf("%v", err)
 		}
 	} else {
-		b, err := graph.NewBuilder(r.Nodes)
-		if err != nil {
+		edges := make([]graph.Edge, len(r.Edges))
+		for i, e := range r.Edges {
+			edges[i] = graph.Edge{U: e[0], V: e[1], W: 1}
+		}
+		var err error
+		if g, err = graph.FromEdges(r.Nodes, edges); err != nil {
 			return nil, nil, badRequestf("invalid uploaded graph: %v", err)
 		}
-		for _, e := range r.Edges {
-			if _, err := b.AddEdge(e[0], e[1], 1); err != nil {
-				return nil, nil, badRequestf("invalid uploaded edge (%d,%d): %v", e[0], e[1], err)
-			}
-		}
-		g = b.Finalize()
 	}
 	if !g.Connected() {
 		return nil, nil, badRequestf("graph is disconnected; shortcut construction needs a connected graph")

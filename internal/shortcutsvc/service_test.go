@@ -132,6 +132,26 @@ func TestHandlerTable(t *testing.T) {
 			wantStatus: http.StatusBadRequest,
 		},
 		{
+			name:       "upload-duplicate-reversed",
+			body:       `{"nodes":2,"edges":[[0,1],[1,0]],"partition":{"kind":"whole"}}`,
+			wantStatus: http.StatusBadRequest,
+		},
+		{
+			name:       "upload-repeated-edge",
+			body:       `{"nodes":2,"edges":[[0,1],[0,1]],"partition":{"kind":"whole"}}`,
+			wantStatus: http.StatusBadRequest,
+		},
+		{
+			name:       "upload-endpoint-out-of-range",
+			body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3],[0,4]],"partition":{"kind":"whole"}}`,
+			wantStatus: http.StatusBadRequest,
+		},
+		{
+			name:       "upload-negative-endpoint",
+			body:       `{"nodes":2,"edges":[[0,1],[-1,0]],"partition":{"kind":"whole"}}`,
+			wantStatus: http.StatusBadRequest,
+		},
+		{
 			name:       "explicit-params-ok",
 			body:       `{"family":"ring","n":32,"seed":2,"partition":{"kind":"voronoi","parts":4,"seed":2},"c":8,"b":4}`,
 			wantStatus: http.StatusOK,
