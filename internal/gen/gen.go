@@ -273,6 +273,9 @@ func ErdosRenyi(n int, p float64, seed int64) *graph.Graph {
 // triangulation of its interior, built by recursive fan splits. It has
 // exactly 2n-3 edges.
 func OuterplanarTriangulation(n int, seed int64) *graph.Graph {
+	if n < 3 {
+		panic(fmt.Sprintf("gen: triangulation needs n >= 3, got %d", n))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	edges := appendRing(make([]graph.Edge, 0, max(2*n-3, 0)), n)
 	var split func(lo, hi int)

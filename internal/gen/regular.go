@@ -20,9 +20,19 @@ import (
 // is information-theoretically easy but the paper's tree-restricted
 // structure is maximally stressed. n·d must be even, d >= 1, and d < n.
 func RandomRegular(n, d int, seed int64) *graph.Graph {
-	validateRegular(n, d)
+	switch {
+	case d < 1 || d >= n:
+		panic(fmt.Sprintf("gen: regular graph needs 1 <= d < n, got n=%d d=%d", n, d))
+	case n*d%2 != 0:
+		panic(fmt.Sprintf("gen: regular graph needs n*d even, got n=%d d=%d", n, d))
+	case d < 3 && n > 2:
+		// d=1 is a perfect matching, d=2 a disjoint union of cycles — neither
+		// is connected in general, so the retry loop would never terminate.
+		panic(fmt.Sprintf("gen: connected regular graph needs d >= 3, got d=%d", d))
+	}
+	const maxAttempts = 1000
 	rng := rand.New(rand.NewSource(seed))
-	for attempt := 0; attempt < regularMaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		pairs, ok := pairingPairs(n, d, rng)
 		if !ok {
 			continue
@@ -40,24 +50,7 @@ func RandomRegular(n, d int, seed int64) *graph.Graph {
 		}
 		return graph.MustFromEdges(n, edges)
 	}
-	panic(fmt.Sprintf("gen: no simple connected %d-regular graph on %d vertices after %d attempts", d, n, regularMaxAttempts))
-}
-
-// regularMaxAttempts bounds RandomRegular's fresh-draw retry loop.
-const regularMaxAttempts = 1000
-
-// validateRegular holds RandomRegular's argument validation.
-func validateRegular(n, d int) {
-	switch {
-	case d < 1 || d >= n:
-		panic(fmt.Sprintf("gen: regular graph needs 1 <= d < n, got n=%d d=%d", n, d))
-	case n*d%2 != 0:
-		panic(fmt.Sprintf("gen: regular graph needs n*d even, got n=%d d=%d", n, d))
-	case d < 3 && n > 2:
-		// d=1 is a perfect matching, d=2 a disjoint union of cycles — neither
-		// is connected in general, so the retry loop would never terminate.
-		panic(fmt.Sprintf("gen: connected regular graph needs d >= 3, got d=%d", d))
-	}
+	panic(fmt.Sprintf("gen: no simple connected %d-regular graph on %d vertices after %d attempts", d, n, maxAttempts))
 }
 
 // pairingPairs draws one configuration-model pairing and repairs self loops
