@@ -6,37 +6,49 @@ import (
 	"testing"
 )
 
-// TestFromEdgesValidation pins what FromEdges rejects: self loops, endpoints
-// outside [0, n) and duplicates in either orientation are ErrBadEdge, a
-// negative vertex count is an error and an oversized one ErrGraphTooLarge —
-// all returned, never panicked, so user-supplied edge lists fail gracefully.
+// TestFromEdgesValidation pins what FromEdges rejects in an edge list: self
+// loops, endpoints outside [0, n) and duplicates in either orientation are
+// ErrBadEdge, returned and never panicked, so user-supplied edge lists fail
+// gracefully.
 func TestFromEdgesValidation(t *testing.T) {
 	cases := []struct {
 		name  string
 		n     int
 		edges []Edge
-		want  error
 	}{
-		{"self loop", 3, []Edge{{U: 1, V: 1}}, ErrBadEdge},
-		{"out of range", 3, []Edge{{U: 0, V: 3}}, ErrBadEdge},
-		{"negative endpoint", 3, []Edge{{U: -1, V: 2}}, ErrBadEdge},
-		{"duplicate", 3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 0}}, ErrBadEdge},
-		{"repeated", 3, []Edge{{U: 0, V: 1}, {U: 0, V: 1}}, ErrBadEdge},
-		{"oversized vertex count", math.MaxInt32, nil, ErrGraphTooLarge},
+		{"self loop", 3, []Edge{{U: 1, V: 1}}},
+		{"out of range", 3, []Edge{{U: 0, V: 3}}},
+		{"negative endpoint", 3, []Edge{{U: -1, V: 2}}},
+		{"duplicate", 3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 0}}},
+		{"repeated", 3, []Edge{{U: 0, V: 1}, {U: 0, V: 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromEdges(tc.n, tc.edges); !errors.Is(err, tc.want) {
-				t.Fatalf("FromEdges = %v, want %v", err, tc.want)
+			if g, err := FromEdges(tc.n, tc.edges); g != nil || !errors.Is(err, ErrBadEdge) {
+				t.Fatalf("FromEdges = %v, %v, want nil, ErrBadEdge", g, err)
 			}
 		})
-	}
-	if _, err := FromEdges(-1, nil); err == nil {
-		t.Fatal("negative vertex count accepted")
 	}
 	g, err := FromEdges(3, []Edge{{U: 0, V: 1, W: 1}})
 	if err != nil || g.NumNodes() != 3 || g.NumEdges() != 1 {
 		t.Fatalf("valid edge: g=%v err=%v, want 3 nodes / 1 edge", g, err)
+	}
+}
+
+// TestFromEdgesVertexCount pins the vertex-count checks: a negative count is
+// an error and one past the CSR index space is ErrGraphTooLarge, both
+// returned rather than panicked, so size-parameterized generation can fail
+// gracefully.
+func TestFromEdgesVertexCount(t *testing.T) {
+	if _, err := FromEdges(-1, nil); err == nil {
+		t.Error("negative vertex count: want error, got nil")
+	}
+	if _, err := FromEdges(math.MaxInt32, nil); !errors.Is(err, ErrGraphTooLarge) {
+		t.Errorf("oversized vertex count: got err %v, want ErrGraphTooLarge", err)
+	}
+	g, err := FromEdges(2, nil)
+	if err != nil || g.NumNodes() != 2 {
+		t.Fatalf("FromEdges(2, nil) = %v, %v, want 2 nodes", g, err)
 	}
 }
 
