@@ -250,3 +250,28 @@ func TestAllocGuardSleep(t *testing.T) {
 		t.Errorf("sleeping steady state allocates %.3f allocs/round, want 0", per)
 	}
 }
+
+// TestAllocGuardPerRun bounds what one run costs to set up on the event-loop
+// engine once its state is pooled: each node's coroutine (iter.Pull's state,
+// about a dozen small objects) plus a small fixed term. The per-round
+// guards above cancel this cost out; this one pins it.
+func TestAllocGuardPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
+	}
+	prev := congest.SetEngine(congest.EngineEventLoop)
+	defer congest.SetEngine(prev)
+	const perNode, fixed = 12, 16
+	g := gen.Grid(16, 16)
+	proc := engbench.BroadcastProc(1)
+	run := func() {
+		if _, err := congest.Run(g, proc, congest.Options{Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	n := g.NumNodes()
+	if got := testing.AllocsPerRun(20, run); got > perNode*float64(n)+fixed {
+		t.Errorf("one %d-node run allocates %.0f times, want at most %d per node + %d", n, got, perNode, fixed)
+	}
+}

@@ -3,17 +3,17 @@
 // graph in which every node may send at most one O(log n)-bit message to each
 // neighbor per round.
 //
-// Every protocol in this repository is written as a per-node procedure
-// (a Proc) that runs in its own goroutine and advances the global round
-// clock by calling Ctx.StepRound — the synchronous barrier. The engine
-// enforces the model (neighbor-only delivery, one message per edge-direction
-// per round, optional strict message-size budgets) and accounts the model's
-// cost metric exactly: the number of rounds, plus total messages and bits for
-// diagnostics.
+// Every protocol in this repository is written as a per-node procedure (a
+// Proc) that advances the global round clock by calling Ctx.StepRound — the
+// synchronous barrier. The engine enforces the model (neighbor-only
+// delivery, one message per edge-direction per round, optional strict
+// message-size budgets) and accounts the model's cost metric exactly: the
+// number of rounds, plus total messages and bits for diagnostics.
 //
 // The simulation is deterministic: nodes interact only through the engine at
 // round barriers and each node's random source is seeded from (Options.Seed,
-// node ID), so a run's outcome is independent of goroutine scheduling.
+// node ID, incarnation), so a run's outcome is independent of the order in
+// which nodes run within a round.
 //
 // # Engine internals
 //
@@ -27,24 +27,31 @@
 // per-round inbox slices — and slot occupancy is an epoch stamp (the round
 // number), so nothing is ever cleared between rounds. Two stamp/payload
 // arenas alternate by round parity so round-r readers never share an array
-// with round-r+1 writers. The round barrier is a single atomic countdown
-// with per-node parking: the last node to arrive becomes the round leader,
-// retires the round inline (round count, watchdog, cost accounting) and
-// unparks the survivors — there is no coordinator goroutine.
+// with round-r+1 writers. Every node's Proc runs in a coroutine (iter.Pull;
+// race-detector builds use a goroutine hand-off, see coro_race.go), and one
+// driver loop on the caller's goroutine runs the round: it resumes the awake
+// nodes one at a time in ascending ID order, each until its next barrier
+// arrival, then retires the round itself (round count, watchdog, cost
+// accounting). There is no countdown, no parking and no scheduler wake-up; a
+// barrier is a coroutine switch.
 //
-// Only awake nodes join the countdown. A node with nothing to do until a
-// message or a known round (Ctx.StepUntil, Ctx.Idle, a crash-recovery
-// downtime) arrives as a sleeper: the leader files it in an indexed min-heap
-// keyed by (wake round, node ID) and leaves it parked. A send to a sleeping
-// receiver marks it — one CAS on a per-node flag, then a slot in a
-// preallocated wake list — so the next leader re-arms exactly the nodes that
-// stepped, got mail or are due. A node falling asleep in the round being
-// retired cannot have been marked yet, so the leader scans its slots for
-// that round's stamp instead. When no node is awake, the leader jumps the
-// round counter to the earliest wake round; the skipped rounds count in
-// Stats.Rounds and against the watchdog exactly as stepped ones would. A
-// run therefore pays for the node-rounds that do work, not for every live
-// node in every round.
+// Only awake nodes are resumed. A node with nothing to do until a message or
+// a known round (Ctx.StepUntil, Ctx.Idle, a crash-recovery downtime) arrives
+// as a sleeper: the driver files it in an indexed min-heap keyed by (wake
+// round, node ID) and leaves it suspended. A send to a sleeping receiver
+// marks it — a per-node flag, then a slot in a preallocated wake list — so
+// the driver resumes exactly the nodes that stepped, got mail or are due. A
+// node falling asleep in the round being retired may have missed marks from
+// senders that ran before it, so the driver scans its slots for that round's
+// stamp instead. When no node is awake, the driver jumps the round counter
+// to the earliest wake round; the skipped rounds count in Stats.Rounds and
+// against the watchdog exactly as stepped ones would. A run therefore pays
+// for the node-rounds that do work, not for every live node in every round.
+//
+// Because nodes run one at a time, a Proc may interact with other nodes only
+// through the engine: a Proc that blocks on another node's channel or mutex
+// deadlocks the run. A runtime.Goexit inside a Proc (for example t.FailNow)
+// propagates to Run's caller after the other nodes are unwound.
 //
 // The multi-core engine (EngineSharded, sharded.go) keeps the same mailbox
 // discipline but cuts the arena into worker shards retired in parallel.
@@ -85,10 +92,12 @@ type Message struct {
 	Payload Payload
 }
 
-// Proc is the per-node protocol procedure. It runs in its own goroutine with
-// ctx bound to one vertex; returning ends the node's participation (any
-// not-yet-delivered sends are still delivered at the next barrier). Returning
-// a non-nil error aborts the whole run.
+// Proc is the per-node protocol procedure, run with ctx bound to one vertex;
+// returning ends the node's participation (any not-yet-delivered sends are
+// still delivered at the next barrier). Returning a non-nil error aborts the
+// whole run. On EngineEventLoop the nodes of a run take turns on one
+// goroutine, so a Proc must not block on anything another node of the same
+// run would release; EngineSharded runs every node in its own goroutine.
 type Proc func(ctx *Ctx) error
 
 // Options configures a simulation run.
@@ -163,17 +172,17 @@ var (
 	ErrModelViolation = errors.New("congest: model violation")
 )
 
-// errAbort is panicked into node goroutines blocked at the barrier when the
-// run aborts, so they unwind and exit promptly.
+// errAbort is panicked into nodes waiting at the barrier when the run
+// aborts, so they unwind and exit promptly.
 var errAbort = errors.New("congest: run aborted")
 
 // Engine selects a simulation engine implementation.
 type Engine int32
 
 const (
-	// EngineEventLoop is the default engine: arc-slot mailbox arenas, an
-	// atomic-countdown barrier with per-node parking, and pooled run state —
-	// zero allocations per round in the steady state.
+	// EngineEventLoop is the default engine: arc-slot mailbox arenas, node
+	// coroutines resumed by one driver loop, and pooled run state — zero
+	// allocations per round in the steady state.
 	EngineEventLoop Engine = iota
 	// EngineChannel named the channel-coordinator engine this repository
 	// used before the arena rewrite. That engine has been removed; RunOn
@@ -214,7 +223,7 @@ func Run(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 
 // RunOn is Run on an explicitly chosen engine, regardless of the default.
 // Any engine other than EngineEventLoop and EngineSharded is an error, and
-// no node goroutine starts.
+// no node starts.
 func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	if e != EngineEventLoop && e != EngineSharded {
 		return Stats{}, fmt.Errorf("congest: unknown engine %d", e)
@@ -247,8 +256,8 @@ func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	return runEventLoop(g, proc, opts)
 }
 
-// Barrier arrival kinds published by a node before it joins the countdown.
-// arriveSleep and arriveIdle are stepping arrivals that leave the countdown
+// Barrier arrival kinds recorded by a node as it reaches the barrier.
+// arriveSleep and arriveIdle are stepping arrivals that leave the awake set
 // until the node's wake round (event-loop engine only); a sleeping node also
 // wakes at its first readable message, an idle one does not. Kinds below
 // arriveDone keep the node running.
@@ -261,8 +270,8 @@ const (
 )
 
 // Ctx is a node's handle to the simulation: its identity, neighborhood,
-// send fast paths and the round barrier. A Ctx must only be used from the
-// goroutine running its Proc.
+// send fast paths and the round barrier. A Ctx must only be used from its
+// own Proc.
 type Ctx struct {
 	id graph.NodeID
 	g  *graph.Graph
@@ -273,10 +282,10 @@ type Ctx struct {
 	sh   *shardedRun // sharded engine state (nil under EngineEventLoop)
 	// shard is the worker shard owning this node (sharded engine only).
 	shard *shard
-	rng   *rand.Rand
-	// rngSrc is rng's seedable source, kept so pooled Ctxs reseed instead of
-	// reallocating the generator.
-	rngSrc rand.Source
+	// rng is the node's pooled generator; rngSeeded reports whether it is
+	// seeded for the current incarnation (Rand seeds it on first use).
+	rng       *rand.Rand
+	rngSeeded bool
 	// arcs is the node's adjacency materialized once from the graph's CSR
 	// arrays at run setup (a sub-slice of the run's shared arc arena).
 	arcs []graph.Arc
@@ -301,11 +310,18 @@ type Ctx struct {
 	arrival int32
 	wakeAt  int32
 	err     error
-	park    chan struct{}
 	inbox   []Message
+	// On the event-loop engine the node runs as a coroutine: next resumes it
+	// until its next barrier arrival or its end, yield (called by arrive)
+	// hands control back to the driver, and stop ends it. On the sharded
+	// engine the node has a goroutine and waits at the barrier on park.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	park  chan struct{}
 
-	// Send accounting since the last delivery barrier; the round leader
-	// flushes these into the run totals when that barrier delivers.
+	// Send accounting since the last delivery barrier, flushed into the run
+	// totals when that barrier delivers.
 	pMsgs int64
 	pBits int64
 	pMax  int
@@ -346,8 +362,26 @@ func (c *Ctx) ArcIndex(to graph.NodeID) int {
 	return -1
 }
 
-// Rand returns the node-local deterministic random source.
-func (c *Ctx) Rand() *rand.Rand { return c.rng }
+// Rand returns the node-local deterministic random source: a pure function
+// of (Options.Seed, node ID, incarnation), seeded at the incarnation's first
+// call, so a run that never draws never pays for seeding.
+func (c *Ctx) Rand() *rand.Rand {
+	if !c.rngSeeded {
+		seed := mix(c.run.opts.Seed, int64(c.id))
+		if c.incarnation > 0 {
+			seed = mix(seed, int64(c.incarnation))
+		}
+		if c.rng == nil {
+			c.rng = rand.New(rand.NewSource(seed))
+		} else {
+			// Seed also discards the bytes Read buffered in an earlier run
+			// or incarnation.
+			c.rng.Seed(seed)
+		}
+		c.rngSeeded = true
+	}
+	return c.rng
+}
 
 // Incarnation reports how many times this node has crash-recovered: 0 for
 // the original execution, k for the Proc's k-th restart. A Proc seeing a
@@ -421,7 +455,7 @@ func (c *Ctx) SendArc(k int, p Payload) {
 	// wakes a sleeping receiver.
 	if lr.dropThresh != 0 && dropped(lr.dropThresh, lr.faultSeed, stamp, s) {
 		lr.dropMask[buf][s] = stamp
-	} else if lr.sleepers != 0 {
+	} else if len(lr.wakeHeap.items) != 0 {
 		lr.markMail(c.arcs[k].To)
 	}
 	c.pMsgs++
@@ -469,7 +503,7 @@ func (c *Ctx) SendAll(p Payload) {
 			lr.dropMask[buf][s] = stamp
 		}
 	}
-	if lr.sleepers != 0 {
+	if len(lr.wakeHeap.items) != 0 {
 		for i, s := range lr.rev[c.lo : c.lo+int32(deg)] {
 			if thresh == 0 || lr.dropMask[buf][s] != stamp {
 				lr.markMail(c.arcs[i].To)
@@ -538,23 +572,25 @@ func (c *Ctx) hasMail() bool {
 // maybeCrash enforces the node's scheduled crash at the barrier ending round
 // crashAt-1. A crash-stop node arrives as a finished node — its buffered
 // sends from the completed round are still delivered, matching the "final
-// sends" convention — and its goroutine unwinds without ever entering round
-// crashAt. A crash-recovery node unwinds the Proc the same way but does NOT
-// arrive here: its goroutine wrapper catches errCrashedRecover, joins this
-// same barrier as a stepping node (so the final sends are delivered
-// identically) and keeps stepping silently until the rejoin round. On the
-// fault-free path crashAt is the noCrash sentinel and the check is one
-// never-taken branch; a rejoined node additionally fails the rejoinAt
-// compare so it can never crash twice.
+// sends" convention — and its Proc unwinds without ever entering round
+// crashAt. A crash-recovery node instead joins this same barrier as a
+// stepping node (so the final sends are delivered identically), sleeps
+// through its downtime deaf to mail, and unwinds its Proc at the rejoin
+// round for nodeMain to restart. On the fault-free path crashAt is the
+// noCrash sentinel and the check is one never-taken branch; a rejoined node
+// additionally fails the rejoinAt compare so it can never crash twice.
 func (c *Ctx) maybeCrash() {
 	if int32(c.round)+1 < c.crashAt || int32(c.round) >= c.rejoinAt {
 		return
 	}
-	if c.rejoinAt != noCrash {
-		panic(errCrashedRecover)
+	if c.rejoinAt == noCrash {
+		c.arrive(arriveDone)
+		panic(errCrashed)
 	}
-	c.arrive(arriveDone)
-	panic(errCrashed)
+	for int32(c.round) < c.rejoinAt {
+		c.sleepBarrier(int(c.rejoinAt), false)
+	}
+	panic(errCrashedRecover)
 }
 
 // InboxArc returns the message the neighbor at arc index k sent this round,
@@ -671,35 +707,24 @@ func (c *Ctx) gather() []Message {
 	return c.inbox
 }
 
-// fail aborts the run with err, unwinding this goroutine.
+// fail aborts the run with err, unwinding this node.
 func (c *Ctx) fail(err error) {
 	c.err = err
 	c.arrive(arriveFail)
 	panic(errAbort)
 }
 
-// arrive publishes this node's barrier arrival and joins the countdown. The
-// last arriver leads the round (classification, accounting, watchdog, wake).
-// Stepping and sleeping nodes return once released into a later round;
-// done/fail arrivals return immediately after their (possible) leadership
-// duty, since their goroutine is exiting.
+// arrive records this node's barrier arrival. On the event-loop engine a
+// stepping or sleeping node then yields to the driver, which resumes it in a
+// later round or, when the run ends without it, stops it so it unwinds; a
+// done or fail arrival returns at once, since the node is ending.
 func (c *Ctx) arrive(kind int32) {
 	c.arrival = kind
 	if c.sh != nil {
 		c.sh.arrive(c, kind)
 		return
 	}
-	lr := c.loop
-	if lr.pending.Add(-1) == 0 {
-		if lr.lead(c) {
-			<-c.park
-		}
-	} else if kind < arriveDone {
-		<-c.park
-	} else {
-		return
-	}
-	if kind < arriveDone && lr.aborted {
+	if kind < arriveDone && !c.yield(struct{}{}) {
 		panic(errAbort)
 	}
 }
@@ -732,12 +757,10 @@ type runState struct {
 	dropThresh uint64
 	faultSeed  int64
 	adversary  Adversary
-	// aborted/err/rounds are written by the round leader and read by nodes
+	// err/rounds are written when a round is retired and read by nodes
 	// after their release from the barrier.
-	aborted bool
-	err     error
-	rounds  int
-	wg      sync.WaitGroup
+	err    error
+	rounds int
 }
 
 // setup binds rs to a run of opts on g: it resets the node table, applies
@@ -791,20 +814,11 @@ func (rs *runState) setup(g *graph.Graph, opts Options) {
 		nd.crashAt = noCrash
 		nd.rejoinAt = noCrash
 		nd.incarnation = 0
+		nd.rngSeeded = false
 		nd.arrival = 0
 		nd.err = nil
 		nd.inbox = nd.inbox[:0]
 		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
-		seed := mix(opts.Seed, int64(v))
-		if nd.rngSrc == nil {
-			nd.rngSrc = rand.NewSource(seed)
-			nd.rng = rand.New(nd.rngSrc)
-		} else {
-			nd.rngSrc.Seed(seed)
-		}
-		if nd.park == nil {
-			nd.park = make(chan struct{}, 1)
-		}
 	}
 	if plan != nil {
 		for _, cr := range plan.Crashes {
@@ -816,21 +830,8 @@ func (rs *runState) setup(g *graph.Graph, opts Options) {
 			}
 		}
 	}
-	rs.aborted = false
 	rs.err = nil
 	rs.rounds = 0
-}
-
-// start runs proc on every node, one goroutine each, and returns once every
-// node has finished. A goroutine's last act is its deferred wg.Done, so it
-// may still be exiting when start returns.
-func (rs *runState) start(proc Proc) {
-	n := rs.g.NumNodes()
-	rs.wg.Add(n)
-	for v := 0; v < n; v++ {
-		go nodeMain(&rs.nodes[v], proc)
-	}
-	rs.wg.Wait()
 }
 
 // release scrubs the radio arenas, the node inboxes and every graph and
@@ -860,7 +861,8 @@ func (rs *runState) release() {
 }
 
 // loopRun is the pooled per-run state of the event-loop engine: the mailbox
-// arenas, the awake set, the sleep state and the barrier countdown.
+// arenas, the awake set and the sleep state. Only the driver and the one
+// node it is running touch it, so none of it is atomic.
 type loopRun struct {
 	runState
 	// stamp/pay are the mailbox arenas: slot lo(v)+k holds the message
@@ -876,20 +878,17 @@ type loopRun struct {
 	// runs whose plan actually drops and are epoch-stamped, so nothing is
 	// cleared between rounds.
 	dropMask [2][]int32
-	// awake lists the nodes that arrive at the next barrier, ascending;
-	// rebuilt in place by the round leader. pending counts them down.
-	awake   []int32
-	pending atomic.Int32
-	// Sleep state. asleep holds each node's sleep flag (sleepNone, sleepMail,
-	// sleepTimer); a sender CASes sleepMail to sleepNone and the winner
-	// appends the receiver to wakeList at wakeCur. wakeHeap orders
-	// the sleepers by wake round. sleepers is the heap size, written by the
-	// leader and read by senders, which skip the flag when it is zero.
-	asleep   []atomic.Int32
+	// awake lists the nodes the driver resumes this round, ascending;
+	// rebuilt in place when the round is retired.
+	awake []int32
+	// Sleep state. asleep holds the arrival kind (arriveSleep or arriveIdle)
+	// of each node filed in wakeHeap and 0 for the rest; the first sender to
+	// an arriveSleep node clears it and appends the receiver to wakeList.
+	// wakeHeap orders the sleepers by wake round; senders skip the flag while
+	// it is empty.
+	asleep   []int32
 	wakeList []int32
-	wakeCur  atomic.Int32
 	wakeHeap wakeHeap
-	sleepers int32
 
 	msgs    int64
 	bitsSum int64
@@ -898,37 +897,13 @@ type loopRun struct {
 
 var loopPool = sync.Pool{New: func() any { return new(loopRun) }}
 
-// Sleep flags (loopRun.asleep).
-const (
-	sleepNone int32 = iota
-	sleepMail
-	sleepTimer
-)
-
-// lead retires the round: it runs on the last awake node to arrive at the
-// barrier, with every awake node accounted for (parked steppers and
-// sleepers, exiting done/fail arrivals). It classifies arrivals, aborts on
-// failure or watchdog, flushes the arrivers' send accounting when the round
-// delivers, files new sleepers, wakes the marked and due ones (jumping the
-// clock when nobody is awake), resets the countdown and unparks the awake
-// set. It reports whether the leader itself sleeps on.
-func (lr *loopRun) lead(leader *Ctx) (leaderSleeps bool) {
-	arrived := lr.awake
-	var err error
-	errID := int32(math.MaxInt32)
-	live := int(lr.sleepers) // sleepers are live steppers
-	for _, id := range arrived {
-		nd := &lr.nodes[id]
-		switch nd.arrival {
-		case arriveStep, arriveSleep, arriveIdle:
-			live++
-		case arriveFail:
-			// The lowest failing node ID wins, whatever the list order.
-			if id < errID {
-				err, errID = nd.err, id
-			}
-		}
-	}
+// retire ends the round once every awake node has arrived, given the
+// number of live arrivals (steppers and sleepers) and the first failure:
+// it counts the round against the watchdog, flushes the arrivers' send
+// accounting when the round delivers, files new sleepers and wakes the
+// marked and due ones (jumping the clock when nobody is awake), leaving the
+// next round's awake set in lr.awake. It reports false when the run aborts.
+func (lr *loopRun) retire(live int, err error) bool {
 	if err == nil && live > 0 {
 		lr.rounds++
 		if lr.rounds > lr.opts.MaxRounds {
@@ -938,7 +913,7 @@ func (lr *loopRun) lead(leader *Ctx) (leaderSleeps bool) {
 	deliver := err == nil && live > 0
 	stamp := int32(lr.rounds)
 	w := 0
-	for _, id := range arrived {
+	for _, id := range lr.awake {
 		nd := &lr.nodes[id]
 		if deliver {
 			// Sends buffered before this barrier are counted even if the
@@ -956,8 +931,8 @@ func (lr *loopRun) lead(leader *Ctx) (leaderSleeps bool) {
 			lr.awake[w] = id
 			w++
 		case arriveSleep:
-			// Senders of the retired round saw this node awake and did not
-			// mark it: look for their messages directly.
+			// Senders that ran before this node in the retired round saw it
+			// awake and did not mark it: look for their messages directly.
 			if deliver && lr.hasMail(nd, stamp) {
 				lr.awake[w] = id
 				w++
@@ -972,39 +947,13 @@ func (lr *loopRun) lead(leader *Ctx) (leaderSleeps bool) {
 	if err == nil {
 		err = lr.wake()
 	}
-	if err != nil {
-		lr.err = err
-		lr.aborted = true
-		// Release every parked node, sleepers included; each unwinds.
-		for _, id := range lr.awake {
-			if nd := &lr.nodes[id]; nd != leader {
-				nd.park <- struct{}{}
-			}
-		}
-		for _, it := range lr.wakeHeap.items {
-			if nd := &lr.nodes[it.node]; nd != leader {
-				nd.park <- struct{}{}
-			}
-		}
-		return false
-	}
-	lr.pending.Store(int32(len(lr.awake)))
-	leaderSleeps = lr.asleep[leader.id].Load() != sleepNone
-	for _, id := range lr.awake {
-		if nd := &lr.nodes[id]; nd != leader {
-			nd.park <- struct{}{}
-		}
-	}
-	return leaderSleeps
+	lr.err = err
+	return err == nil
 }
 
 // sleep files an arriving sleeper or idler in the wake heap.
 func (lr *loopRun) sleep(nd *Ctx) {
-	flag := sleepTimer
-	if nd.arrival == arriveSleep {
-		flag = sleepMail
-	}
-	lr.asleep[nd.id].Store(flag)
+	lr.asleep[nd.id] = nd.arrival
 	lr.wakeHeap.push(int32(nd.id), nd.wakeAt)
 }
 
@@ -1013,15 +962,14 @@ func (lr *loopRun) sleep(nd *Ctx) {
 // jumps the clock to the earliest wake round, failing with ErrMaxRounds (at
 // MaxRounds+1 rounds, as stepping would) when that round is past the
 // watchdog bound. The awake set is left in ascending ID order, so the
-// released nodes walk the node table and the mailbox arena in address
-// order.
+// driver walks the node table and the mailbox arena in address order.
 func (lr *loopRun) wake() error {
 	stepped := len(lr.awake)
-	for _, id := range lr.wakeList[:lr.wakeCur.Load()] {
+	for _, id := range lr.wakeList {
 		lr.wakeHeap.remove(id)
 		lr.rouse(id)
 	}
-	lr.wakeCur.Store(0)
+	lr.wakeList = lr.wakeList[:0]
 	h := &lr.wakeHeap
 	if len(lr.awake) == 0 && len(h.items) > 0 {
 		next := int(h.items[0].round)
@@ -1036,7 +984,6 @@ func (lr *loopRun) wake() error {
 		h.remove(id)
 		lr.rouse(id)
 	}
-	lr.sleepers = int32(len(h.items))
 	if len(lr.awake) > stepped {
 		slices.Sort(lr.awake)
 	}
@@ -1046,7 +993,7 @@ func (lr *loopRun) wake() error {
 // rouse clears a woken node's sleep flag (a mail wake's sender already did)
 // and adds it to the awake set.
 func (lr *loopRun) rouse(id int32) {
-	lr.asleep[id].Store(sleepNone)
+	lr.asleep[id] = 0
 	lr.awake = append(lr.awake, id)
 }
 
@@ -1065,10 +1012,11 @@ func (lr *loopRun) hasMail(nd *Ctx, stamp int32) bool {
 
 // markMail wakes sleeping receiver v for the round a message sent to it
 // becomes readable: the first sender to flip its flag files it in the wake
-// list. A timer sleeper's flag never matches, so mail does not wake it.
+// list. An idler's flag never matches, so mail does not wake it.
 func (lr *loopRun) markMail(v graph.NodeID) {
-	if f := &lr.asleep[v]; f.Load() == sleepMail && f.CompareAndSwap(sleepMail, sleepNone) {
-		lr.wakeList[lr.wakeCur.Add(1)-1] = int32(v)
+	if lr.asleep[v] == arriveSleep {
+		lr.asleep[v] = 0
+		lr.wakeList = append(lr.wakeList, int32(v))
 	}
 }
 
@@ -1140,40 +1088,61 @@ func (h *wakeHeap) down(i int) {
 	}
 }
 
-// runEventLoop drives one simulation on the arena engine.
+// runEventLoop drives one simulation on the arena engine. It starts every
+// node as a coroutine running nodeMain, then per round resumes the awake
+// nodes in ascending ID order, each until its next barrier arrival or its
+// end, and retires the round. On abort releaseLoop stops every suspended
+// node, sleepers included, so each unwinds and its coroutine ends before
+// Run returns.
 func runEventLoop(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	lr := acquireLoop(g, opts)
-	lr.start(proc)
-	stats := Stats{Rounds: lr.rounds, Messages: lr.msgs, TotalBits: lr.bitsSum, MaxMessageBits: lr.maxBits}
-	err := lr.err
-	releaseLoop(lr)
-	return stats, err
+	defer releaseLoop(lr)
+	for v := 0; v < g.NumNodes(); v++ {
+		nd := &lr.nodes[v]
+		nd.loop = lr
+		lr.awake[v] = int32(v)
+		nd.next, nd.stop = pull(func(yield func(struct{}) bool) {
+			nd.yield = yield
+			nodeMain(nd, proc)
+		})
+	}
+	for len(lr.awake) > 0 {
+		live := len(lr.wakeHeap.items) // sleepers are live steppers
+		var err error
+		for _, id := range lr.awake {
+			nd := &lr.nodes[id]
+			nd.next()
+			if nd.arrival < arriveDone {
+				live++
+			} else if nd.arrival == arriveFail && err == nil {
+				err = nd.err // the lowest failing node ID wins
+			}
+		}
+		if !lr.retire(live, err) {
+			break
+		}
+	}
+	return Stats{Rounds: lr.rounds, Messages: lr.msgs, TotalBits: lr.bitsSum, MaxMessageBits: lr.maxBits}, lr.err
 }
 
-// nodeMain is the per-node goroutine wrapper: it converts proc errors and
-// panics into fail arrivals and normal returns into done arrivals. A
-// crash-recovery crash restarts proc after the downtime window, so the loop
-// runs once per incarnation.
+// nodeMain is the per-node wrapper: it converts proc errors and panics into
+// fail arrivals and normal returns into done arrivals. After a crash with
+// scheduled recovery it restarts proc as a fresh incarnation: Round() at the
+// rejoin round, Incarnation() incremented and the random source due for
+// reseeding as a pure function of (Options.Seed, node ID, incarnation), so a
+// restarted node's behavior does not depend on how many random draws its
+// previous life consumed.
 func nodeMain(c *Ctx, proc Proc) {
-	defer c.run.wg.Done()
-	for {
-		if !runProcOnce(c, proc) {
-			return
-		}
-		// Crash with scheduled recovery: the node stays in the live set,
-		// stepping silently through its downtime (the first barrier below is
-		// the crash barrier itself, delivering the final-round sends), then
-		// restarts as a fresh incarnation.
-		if !downUntilRejoin(c) {
-			return // the run aborted while the node was down
-		}
-		c.restart()
+	for runProcOnce(c, proc) {
+		c.incarnation++
+		c.rngSeeded = false
 	}
 }
 
 // runProcOnce runs one incarnation of proc, classifying its exit: normal
 // return and error/panic arrivals end the node (false); a crash with a
-// scheduled recovery asks nodeMain to restart it (true).
+// scheduled recovery, unwound at the rejoin round, asks nodeMain to restart
+// it (true).
 func runProcOnce(c *Ctx, proc Proc) (restart bool) {
 	defer func() {
 		r := recover()
@@ -1207,34 +1176,6 @@ func runProcOnce(c *Ctx, proc Proc) (restart bool) {
 	return false
 }
 
-// downUntilRejoin sleeps a crashed node through its downtime window, deaf to
-// mail. It reports false when the run aborted while the node was down.
-func downUntilRejoin(c *Ctx) (ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if err, isErr := r.(error); isErr && errors.Is(err, errAbort) {
-				ok = false
-				return
-			}
-			panic(r)
-		}
-	}()
-	for int32(c.round) < c.rejoinAt {
-		c.sleepBarrier(int(c.rejoinAt), false)
-	}
-	return true
-}
-
-// restart rewinds a node for its next incarnation: the Proc will be invoked
-// again from the top with Round() at the rejoin round, Incarnation()
-// incremented and the random source reseeded as a pure function of
-// (Options.Seed, node ID, incarnation) — so a restarted node's behavior does
-// not depend on how many random draws its previous life consumed.
-func (c *Ctx) restart() {
-	c.incarnation++
-	c.rngSrc.Seed(mix(mix(c.run.opts.Seed, int64(c.id)), int64(c.incarnation)))
-}
-
 // acquireLoop takes a loopRun from the pool and sizes/resets it for g.
 func acquireLoop(g *graph.Graph, opts Options) *loopRun {
 	lr := loopPool.Get().(*loopRun)
@@ -1251,30 +1192,28 @@ func acquireLoop(g *graph.Graph, opts Options) *loopRun {
 		}
 	}
 	lr.awake = growInt32(lr.awake, n)
-	lr.wakeList = growInt32(lr.wakeList, n)
+	lr.wakeList = growInt32(lr.wakeList, n)[:0]
 	lr.wakeHeap.pos = growInt32(lr.wakeHeap.pos, n)
 	if cap(lr.wakeHeap.items) < n {
 		lr.wakeHeap.items = make([]wakeItem, 0, n)
 	}
 	lr.wakeHeap.items = lr.wakeHeap.items[:0]
-	if len(lr.asleep) < n {
-		lr.asleep = make([]atomic.Int32, n)
-	}
-	for v := 0; v < n; v++ {
-		lr.nodes[v].loop = lr
-		lr.awake[v] = int32(v)
-		lr.asleep[v].Store(sleepNone)
-	}
-	lr.wakeCur.Store(0)
-	lr.sleepers = 0
-	lr.pending.Store(int32(n))
+	lr.asleep = growInt32(lr.asleep, n)
+	clear(lr.asleep)
 	lr.msgs, lr.bitsSum, lr.maxBits = 0, 0, 0
 	return lr
 }
 
-// releaseLoop scrubs the mailbox arenas and the shared state (see
-// runState.release) and returns lr to the pool.
+// releaseLoop stops every coroutine still suspended — after an abort or a
+// Proc's runtime.Goexit — so it unwinds from its barrier, scrubs the mailbox
+// arenas and the shared state (see runState.release) and returns lr to the
+// pool.
 func releaseLoop(lr *loopRun) {
+	for v := 0; v < lr.g.NumNodes(); v++ {
+		nd := &lr.nodes[v]
+		nd.stop()
+		nd.next, nd.stop, nd.yield = nil, nil, nil
+	}
 	for i := range lr.stamp {
 		clear(lr.stamp[i])
 		clear(lr.pay[i])

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -92,6 +93,61 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[v] != b[v] {
 			t.Fatalf("node %d differs across identical runs: %d vs %d", v, a[v], b[v])
 		}
+	}
+}
+
+// TestRandReadSeeded pins the seed contract for Rand().Read, which keeps the
+// unread bytes of its last 64-bit draw for the next call: equal seeds give
+// equal bytes whatever an earlier run on the pooled state read, and a
+// restarted incarnation's bytes do not depend on what its previous life
+// read.
+func TestRandReadSeeded(t *testing.T) {
+	g := gen.Path(2)
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			// read returns the k bytes node 0 reads in a one-round run.
+			read := func(k int) []byte {
+				out := make([]byte, k)
+				if _, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+					if ctx.ID() == 0 {
+						ctx.Rand().Read(out)
+					}
+					return nil
+				}, Options{Seed: 7}); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			want := read(8)
+			read(3) // leaves 5 bytes of a draw unread
+			if got := read(8); !bytes.Equal(got, want) {
+				t.Errorf("equal seeds read %x after a 3-byte run, %x before", got, want)
+			}
+
+			// second returns the 8 bytes node 0 reads after rejoining, its
+			// first life having read `first` bytes.
+			second := func(first int) []byte {
+				out := make([]byte, 8)
+				plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 1, Downtime: 1}}}
+				if _, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+					if ctx.ID() == 0 {
+						if ctx.Incarnation() == 1 {
+							ctx.Rand().Read(out)
+							return nil
+						}
+						ctx.Rand().Read(make([]byte, first))
+					}
+					ctx.Idle(3)
+					return nil
+				}, Options{Seed: 7, Faults: plan}); err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			if a, b := second(0), second(3); !bytes.Equal(a, b) {
+				t.Errorf("rejoined node read %x after a first life that read 3 bytes, %x after one that read none", b, a)
+			}
+		})
 	}
 }
 

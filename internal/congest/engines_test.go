@@ -273,6 +273,42 @@ func TestEventLoopAbortWhileAsleepNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestEventLoopGoexitPropagates checks that a runtime.Goexit inside a Proc
+// (what t.FailNow does) ends the goroutine that called Run, after every other
+// node has unwound, instead of hanging the barrier.
+func TestEventLoopGoexitPropagates(t *testing.T) {
+	base := runtime.NumGoroutine()
+	returned := make(chan bool)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		RunOn(EngineEventLoop, gen.Grid(6, 6), func(ctx *Ctx) error {
+			switch {
+			case ctx.ID() == 7:
+				ctx.Idle(3)
+				runtime.Goexit()
+			case ctx.ID()%2 == 0:
+				ctx.StepUntil(10_000)
+			default:
+				for {
+					ctx.StepRound()
+				}
+			}
+			return nil
+		}, Options{})
+		ok = true
+	}()
+	select {
+	case ok := <-returned:
+		if ok {
+			t.Fatal("Run returned after a node called runtime.Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run hung after a node called runtime.Goexit")
+	}
+	waitGoroutines(t, base)
+}
+
 // TestEnginesDifferential runs a messy randomized protocol — uneven
 // termination, traffic to finished nodes, random payload sizes — on both
 // engines and requires identical per-node outputs and identical Stats.

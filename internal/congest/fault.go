@@ -173,8 +173,8 @@ const noCrash = math.MaxInt32
 var errCrashed = fmt.Errorf("congest: node crashed (fault plan)")
 
 // errCrashedRecover is panicked instead when the crash entry schedules a
-// recovery: the node's goroutine wrapper catches it, steps the node silently
-// through its downtime window, and restarts the Proc as a new incarnation.
+// recovery, once the node has slept through its downtime window: the node
+// wrapper catches it and restarts the Proc as a new incarnation.
 var errCrashedRecover = fmt.Errorf("congest: node crashed, recovery scheduled (fault plan)")
 
 // Distinct hash streams keep drop and adversary decisions decorrelated even

@@ -147,9 +147,13 @@ type shardedRun struct {
 	rings [2][]relayRing
 
 	shardsPending atomic.Int32
-	// deliver is written by the global leader and read by shard wakers
-	// after their park receive, like the shared aborted/err/rounds.
+	// aborted and deliver are written by the global leader and read by
+	// shard wakers and nodes after their park receive, like the shared
+	// err/rounds.
+	aborted bool
 	deliver bool
+	// wg joins the node goroutines.
+	wg sync.WaitGroup
 }
 
 var shardedPool = sync.Pool{New: func() any { return new(shardedRun) }}
@@ -164,7 +168,17 @@ func runSharded(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 		p = runtime.GOMAXPROCS(0)
 	}
 	r := acquireSharded(g, opts, p)
-	r.start(proc)
+	// One goroutine per node; a goroutine's last act is its deferred
+	// wg.Done, so it may still be exiting when Wait returns.
+	node := func(nd *Ctx) {
+		defer r.wg.Done()
+		nodeMain(nd, proc)
+	}
+	r.wg.Add(g.NumNodes())
+	for v := 0; v < g.NumNodes(); v++ {
+		go node(&r.nodes[v])
+	}
+	r.wg.Wait()
 	stats := Stats{Rounds: r.rounds}
 	for i := 0; i < r.numShards; i++ {
 		d := &r.shards[i]
@@ -589,8 +603,11 @@ func acquireSharded(g *graph.Graph, opts Options, p int) *shardedRun {
 		for j := 0; j < nn; j++ {
 			v := d.loNode + int32(j)
 			d.live[j] = v
-			r.nodes[v].sh = r
-			r.nodes[v].shard = d
+			nd := &r.nodes[v]
+			nd.sh, nd.shard = r, d
+			if nd.park == nil {
+				nd.park = make(chan struct{}, 1)
+			}
 		}
 		d.pending.Store(int32(nn))
 		if d.park == nil {
@@ -605,7 +622,7 @@ func acquireSharded(g *graph.Graph, opts Options, p int) *shardedRun {
 		r.sizeRings(p)
 	}
 	r.shardsPending.Store(int32(p))
-	r.deliver = false
+	r.aborted, r.deliver = false, false
 	return r
 }
 
