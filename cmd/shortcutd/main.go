@@ -74,11 +74,27 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return serve(ctx, ln, svc, out, *drain)
 }
 
+// Connection timeouts. readHeaderTimeout closes the connection of a client
+// that stops inside its request header. The drain waits for such a
+// connection until net/http itself gives up on it, about 5 s after accept,
+// so the timeout sits well below that. idleTimeout closes keep-alive
+// connections a client left open. There is no write timeout: a cold
+// construction runs for seconds, and a write deadline would cut its valid
+// reply.
+const (
+	readHeaderTimeout = 2 * time.Second
+	idleTimeout       = time.Minute
+)
+
 // serve runs the HTTP server on ln until ctx is cancelled, then drains
 // in-flight queries within the drain budget. Factored from run so tests can
 // inject their own listener and cancellation.
 func serve(ctx context.Context, ln net.Listener, svc *shortcutsvc.Service, out io.Writer, drain time.Duration) error {
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(out, "shortcutd listening on %s\n", ln.Addr())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -66,6 +67,53 @@ func TestServeQueryAndShutdown(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, logged)
 		}
 	}
+}
+
+// TestServeDrainsStalledHeader connects over raw TCP, sends half a request
+// header and stalls. Without a header read timeout the drain waits for that
+// connection until net/http closes it on its own, about 5 s after accept,
+// so a shorter drain budget runs out; with the timeout the server closes the
+// connection and serve returns nil within the budget.
+func TestServeDrainsStalledHeader(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := shortcutsvc.New(shortcutsvc.Config{CacheEntries: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const drain = 4 * time.Second
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, ln, svc, io.Discard, drain) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /shortcut HTTP/1.1\r\nHost: localhost\r\nContent-Ty"); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve returned %v after %v with a stalled client", err, time.Since(start).Round(time.Millisecond))
+		}
+	case <-time.After(drain + 5*time.Second):
+		t.Fatal("serve did not return after context cancellation")
+	}
+	// The server, not the client, ended the stalled connection: reading it
+	// reaches EOF (after the server's 408 reply, if any).
+	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection still open after the drain: read %q, %v", reply, err)
+	}
+	t.Logf("drained in %v", time.Since(start).Round(time.Millisecond))
 }
 
 // TestRunFlagErrors pins the CLI error contract: bad flags and stray

@@ -44,9 +44,8 @@ type NodeShortcut struct {
 	ChildUsable []bool
 
 	// childOrder caches child indices sorted by child node ID: the binary-
-	// search index behind ChildIndex and the deterministic iteration order
-	// of SortedChildIndices. Built lazily so literal-constructed states
-	// (tests) work.
+	// search index behind ChildIndex. Built lazily so literal-constructed
+	// states (tests) work.
 	childOrder []int32
 }
 
@@ -92,17 +91,6 @@ func (ns *NodeShortcut) ChildIndex(ch graph.NodeID) int {
 		return int(ns.childOrder[lo])
 	}
 	return -1
-}
-
-// SortedChildIndices returns child indices (into Info.Children) ordered by
-// ascending child node ID — the deterministic iteration order protocol code
-// must use when child order is observable. The slice is owned by the state;
-// treat it as read-only.
-func (ns *NodeShortcut) SortedChildIndices() []int32 {
-	if ns.childOrder == nil && len(ns.Info.Children) > 0 {
-		ns.buildChildOrder()
-	}
-	return ns.childOrder
 }
 
 // ChildPartsAt returns ChildParts[k], tolerating literal-constructed states

@@ -106,7 +106,7 @@ func measureCastRounds(rc *RunContext, g *graph.Graph, p *partition.Partition) (
 			if err != nil {
 				return err
 			}
-			_, err = m.Scatter(ctx, func(i int) partops.Value { return res[i] }, 0)
+			_, err = m.Scatter(ctx, func(i int) partops.Value { return res[m.Index(i)] }, 0)
 			return err
 		}, congest.Options{})
 		return stats.Rounds, err

@@ -104,7 +104,7 @@ func measureCanonicalBlockcast(rc *RunContext, g *graph.Graph, p *partition.Part
 			if err != nil {
 				return err
 			}
-			_, err = m.Scatter(ctx, func(i int) partops.Value { return res[i] }, 0)
+			_, err = m.Scatter(ctx, func(i int) partops.Value { return res[m.Index(i)] }, 0)
 			return err
 		}, congest.Options{})
 		return stats.Rounds, err

@@ -120,7 +120,10 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, cf
 		}
 
 		// Adopt the good parts' assignments on my incident edges.
-		good := func(i int) bool { return verdicts[i].OK }
+		good := func(i int) bool {
+			k := m.Index(i)
+			return k >= 0 && verdicts[k].OK
+		}
 		mergeAccum(res.NS, ns, good)
 		if !res.Fixed && ownPart != partition.None && good(ownPart) {
 			res.Fixed = true

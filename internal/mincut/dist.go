@@ -156,8 +156,8 @@ func CertifyPhase(ctx *congest.Ctx, info *bfsproto.Info, inWitness bool) (int64,
 	// part sum is the exact cut weight.
 	var cross int64
 	if inWitness {
-		for _, a := range ctx.Neighbors() {
-			if m.NeighborPart[a.To] == partition.None {
+		for k, a := range ctx.Neighbors() {
+			if m.NeighborPart[k] == partition.None {
 				cross += ctx.EdgeWeight(a.Edge)
 			}
 		}
@@ -174,8 +174,8 @@ func CertifyPhase(ctx *congest.Ctx, info *bfsproto.Info, inWitness bool) (int64,
 	const inf = int64(1) << 62
 	local := inf
 	if inWitness {
-		r, ok := sums[0]
-		if !ok || !r.OK {
+		r := sums[m.Index(0)]
+		if !r.OK {
 			return 0, fmt.Errorf("mincut: node %d: witness part sum not certified", ctx.ID())
 		}
 		local = r.Sum

@@ -272,7 +272,7 @@ func agreeShortcut(ctx *congest.Ctx, info *bfsproto.Info, frag *int, own mstVal,
 	if err != nil {
 		return mstVal{}, err
 	}
-	return mins[*frag].(mstVal), nil
+	return mins[m.Index(*frag)].(mstVal), nil
 }
 
 // agreeNoShortcut floods the minimum outgoing edge inside each fragment

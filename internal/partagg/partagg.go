@@ -116,16 +116,16 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, p *partition.Partition, value 
 	if m.OwnPart == partition.None {
 		return nil, nil
 	}
-	i := m.OwnPart
-	if !sums[i].OK || !sizes[i].OK {
-		return nil, fmt.Errorf("partagg: node %d part %d: aggregation not certified", ctx.ID(), i)
+	k := m.Index(m.OwnPart)
+	if !sums[k].OK || !sizes[k].OK {
+		return nil, fmt.Errorf("partagg: node %d part %d: aggregation not certified", ctx.ID(), m.OwnPart)
 	}
 	return &Report{
-		Part:   i,
-		Leader: leaders[i],
-		Size:   sizes[i].Sum,
-		Sum:    sums[i].Sum,
-		Min:    mins[i].(partops.IDVal).V,
+		Part:   m.OwnPart,
+		Leader: leaders[k],
+		Size:   sizes[k].Sum,
+		Sum:    sums[k].Sum,
+		Min:    mins[k].(partops.IDVal).V,
 	}, nil
 }
 

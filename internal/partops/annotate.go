@@ -2,7 +2,6 @@ package partops
 
 import (
 	"fmt"
-	"sort"
 
 	"lcshortcut/internal/congest"
 	"lcshortcut/internal/graph"
@@ -29,19 +28,17 @@ func (m annMsg) Bits() int { return 3*congest.BitsForID(m.n) + 1 }
 // for its parent's message or the end of the budget. All nodes enter and
 // leave aligned.
 func (m *Membership) Annotate(ctx congest.Net) error {
-	// Roots know themselves.
-	for _, i := range m.Parts {
-		if !m.ParentIn[i] {
-			m.RootDepth[i] = m.Info.Depth
-			m.RootID[i] = ctx.ID()
-		}
+	pending := m.s.pending
+	for c := range pending {
+		pending[c] = pending[c][:0]
 	}
-	// Pending per child: parts whose annotation still must go down that edge.
-	pending := make(map[graph.NodeID][]int, len(m.ChildrenIn))
-	for _, i := range m.Parts {
-		for _, ch := range m.ChildrenIn[i] {
-			pending[ch] = append(pending[ch], i)
+	// Roots know themselves; every other block learns its root from above.
+	for k := range m.Parts {
+		m.RootDepth[k], m.RootID[k] = -1, 0
+		if !m.ParentIn[k] {
+			m.RootDepth[k], m.RootID[k] = m.Info.Depth, ctx.ID()
 		}
+		m.enqueue(k)
 	}
 	budget := m.CastBudget()
 	start := ctx.Round()
@@ -55,68 +52,40 @@ func (m *Membership) Annotate(ctx congest.Net) error {
 			if msg.From != m.Info.Parent {
 				return fmt.Errorf("partops: node %d got annotation from non-parent %d", ctx.ID(), msg.From)
 			}
-			m.RootDepth[am.part] = am.rootDepth
-			m.RootID[am.part] = am.rootID
+			k := m.Index(am.part)
+			if k < 0 {
+				return fmt.Errorf("partops: node %d got an annotation for part %d outside its blocks", ctx.ID(), am.part)
+			}
+			m.RootDepth[k], m.RootID[k] = am.rootDepth, am.rootID
 		}
 		if r == budget {
 			break
 		}
-		for ch, parts := range pending {
-			if best := m.bestKnown(parts); best != -1 {
-				ctx.SendArc(m.childArc[ch], annMsg{part: best, rootDepth: m.RootDepth[best], rootID: m.RootID[best], n: m.Info.Count})
-				pending[ch] = removeInt(parts, best)
-				if len(pending[ch]) == 0 {
-					delete(pending, ch)
-				}
-			}
-		}
+		// Send the highest-priority queued annotation whose root is known
+		// down each child edge; step on at once while another is sendable.
 		next := start + budget
-		for _, parts := range pending {
-			if m.bestKnown(parts) != -1 {
+		for c, list := range pending {
+			j := m.nextDown(list)
+			if j == -1 {
+				continue
+			}
+			k := list[j]
+			ctx.SendArc(m.Info.ChildArcs[c], annMsg{part: m.Parts[k], rootDepth: m.RootDepth[k], rootID: m.RootID[k], n: m.Info.Count})
+			if pending[c] = removeAt(list, j); m.nextDown(pending[c]) != -1 {
 				next = ctx.Round() + 1
-				break
 			}
 		}
 		inbox = ctx.StepUntil(next)
 	}
-	if len(pending) > 0 {
-		return fmt.Errorf("partops: node %d: annotation unfinished after %d rounds (Lemma 2 budget violated)", ctx.ID(), budget)
+	for _, list := range pending {
+		if len(list) > 0 {
+			return fmt.Errorf("partops: node %d: annotation unfinished after %d rounds (Lemma 2 budget violated)", ctx.ID(), budget)
+		}
 	}
-	for _, i := range m.Parts {
-		if _, ok := m.RootDepth[i]; !ok {
+	for k, i := range m.Parts {
+		if m.RootDepth[k] < 0 {
 			return fmt.Errorf("partops: node %d: no root annotation for part %d", ctx.ID(), i)
 		}
 	}
 	return nil
-}
-
-// bestKnown returns the highest-priority queued part whose block root is
-// already known, or -1 if none is.
-func (m *Membership) bestKnown(parts []int) int {
-	best := -1
-	for _, i := range parts {
-		if _, known := m.RootDepth[i]; !known {
-			continue
-		}
-		if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
-			best = i
-		}
-	}
-	return best
-}
-
-// less2 orders (rootDepth, part) pairs — the Lemma 2 routing priority.
-func less2(d1, i1, d2, i2 int) bool {
-	if d1 != d2 {
-		return d1 < d2
-	}
-	return i1 < i2
-}
-
-func removeInt(list []int, x int) []int {
-	k := sort.SearchInts(list, x)
-	if k < len(list) && list[k] == x {
-		return append(list[:k], list[k+1:]...)
-	}
-	return list
 }

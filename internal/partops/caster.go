@@ -2,10 +2,9 @@ package partops
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lcshortcut/internal/congest"
-	"lcshortcut/internal/graph"
 	"lcshortcut/internal/partition"
 )
 
@@ -62,22 +61,37 @@ func (m exchMsg) Bits() int { return 1 + m.val.Bits() }
 // block member contributes own(part) and the block root obtains the
 // combine-fold of all member values. Messages sharing a tree edge are
 // scheduled by (rootDepth, part) priority, so the pass completes within the
-// CastBudget; Gather errors if it does not. Returns this node's results for
-// the blocks it roots. All nodes enter and leave aligned.
+// CastBudget; Gather errors if it does not. Returns this node's results
+// aligned with Parts: the fold for every block it roots, nil for the others.
+// All nodes enter and leave aligned.
 //
 // Gather and Scatter read only the tree arcs their traffic can arrive on
 // (InboxArc fast path); stray traffic on other arcs during the cast window
 // is ignored rather than reported, relying on the phase-alignment contract.
 // A node with nothing ready or queued to send waits in StepUntil for a
 // message or the end of the budget.
-func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine func(a, b Value) Value, extraRounds int) (map[int]Value, error) {
-	acc := make(map[int]Value, len(m.Parts))
-	await := make(map[int]int, len(m.Parts))
-	unsent := make([]int, len(m.Parts))
-	copy(unsent, m.Parts)
-	for _, i := range m.Parts {
-		acc[i] = own(i)
-		await[i] = len(m.ChildrenIn[i])
+func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine func(a, b Value) Value, extraRounds int) ([]Value, error) {
+	acc, err := m.gather(ctx, func(k int) Value { return own(m.Parts[k]) }, combine, extraRounds)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Value, len(acc))
+	for k, v := range acc {
+		if !m.ParentIn[k] {
+			out[k] = v
+		}
+	}
+	return out, nil
+}
+
+// gather is Gather on part indices. The returned slice is scratch: entry k
+// is the block fold where this node roots part k's block.
+func (m *Membership) gather(ctx congest.Net, own func(k int) Value, combine func(a, b Value) Value, extraRounds int) ([]Value, error) {
+	acc, await, sent := m.s.acc, m.s.await, m.s.sent
+	for k := range acc {
+		acc[k] = own(k)
+		await[k] = len(m.ChildrenIn[k])
+		sent[k] = false
 	}
 	budget := m.CastBudget() + extraRounds
 	start := ctx.Round()
@@ -94,58 +108,64 @@ func (m *Membership) Gather(ctx congest.Net, own func(part int) Value, combine f
 				if !ok {
 					return nil, fmt.Errorf("partops: unexpected payload %T in gather", p)
 				}
-				acc[cm.part] = combine(acc[cm.part], cm.val)
-				await[cm.part]--
+				k := m.Index(cm.part)
+				if k < 0 {
+					return nil, fmt.Errorf("partops: node %d got a gather value for part %d outside its blocks", ctx.ID(), cm.part)
+				}
+				acc[k] = combine(acc[k], cm.val)
+				await[k]--
 			}
 		}
 		if r == budget {
 			break
 		}
 		// Send the highest-priority ready value up the parent edge.
-		if best := m.bestReady(unsent, await); best != -1 {
-			ctx.SendArc(m.Info.ParentArc, castMsg{part: best, rootDepth: m.RootDepth[best], n: m.Info.Count, val: acc[best]})
-			unsent = removeInt(unsent, best)
+		if best := m.bestReady(); best != -1 {
+			ctx.SendArc(m.Info.ParentArc, castMsg{part: m.Parts[best], rootDepth: m.RootDepth[best], n: m.Info.Count, val: acc[best]})
+			sent[best] = true
 		}
 		// Without another ready value only a child's message can give this
 		// node work before the budget ends.
 		next := start + budget
-		if m.bestReady(unsent, await) != -1 {
+		if m.bestReady() != -1 {
 			next = ctx.Round() + 1
 		}
 		ctx.StepUntil(next)
 	}
-	results := make(map[int]Value)
-	for _, i := range m.Parts {
-		if await[i] != 0 {
-			return nil, fmt.Errorf("partops: node %d part %d: gather missing %d child values (budget %d)", ctx.ID(), i, await[i], budget)
+	for k, i := range m.Parts {
+		if await[k] != 0 {
+			return nil, fmt.Errorf("partops: node %d part %d: gather missing %d child values (budget %d)", ctx.ID(), i, await[k], budget)
 		}
-		if m.ParentIn[i] {
-			if k := sort.SearchInts(unsent, i); k < len(unsent) && unsent[k] == i {
-				return nil, fmt.Errorf("partops: node %d part %d: gather value never sent (budget %d)", ctx.ID(), i, budget)
-			}
-			continue
+		if m.ParentIn[k] && !sent[k] {
+			return nil, fmt.Errorf("partops: node %d part %d: gather value never sent (budget %d)", ctx.ID(), i, budget)
 		}
-		results[i] = acc[i]
 	}
-	return results, nil
+	return acc, nil
 }
 
 // Scatter is the broadcast half of Lemma 2: each block root disseminates
-// atRoot(part) to every member of its block. Returns the per-part value this
-// node received (roots included). All nodes enter and leave aligned.
-func (m *Membership) Scatter(ctx congest.Net, atRoot func(part int) Value, extraRounds int) (map[int]Value, error) {
-	got := make(map[int]Value, len(m.Parts))
-	// pending[child] = parts still to forward down that edge.
-	pending := make(map[graph.NodeID][]int, len(m.ChildrenIn))
-	enqueue := func(i int) {
-		for _, ch := range m.ChildrenIn[i] {
-			pending[ch] = append(pending[ch], i)
-		}
+// atRoot(part) to every member of its block. Returns the value this node
+// received per part (roots included), aligned with Parts. All nodes enter
+// and leave aligned.
+func (m *Membership) Scatter(ctx congest.Net, atRoot func(part int) Value, extraRounds int) ([]Value, error) {
+	got, err := m.scatter(ctx, func(k int) Value { return atRoot(m.Parts[k]) }, extraRounds)
+	if err != nil {
+		return nil, err
 	}
-	for _, i := range m.Parts {
-		if !m.ParentIn[i] {
-			got[i] = atRoot(i)
-			enqueue(i)
+	return slices.Clone(got), nil
+}
+
+// scatter is Scatter on part indices; the returned slice is scratch.
+func (m *Membership) scatter(ctx congest.Net, atRoot func(k int) Value, extraRounds int) ([]Value, error) {
+	got, arrived, pending := m.s.got, m.s.arrived, m.s.pending
+	for c := range pending {
+		pending[c] = pending[c][:0]
+	}
+	for k := range got {
+		got[k], arrived[k] = nil, false
+		if !m.ParentIn[k] {
+			got[k], arrived[k] = atRoot(k), true
+			m.enqueue(k)
 		}
 	}
 	budget := m.CastBudget() + extraRounds
@@ -159,64 +179,81 @@ func (m *Membership) Scatter(ctx congest.Net, atRoot func(part int) Value, extra
 				if !ok {
 					return nil, fmt.Errorf("partops: unexpected payload %T in scatter", p)
 				}
-				got[cm.part] = cm.val
-				enqueue(cm.part)
+				k := m.Index(cm.part)
+				if k < 0 {
+					return nil, fmt.Errorf("partops: node %d got a scatter value for part %d outside its blocks", ctx.ID(), cm.part)
+				}
+				got[k], arrived[k] = cm.val, true
+				m.enqueue(k)
 			}
 		}
 		if r == budget {
 			break
 		}
-		for ch, parts := range pending {
-			best := -1
-			for _, i := range parts {
-				if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
-					best = i
-				}
-			}
-			if best != -1 {
-				ctx.SendArc(m.childArc[ch], castMsg{part: best, rootDepth: m.RootDepth[best], n: m.Info.Count, val: got[best]})
-				if rest := removeUnsorted(parts, best); len(rest) > 0 {
-					pending[ch] = rest
-				} else {
-					delete(pending, ch)
-				}
-			}
-		}
-		// With nothing queued only the parent's message can give this node
-		// work before the budget ends.
+		// Forward the highest-priority queued value down each child edge;
+		// with nothing left queued only the parent's message can give this
+		// node work before the budget ends.
 		next := start + budget
-		if len(pending) > 0 {
-			next = ctx.Round() + 1
+		for c, list := range pending {
+			j := m.nextDown(list)
+			if j == -1 {
+				continue
+			}
+			k := list[j]
+			ctx.SendArc(m.Info.ChildArcs[c], castMsg{part: m.Parts[k], rootDepth: m.RootDepth[k], n: m.Info.Count, val: got[k]})
+			if pending[c] = removeAt(list, j); len(pending[c]) > 0 {
+				next = ctx.Round() + 1
+			}
 		}
 		ctx.StepUntil(next)
 	}
-	if len(pending) > 0 {
-		return nil, fmt.Errorf("partops: node %d: scatter unfinished (budget %d)", ctx.ID(), budget)
+	for _, list := range pending {
+		if len(list) > 0 {
+			return nil, fmt.Errorf("partops: node %d: scatter unfinished (budget %d)", ctx.ID(), budget)
+		}
 	}
-	for _, i := range m.Parts {
-		if _, ok := got[i]; !ok {
+	for k, i := range m.Parts {
+		if !arrived[k] {
 			return nil, fmt.Errorf("partops: node %d part %d: scatter value never arrived (budget %d)", ctx.ID(), i, budget)
 		}
 	}
 	return got, nil
 }
 
+// enqueue queues part index k for every child edge of its block.
+func (m *Membership) enqueue(k int) {
+	for _, c := range m.ChildrenIn[k] {
+		m.s.pending[c] = append(m.s.pending[c], k)
+	}
+}
+
 // Exchange is the one-round supergraph step: every covered vertex sends val
 // to each neighbor inside its part and receives theirs. Vertices may pass
-// val == nil to stay silent; uncovered vertices always do. Returns values
-// keyed by sender. All nodes enter and leave aligned (exactly one round).
-func (m *Membership) Exchange(ctx congest.Net, val Value) (map[graph.NodeID]Value, error) {
+// val == nil to stay silent; uncovered vertices always do. Returns the
+// received values aligned with ctx.Neighbors(), nil on arcs that carried
+// none. All nodes enter and leave aligned (exactly one round).
+func (m *Membership) Exchange(ctx congest.Net, val Value) ([]Value, error) {
+	recv, err := m.exchange(ctx, val)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(recv), nil
+}
+
+// exchange is Exchange; the returned slice is scratch.
+func (m *Membership) exchange(ctx congest.Net, val Value) ([]Value, error) {
 	if m.OwnPart != partition.None && val != nil {
-		for k := range ctx.Neighbors() {
-			if m.nbrPart[k] == m.OwnPart {
-				ctx.SendArc(k, exchMsg{n: m.Info.Count, val: val})
+		for a, part := range m.NeighborPart {
+			if part == m.OwnPart {
+				ctx.SendArc(a, exchMsg{n: m.Info.Count, val: val})
 			}
 		}
 	}
-	got := make(map[graph.NodeID]Value)
+	recv := m.s.recv
 	ctx.Step()
-	for k, a := range ctx.Neighbors() {
-		p, ok := ctx.InboxArc(k)
+	for a := range recv {
+		recv[a] = nil
+		p, ok := ctx.InboxArc(a)
 		if !ok {
 			continue
 		}
@@ -224,32 +261,22 @@ func (m *Membership) Exchange(ctx congest.Net, val Value) (map[graph.NodeID]Valu
 		if !ok {
 			return nil, fmt.Errorf("partops: unexpected payload %T in exchange", p)
 		}
-		got[a.To] = em.val
+		recv[a] = em.val
 	}
-	return got, nil
+	return recv, nil
 }
 
-// bestReady returns the highest-priority part still to be sent up whose
-// child values have all arrived, or -1 if none is ready.
-func (m *Membership) bestReady(unsent []int, await map[int]int) int {
+// bestReady returns the highest-priority part index still to be sent up
+// whose child values have all arrived, or -1 if none is ready.
+func (m *Membership) bestReady() int {
 	best := -1
-	for _, i := range unsent {
-		if !m.ParentIn[i] || await[i] != 0 {
+	for k, w := range m.s.await {
+		if w != 0 || m.s.sent[k] || !m.ParentIn[k] {
 			continue
 		}
-		if best == -1 || less2(m.RootDepth[i], i, m.RootDepth[best], best) {
-			best = i
+		if best == -1 || m.before(k, best) {
+			best = k
 		}
 	}
 	return best
-}
-
-func removeUnsorted(list []int, x int) []int {
-	for k, v := range list {
-		if v == x {
-			list[k] = list[len(list)-1]
-			return list[:len(list)-1]
-		}
-	}
-	return list
 }

@@ -20,8 +20,8 @@ func TestMain(m *testing.M) {
 // block count verification and a part-wide minimum.
 type castOut struct {
 	Membership *Membership
-	Verify     map[int]SumResult
-	Min        map[int]Value
+	Verify     []SumResult
+	Min        []Value
 }
 
 // TestPartopsEnginesIdentical pins the cross-engine contract for Annotate

@@ -1,6 +1,7 @@
 package partops
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -121,11 +122,16 @@ func TestAnnotateMatchesCentralBlocks(t *testing.T) {
 				for _, blk := range s.Blocks(i) {
 					for _, v := range blk.Nodes {
 						m := members[v]
-						if m.RootID[i] != blk.Root {
-							t.Errorf("part %d node %d: RootID %d, want %d", i, v, m.RootID[i], blk.Root)
+						k := m.Index(i)
+						if k < 0 {
+							t.Errorf("part %d node %d: block member without a membership entry", i, v)
+							continue
 						}
-						if m.RootDepth[i] != s.Tree().Depth(blk.Root) {
-							t.Errorf("part %d node %d: RootDepth %d, want %d", i, v, m.RootDepth[i], s.Tree().Depth(blk.Root))
+						if m.RootID[k] != blk.Root {
+							t.Errorf("part %d node %d: RootID %d, want %d", i, v, m.RootID[k], blk.Root)
+						}
+						if m.RootDepth[k] != s.Tree().Depth(blk.Root) {
+							t.Errorf("part %d node %d: RootDepth %d, want %d", i, v, m.RootDepth[k], s.Tree().Depth(blk.Root))
 						}
 					}
 				}
@@ -163,37 +169,30 @@ func TestMembershipPartsMatchBlocks(t *testing.T) {
 	}
 }
 
+// TestElectLeaders runs exactly b supersteps, where b is the largest block
+// count of the instance's CoreSlow(c*) shortcut, and requires every block
+// member to know its part's leader: the minimum block-root ID.
 func TestElectLeaders(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
-			type result struct{ leaders map[int]int64 }
-			results := make([]result, in.g.NumNodes())
-			_, s, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
-				// Steps: global block-count bound; computed centrally for the
-				// test but any upper bound works.
-				steps := 1
-				for i := 0; i < in.p.NumParts(); i++ {
-					if b := blockBound(in); b > steps {
-						steps = b
-					}
-				}
+			_, s, _ := pipeline(t, in, nil)
+			steps := blockBound(in, s)
+			leaders := make([][]int64, in.g.NumNodes())
+			members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
 				l, err := m.ElectLeaders(ctx, steps)
-				if err != nil {
-					return err
-				}
-				results[ctx.ID()] = result{leaders: l}
-				return nil
+				leaders[ctx.ID()] = l
+				return err
 			})
 			for i := 0; i < in.p.NumParts(); i++ {
 				blocks := s.Blocks(i)
 				want := int64(blocks[0].Root)
 				for _, blk := range blocks {
-					if int64(blk.Root) < want {
-						want = int64(blk.Root)
-					}
+					want = min(want, int64(blk.Root))
+				}
+				for _, blk := range blocks {
 					for _, v := range blk.Nodes {
-						if got := results[v].leaders[i]; got != want {
-							t.Fatalf("part %d node %d: leader %d, want %d", i, v, got, want)
+						if got := leaders[v][members[v].Index(i)]; got != want {
+							t.Fatalf("part %d node %d: leader %d after %d supersteps, want %d", i, v, got, steps, want)
 						}
 					}
 				}
@@ -202,28 +201,89 @@ func TestElectLeaders(t *testing.T) {
 	}
 }
 
-// blockBound returns a crude global block-count upper bound for an instance
-// (max block count over parts of the CoreSlow(c*) shortcut, computed
-// centrally for test budgeting).
-var blockBoundCache = map[string]int{}
-
-func blockBound(in instance) int {
-	if b, ok := blockBoundCache[in.name]; ok {
-		return b
-	}
-	// Computed lazily by tests that already hold the shortcut; default 8.
-	return 8
-}
-
-func setBlockBound(in instance, s *core.Shortcut) int {
+// blockBound returns the instance's block parameter b: the largest block
+// count over the parts of the CoreSlow(c*) shortcut s.
+func blockBound(in instance, s *core.Shortcut) int {
 	b := 1
 	for i := 0; i < in.p.NumParts(); i++ {
-		if c := s.BlockCount(i); c > b {
-			b = c
-		}
+		b = max(b, s.BlockCount(i))
 	}
-	blockBoundCache[in.name] = b
 	return b
+}
+
+// singletonPipeline runs BFS, membership and annotation over the empty
+// shortcut, where every vertex is its own block and a part's supergraph is
+// G[P_i], then cont on every node; it returns the memberships.
+func singletonPipeline(tb testing.TB, in instance, cont func(ctx *congest.Ctx, m *Membership) error) []*Membership {
+	tb.Helper()
+	members := make([]*Membership, in.g.NumNodes())
+	if _, err := congest.Run(in.g, func(ctx *congest.Ctx) error {
+		info, err := bfsproto.Phase(ctx, 0, 7)
+		if err != nil {
+			return err
+		}
+		m, err := BuildMembership(ctx, &coredist.NodeShortcut{Info: info}, in.p)
+		if err != nil {
+			return err
+		}
+		if err := m.Annotate(ctx); err != nil {
+			return err
+		}
+		members[ctx.ID()] = m
+		return cont(ctx, m)
+	}, congest.Options{}); err != nil {
+		tb.Fatal(err)
+	}
+	return members
+}
+
+// maxPartSize is the largest part size: the block parameter of the empty
+// shortcut.
+func maxPartSize(in instance) int {
+	b := 1
+	for i := 0; i < in.p.NumParts(); i++ {
+		b = max(b, in.p.Size(i))
+	}
+	return b
+}
+
+// TestVerifyBlockCountSingletonBlocks verifies block counts on the empty
+// shortcut, where a part has one block per vertex: a part of at most bLimit
+// vertices must be certified with its exact size at every member, and a
+// larger part reported bad at every member. Unlike the CoreSlow(c*)
+// instances (block parameter 1), this reaches multi-layer supergraph BFS
+// forests and parts with more blocks than bLimit.
+func TestVerifyBlockCountSingletonBlocks(t *testing.T) {
+	for _, in := range testInstances(t) {
+		t.Run(in.name, func(t *testing.T) {
+			bad := 0
+			for _, bLimit := range []int{1, 3, maxPartSize(in)} {
+				results := make([][]SumResult, in.g.NumNodes())
+				members := singletonPipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+					r, err := m.VerifyBlockCount(ctx, bLimit)
+					results[ctx.ID()] = r
+					return err
+				})
+				for i := 0; i < in.p.NumParts(); i++ {
+					size := in.p.Size(i)
+					wantOK := size <= bLimit
+					for _, v := range in.p.Nodes(i) {
+						r := results[v][members[v].Index(i)]
+						if r.OK != wantOK {
+							t.Fatalf("bLimit=%d part %d (%d blocks) node %d: OK=%v, want %v", bLimit, i, size, v, r.OK, wantOK)
+						}
+						if r.OK && r.Sum != int64(size) {
+							t.Fatalf("bLimit=%d part %d node %d: count %d, want %d", bLimit, i, v, r.Sum, size)
+						}
+						if !r.OK {
+							bad++
+						}
+					}
+				}
+			}
+			t.Logf("%d member verdicts bad", bad)
+		})
+	}
 }
 
 func TestVerifyBlockCountExact(t *testing.T) {
@@ -231,28 +291,26 @@ func TestVerifyBlockCountExact(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			// First pass to learn the true block counts.
 			_, s, _ := pipeline(t, in, nil)
-			bMax := setBlockBound(in, s)
+			bMax := blockBound(in, s)
 			counts := make([]int, in.p.NumParts())
 			for i := range counts {
 				counts[i] = s.BlockCount(i)
 			}
 			for _, bLimit := range []int{1, 2, bMax} {
-				results := make([]map[int]SumResult, in.g.NumNodes())
-				pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+				results := make([][]SumResult, in.g.NumNodes())
+				members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
 					r, err := m.VerifyBlockCount(ctx, bLimit)
-					if err != nil {
-						return err
-					}
 					results[ctx.ID()] = r
-					return nil
+					return err
 				})
 				for i := 0; i < in.p.NumParts(); i++ {
 					wantOK := counts[i] <= bLimit
 					for v := 0; v < in.g.NumNodes(); v++ {
-						r, present := results[v][i]
-						if !present {
+						k := members[v].Index(i)
+						if k < 0 {
 							continue // not a member of any block of part i
 						}
+						r := results[v][k]
 						if r.OK != wantOK {
 							t.Fatalf("bLimit=%d part %d (true count %d) node %d: OK=%v, want %v",
 								bLimit, i, counts[i], v, r.OK, wantOK)
@@ -272,25 +330,22 @@ func TestPartSumCountsMembers(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
 			_, s, _ := pipeline(t, in, nil)
-			steps := setBlockBound(in, s)
-			results := make([]map[int]SumResult, in.g.NumNodes())
-			pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+			steps := blockBound(in, s)
+			results := make([][]SumResult, in.g.NumNodes())
+			members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
 				r, err := m.PartSum(ctx, func(i int) int64 {
 					if i == m.OwnPart {
 						return 1
 					}
 					return 0
 				}, steps)
-				if err != nil {
-					return err
-				}
 				results[ctx.ID()] = r
-				return nil
+				return err
 			})
 			for i := 0; i < in.p.NumParts(); i++ {
 				want := int64(in.p.Size(i))
 				v := in.p.Nodes(i)[0]
-				r := results[v][i]
+				r := results[v][members[v].Index(i)]
 				if !r.OK {
 					t.Fatalf("part %d: PartSum not OK with steps=%d", i, steps)
 				}
@@ -305,11 +360,12 @@ func TestPartSumCountsMembers(t *testing.T) {
 func TestMinToAllAndBroadcast(t *testing.T) {
 	in := testInstances(t)[1] // grid10x10/voronoi7
 	_, s, _ := pipeline(t, in, nil)
-	steps := setBlockBound(in, s)
+	steps := blockBound(in, s)
 	n := in.g.NumNodes()
-	minGot := make([]map[int]Value, n)
-	bcGot := make([]map[int]int64, n)
-	pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+	value := func(i int) int64 { return int64(1000 + i) }
+	minGot := make([][]Value, n)
+	bcGot := make([][]BroadcastResult, n)
+	members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
 		top := IDVal{V: int64(n + 10), N: 4 * n}
 		mins, err := m.MinToAll(ctx, func(i int) Value {
 			return IDVal{V: int64(ctx.ID()), N: 4 * n}
@@ -322,32 +378,60 @@ func TestMinToAllAndBroadcast(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		bc, err := m.BroadcastValue(ctx, leaders, func(i int) int64 {
-			return int64(1000 + i)
-		}, steps)
-		if err != nil {
-			return err
-		}
-		bcGot[ctx.ID()] = bc
-		return nil
+		bcGot[ctx.ID()], err = m.BroadcastValue(ctx, leaders, value, steps)
+		return err
 	})
 	for i := 0; i < in.p.NumParts(); i++ {
 		// Min member ID per part.
 		want := int64(in.p.Nodes(i)[0])
 		for _, v := range in.p.Nodes(i) {
-			if int64(v) < want {
-				want = int64(v)
-			}
+			want = min(want, int64(v))
 		}
 		for _, v := range in.p.Nodes(i) {
-			if got := minGot[v][i].(IDVal).V; got != want {
+			k := members[v].Index(i)
+			if got := minGot[v][k].(IDVal).V; got != want {
 				t.Fatalf("part %d node %d: min %d, want %d", i, v, got, want)
 			}
-			if got := bcGot[v][i]; got != int64(1000+i) {
-				t.Fatalf("part %d node %d: broadcast %d, want %d", i, v, got, 1000+i)
+			if got := bcGot[v][k]; !got.Arrived || got.Value != value(i) {
+				t.Fatalf("part %d node %d: broadcast %+v, want value %d", i, v, got, value(i))
 			}
 		}
 	}
+
+	// A horizon shorter than a part's supergraph: on the empty shortcut
+	// every vertex is its own block, so the supergraph is G[P_i], and a
+	// horizon of 0 (one superstep) carries the leader's value one hop.
+	// Members farther away must report it undelivered, never a wrong value.
+	short := make([][]BroadcastResult, n)
+	singles := singletonPipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+		leaders, err := m.ElectLeaders(ctx, maxPartSize(in))
+		if err != nil {
+			return err
+		}
+		short[ctx.ID()], err = m.BroadcastValue(ctx, leaders, value, 0)
+		return err
+	})
+	undelivered := 0
+	for i := 0; i < in.p.NumParts(); i++ {
+		leader := in.p.Nodes(i)[0]
+		for _, v := range in.p.Nodes(i) {
+			leader = min(leader, v)
+		}
+		for _, v := range in.p.Nodes(i) {
+			switch got := short[v][singles[v].Index(i)]; {
+			case !got.Arrived && v == leader:
+				t.Fatalf("part %d: the leader %d reports its own value undelivered", i, v)
+			case !got.Arrived:
+				undelivered++
+			case got.Value != value(i):
+				t.Fatalf("part %d node %d: horizon-0 broadcast delivered %d, want %d", i, v, got.Value, value(i))
+			}
+		}
+	}
+	if undelivered == 0 {
+		t.Fatal("horizon-0 broadcast reached every member; the undelivered path went unchecked")
+	}
+	t.Logf("horizon 0 on singleton blocks: %d of %d members report the value undelivered", undelivered, n)
 }
 
 func TestVerifyRoundComplexity(t *testing.T) {
@@ -355,7 +439,7 @@ func TestVerifyRoundComplexity(t *testing.T) {
 	// rounds ≤ pipeline prefix + (4b+2)·(2·CastBudget+1) + slack.
 	in := instance{"grid9x9/voronoi5", gen.Grid(9, 9), partition.Voronoi(gen.Grid(9, 9), 5, 4)}
 	_, s, _ := pipeline(t, in, nil)
-	b := setBlockBound(in, s)
+	b := blockBound(in, s)
 	_, _, statsBase := pipeline(t, in, nil)
 	var stats congest.Stats
 	_, _, stats = pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
@@ -375,5 +459,61 @@ func TestVerifyRoundComplexity(t *testing.T) {
 	limit := (4*b + 6) * (2*(castBudget+1) + 3)
 	if extra > limit {
 		t.Errorf("verification rounds %d > budget %d (b=%d, castBudget=%d)", extra, limit, b, castBudget)
+	}
+}
+
+// TestResultsOutliveLaterCalls pins the result lifetime: the casts reuse the
+// Membership's scratch, but every exported call returns slices of its own,
+// so later casts on the same Membership leave earlier results intact.
+func TestResultsOutliveLaterCalls(t *testing.T) {
+	in := testInstances(t)[1] // grid10x10/voronoi7
+	n := in.g.NumNodes()
+	bad := make([]string, n)
+	pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+		top := IDVal{V: int64(n), N: n}
+		mins, err := m.MinToAll(ctx, func(int) Value { return IDVal{V: int64(ctx.ID()), N: n} }, top, lessID, 1)
+		if err != nil {
+			return err
+		}
+		leaders, err := m.ElectLeaders(ctx, 1)
+		if err != nil {
+			return err
+		}
+		gathered, err := m.Gather(ctx, func(int) Value { return IDVal{V: 1, N: n} }, minID, 0)
+		if err != nil {
+			return err
+		}
+		sums, err := m.VerifyBlockCount(ctx, 1)
+		if err != nil {
+			return err
+		}
+		wantMins, wantLeaders := slices.Clone(mins), slices.Clone(leaders)
+		wantGathered, wantSums := slices.Clone(gathered), slices.Clone(sums)
+		// Casts with other values over the same scratch.
+		if _, err := m.MinToAll(ctx, func(int) Value { return IDVal{V: 0, N: n} }, top, lessID, 1); err != nil {
+			return err
+		}
+		if _, err := m.Scatter(ctx, func(int) Value { return IDVal{V: 7, N: n} }, 0); err != nil {
+			return err
+		}
+		if _, err := m.PartSum(ctx, func(int) int64 { return 5 }, 1); err != nil {
+			return err
+		}
+		switch {
+		case !slices.Equal(mins, wantMins):
+			bad[ctx.ID()] = "MinToAll"
+		case !slices.Equal(leaders, wantLeaders):
+			bad[ctx.ID()] = "ElectLeaders"
+		case !slices.Equal(gathered, wantGathered):
+			bad[ctx.ID()] = "Gather"
+		case !slices.Equal(sums, wantSums):
+			bad[ctx.ID()] = "VerifyBlockCount"
+		}
+		return nil
+	})
+	for v, op := range bad {
+		if op != "" {
+			t.Errorf("node %d: a later cast overwrote the %s result", v, op)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"lcshortcut/internal/congest"
 	"lcshortcut/internal/graph"
-	"lcshortcut/internal/partition"
 )
 
 // countMsg carries a subtree sum (plus a conflict flag) from a child block's
@@ -29,6 +28,16 @@ type SumResult struct {
 	OK bool
 }
 
+// sumState is PartSum's per-part state at one node.
+type sumState struct {
+	// leader is the elected leader; layer and port are the block's place in
+	// the supergraph BFS forest (port = uplink·n + uplink's neighbor, -1
+	// none); cnt and confl accumulate the forest sum at block roots.
+	leader, port, cnt int64
+	layer             int
+	confl             bool
+}
+
 // PartSum aggregates, for every part, the sum of own(part) over all block
 // members — a non-idempotent convergecast realized by the paper's Lemma 3
 // machinery: elect leaders (steps supersteps), build a BFS forest over each
@@ -37,133 +46,136 @@ type SumResult struct {
 // (steps supersteps scheduled by layer) and spread the verdict/result back
 // (steps+1 supersteps). A part whose supergraph has at most `steps` blocks is
 // guaranteed OK with an exact sum; parts with more blocks are reported not-OK
-// at every member (never a wrong sum).
+// at every member (never a wrong sum). Returns the results aligned with
+// Parts.
 //
 // Total cost: (4·steps+2)·O(D+c) rounds = O(steps·(D+c)), matching Lemma 3.
 // All nodes enter and leave aligned.
-func (m *Membership) PartSum(ctx congest.Net, own func(part int) int64, steps int) (map[int]SumResult, error) {
+func (m *Membership) PartSum(ctx congest.Net, own func(part int) int64, steps int) ([]SumResult, error) {
+	return m.partSum(ctx, func(k int) int64 { return own(m.Parts[k]) }, steps)
+}
+
+// partSum is PartSum on part indices.
+func (m *Membership) partSum(ctx congest.Net, own func(k int) int64, steps int) ([]SumResult, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("partops: PartSum needs steps >= 1, got %d", steps)
 	}
 	n := m.Info.Count
-	leaders, err := m.ElectLeaders(ctx, steps)
+	leaders, err := m.electLeaders(ctx, steps)
 	if err != nil {
 		return nil, err
 	}
 
 	// --- Supergraph BFS forest construction -------------------------------
 	const unreached = -1
-	layer := make(map[int]int, len(m.Parts))
-	port := make(map[int]int64, len(m.Parts)) // uplink*n + uplinkNbr, -1 none
-	for _, i := range m.Parts {
-		if int64(m.RootID[i]) == leaders[i] {
-			layer[i] = 0
-		} else {
-			layer[i] = unreached
+	ps := m.s.sum
+	for k := range ps {
+		ps[k] = sumState{leader: leaders[k].(IDVal).V, layer: unreached, port: -1}
+		if int64(m.RootID[k]) == ps[k].leader {
+			ps[k].layer = 0
 		}
-		port[i] = -1
 	}
 	conflictLocal := false
 	const noPort = int64(1) << 62
+	noCand := Value(IDVal{V: noPort, N: n * n})
 	for t := 1; t <= steps; t++ {
-		// Exchange (layer, leader) with same-part neighbors.
+		// Exchange (layer, leader) with same-part neighbors. Only members
+		// send, and only to members of their own part.
 		var mine Value
-		if m.OwnPart != partition.None {
-			mine = PairVal{A: int64(layer[m.OwnPart]), B: leaders[m.OwnPart], N: n}
+		if m.own >= 0 {
+			mine = PairVal{A: int64(ps[m.own].layer), B: ps[m.own].leader, N: n}
 		}
-		recv, err := m.Exchange(ctx, mine)
+		recv, err := m.exchange(ctx, mine)
 		if err != nil {
 			return nil, err
 		}
 		cand := noPort
-		for from, v := range recv {
+		for a, v := range recv {
+			if v == nil {
+				continue
+			}
 			pv := v.(PairVal)
-			if pv.B != leaders[m.OwnPart] {
+			if pv.B != ps[m.own].leader {
 				conflictLocal = true
 				continue
 			}
 			if pv.A == int64(t-1) {
-				if p := int64(ctx.ID())*int64(n) + int64(from); p < cand {
+				if p := int64(ctx.ID())*int64(n) + int64(ctx.Neighbors()[a].To); p < cand {
 					cand = p
 				}
 			}
 		}
 		// Gather the minimum candidate port to the block root.
-		res, err := m.Gather(ctx, func(i int) Value {
-			if i == m.OwnPart && layer[i] == unreached {
+		res, err := m.gather(ctx, func(k int) Value {
+			if k == m.own && ps[k].layer == unreached {
 				return IDVal{V: cand, N: n * n}
 			}
-			return IDVal{V: noPort, N: n * n}
-		}, func(a, b Value) Value {
-			if b.(IDVal).V < a.(IDVal).V {
-				return b
-			}
-			return a
-		}, 0)
+			return noCand
+		}, minID, 0)
 		if err != nil {
 			return nil, err
 		}
 		// Roots adopt; scatter the (layer, port) state.
-		adopted, err := m.Scatter(ctx, func(i int) Value {
-			if layer[i] == unreached {
-				if v, ok := res[i]; ok && v.(IDVal).V != noPort {
-					return PairVal{A: int64(t), B: v.(IDVal).V, N: n * n}
+		adopted, err := m.scatter(ctx, func(k int) Value {
+			if ps[k].layer == unreached {
+				if p := res[k].(IDVal).V; p != noPort {
+					return PairVal{A: int64(t), B: p, N: n * n}
 				}
 			}
-			return PairVal{A: int64(layer[i]), B: port[i], N: n * n}
+			return PairVal{A: int64(ps[k].layer), B: ps[k].port, N: n * n}
 		}, 0)
 		if err != nil {
 			return nil, err
 		}
-		for i, v := range adopted {
+		for k, v := range adopted {
 			pv := v.(PairVal)
-			layer[i] = int(pv.A)
-			port[i] = pv.B
+			ps[k].layer, ps[k].port = int(pv.A), pv.B
 		}
 	}
 
 	// --- Sum convergecast up the BFS forest -------------------------------
-	// cnt accumulates at block roots; recvSum/recvConflict buffer incoming
-	// child counts at individual vertices between supersteps.
-	cnt := make(map[int]int64, len(m.Parts))
-	confl := make(map[int]bool, len(m.Parts))
-	// Initial intra-block sum of member contributions (+ conflict bits).
-	first, err := m.Gather(ctx, func(i int) Value {
-		c := int64(0)
-		if conflictLocal {
-			c = 1
+	// cnt and confl accumulate at block roots; inSum/inConfl buffer the
+	// child counts this vertex receives for its own part between
+	// supersteps.
+	conflBit := func(c bool) int64 {
+		if c {
+			return 1
 		}
-		return PairVal{A: own(i), B: c, N: n}
+		return 0
+	}
+	// Initial intra-block sum of member contributions (+ conflict bits).
+	first, err := m.gather(ctx, func(k int) Value {
+		return PairVal{A: own(k), B: conflBit(conflictLocal), N: n}
 	}, addPair, 0)
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range first {
-		pv := v.(PairVal)
-		cnt[i] = pv.A
-		confl[i] = pv.B > 0
+	for k, v := range first {
+		if !m.ParentIn[k] {
+			pv := v.(PairVal)
+			ps[k].cnt, ps[k].confl = pv.A, pv.B > 0
+		}
 	}
-	recvSum := make(map[int]int64, len(m.Parts))
-	recvConfl := make(map[int]bool, len(m.Parts))
+	var (
+		inSum   int64
+		inConfl bool
+	)
+	noCount := Value(PairVal{N: n})
 	for s := steps; s >= 1; s-- {
 		// Roots scatter their current (cnt, conflict) so uplink members of
 		// layer-s blocks can forward. (Members already know layer and port
 		// from the BFS phase.)
-		state, err := m.Scatter(ctx, func(i int) Value {
-			c := int64(0)
-			if confl[i] {
-				c = 1
-			}
-			return PairVal{A: cnt[i], B: c, N: n}
+		state, err := m.scatter(ctx, func(k int) Value {
+			return PairVal{A: ps[k].cnt, B: conflBit(ps[k].confl), N: n}
 		}, 0)
 		if err != nil {
 			return nil, err
 		}
 		// One round: chosen uplink vertices of layer-s blocks forward.
-		if i := m.OwnPart; i != partition.None && layer[i] == s && port[i] != -1 {
-			pv := state[i].(PairVal)
-			up := graph.NodeID(port[i] / int64(n))
-			nbr := graph.NodeID(port[i] % int64(n))
+		if k := m.own; k >= 0 && ps[k].layer == s && ps[k].port != -1 {
+			pv := state[k].(PairVal)
+			up := graph.NodeID(ps[k].port / int64(n))
+			nbr := graph.NodeID(ps[k].port % int64(n))
 			if up == ctx.ID() {
 				ctx.Send(nbr, countMsg{sum: pv.A, conflict: pv.B == 1, n: n})
 			}
@@ -173,27 +185,27 @@ func (m *Membership) PartSum(ctx congest.Net, own func(part int) int64, steps in
 			if !ok {
 				return nil, fmt.Errorf("partops: unexpected payload %T in count step", msg.Payload)
 			}
-			recvSum[m.OwnPart] += cm.sum
-			recvConfl[m.OwnPart] = recvConfl[m.OwnPart] || cm.conflict
+			inSum += cm.sum
+			inConfl = inConfl || cm.conflict
 		}
 		// Gather this superstep's receipts into roots.
-		got, err := m.Gather(ctx, func(i int) Value {
-			c := int64(0)
-			if recvConfl[i] {
-				c = 1
+		got, err := m.gather(ctx, func(k int) Value {
+			if k != m.own {
+				return noCount
 			}
-			v := PairVal{A: recvSum[i], B: c, N: n}
-			recvSum[i] = 0
-			recvConfl[i] = false
+			v := PairVal{A: inSum, B: conflBit(inConfl), N: n}
+			inSum, inConfl = 0, false
 			return v
 		}, addPair, 0)
 		if err != nil {
 			return nil, err
 		}
-		for i, v := range got {
-			pv := v.(PairVal)
-			cnt[i] += pv.A
-			confl[i] = confl[i] || pv.B > 0
+		for k, v := range got {
+			if !m.ParentIn[k] {
+				pv := v.(PairVal)
+				ps[k].cnt += pv.A
+				ps[k].confl = ps[k].confl || pv.B > 0
+			}
 		}
 	}
 
@@ -201,32 +213,34 @@ func (m *Membership) PartSum(ctx congest.Net, own func(part int) int64, steps in
 	// The leader-block root knows the forest total and conflict status; every
 	// believed leader broadcasts (verdict, sum). Bad dominates under min.
 	const vGood, vBad, vUnknown = 0, 1, 2
-	spread, err := m.SpreadMin(ctx, func(i int) Value {
-		if int64(ctx.ID()) == leaders[i] && m.IsBlockRoot(i) {
+	unknown := Value(PairVal{A: vUnknown, B: 0, N: n})
+	spread, err := m.spreadMin(ctx, func(k int) Value {
+		if int64(ctx.ID()) == ps[k].leader && !m.ParentIn[k] {
 			v := int64(vGood)
-			if confl[i] {
+			if ps[k].confl {
 				v = vBad
 			}
-			return PairVal{A: v, B: cnt[i], N: n}
+			return PairVal{A: v, B: ps[k].cnt, N: n}
 		}
-		return PairVal{A: vUnknown, B: 0, N: n}
-	}, func(a, b Value) bool {
-		pa, pb := a.(PairVal), b.(PairVal)
-		if pa.A != pb.A {
-			return pa.A < pb.A
-		}
-		return pa.B < pb.B
-	}, steps+1)
+		return unknown
+	}, lessPair, steps+1)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int]SumResult, len(m.Parts))
-	for _, i := range m.Parts {
-		pv := spread[i].(PairVal)
-		ok := pv.A == vGood && layer[i] != unreached
-		out[i] = SumResult{Sum: pv.B, OK: ok}
+	out := make([]SumResult, len(spread))
+	for k, v := range spread {
+		pv := v.(PairVal)
+		out[k] = SumResult{Sum: pv.B, OK: pv.A == vGood && ps[k].layer != unreached}
 	}
 	return out, nil
+}
+
+// minID folds IDVals to their minimum.
+func minID(a, b Value) Value {
+	if b.(IDVal).V < a.(IDVal).V {
+		return b
+	}
+	return a
 }
 
 func addPair(a, b Value) Value {
@@ -238,10 +252,11 @@ func addPair(a, b Value) Value {
 // it marks good every part whose shortcut subgraph has at most bLimit block
 // components. Every member of a good part learns the verdict and the exact
 // block count; parts with more than bLimit blocks are reported bad at every
-// member. Runs in O(bLimit·(D+c)) rounds.
-func (m *Membership) VerifyBlockCount(ctx congest.Net, bLimit int) (map[int]SumResult, error) {
-	res, err := m.PartSum(ctx, func(i int) int64 {
-		if m.IsBlockRoot(i) {
+// member. Returns the verdicts aligned with Parts. Runs in
+// O(bLimit·(D+c)) rounds.
+func (m *Membership) VerifyBlockCount(ctx congest.Net, bLimit int) ([]SumResult, error) {
+	res, err := m.partSum(ctx, func(k int) int64 {
+		if !m.ParentIn[k] {
 			return 1
 		}
 		return 0
@@ -249,9 +264,9 @@ func (m *Membership) VerifyBlockCount(ctx congest.Net, bLimit int) (map[int]SumR
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range res {
+	for k, r := range res {
 		if r.OK && r.Sum > int64(bLimit) {
-			res[i] = SumResult{Sum: r.Sum, OK: false}
+			res[k] = SumResult{Sum: r.Sum, OK: false}
 		}
 	}
 	return res, nil
