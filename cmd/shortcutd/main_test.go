@@ -94,6 +94,7 @@ func TestServeDrainsStalledHeader(t *testing.T) {
 	if _, err := io.WriteString(conn, "POST /shortcut HTTP/1.1\r\nHost: localhost\r\nContent-Ty"); err != nil {
 		t.Fatal(err)
 	}
+	awaitAccepted(t, ln.Addr().String())
 
 	start := time.Now()
 	cancel()
@@ -114,6 +115,78 @@ func TestServeDrainsStalledHeader(t *testing.T) {
 		t.Fatalf("stalled connection still open after the drain: read %q, %v", reply, err)
 	}
 	t.Logf("drained in %v", time.Since(start).Round(time.Millisecond))
+}
+
+// TestServeDrainsStalledBody connects over raw TCP, sends a complete request
+// header announcing a 100-byte body, sends 5 bytes of it and stalls. Without
+// a bound on the body read the handler waits for the rest forever, so the
+// drain runs out; with the service's 5-s body deadline the handler fails the
+// request, the server closes the connection and serve returns nil within the
+// budget.
+func TestServeDrainsStalledBody(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := shortcutsvc.New(shortcutsvc.Config{CacheEntries: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const drain = 8 * time.Second
+	done := make(chan error, 1)
+	go func() { done <- serve(ctx, ln, svc, io.Discard, drain) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := "POST /shortcut HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"fam"
+	if _, err := io.WriteString(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	awaitAccepted(t, ln.Addr().String())
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve returned %v after %v with a stalled body", err, time.Since(start).Round(time.Millisecond))
+		}
+	case <-time.After(drain + 5*time.Second):
+		t.Fatal("serve did not return after context cancellation")
+	}
+	// The server, not the client, ended the stalled connection: reading it
+	// reaches EOF after the server's 400 reply.
+	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled connection still open after the drain: read %q, %v", reply, err)
+	}
+	if !strings.HasPrefix(string(reply), "HTTP/1.1 400") {
+		t.Fatalf("reply to the stalled body = %q, want a 400", reply)
+	}
+	t.Logf("drained in %v", time.Since(start).Round(time.Millisecond))
+}
+
+// awaitAccepted returns once the server has accepted every connection
+// dialed to addr before the call: it serves one /healthz request on a new
+// connection, which the listener's FIFO accept queue hands out after them.
+// Without it a drain could close the listener while a stalled connection
+// still waits in that queue, resetting it instead of draining it.
+func awaitAccepted(t *testing.T, addr string) {
+	t.Helper()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz = %d", resp.StatusCode)
+	}
 }
 
 // TestRunFlagErrors pins the CLI error contract: bad flags and stray

@@ -46,9 +46,10 @@ func TestAllocGuardBroadcast(t *testing.T) {
 
 // TestAllocGuardSharded extends the steady-state guard to the sharded
 // engine: local arena writes, cross-shard relay appends/drains and the
-// two-level barrier are all pooled and preallocated, so a flooded round must
-// allocate nothing at any shard count (per-run setup — the shard cut, ring
-// sizing — cancels between the two run lengths).
+// drivers' round barrier are all pooled and preallocated, so a flooded round
+// must allocate nothing at any shard count (per-run setup — the shard cut,
+// ring sizing, the driver goroutines — cancels between the two run
+// lengths).
 func TestAllocGuardSharded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
@@ -80,9 +81,9 @@ func TestAllocGuardEmptyFaultPlan(t *testing.T) {
 }
 
 // TestAllocGuardLossyAdversary is the faulty-path bound: a lossy run with the
-// rotating adversary uses the pooled epoch-stamped drop mask and in-place
-// inbox rotation, so even the fully faulty steady state must not allocate per
-// round.
+// rotating adversary stamps dropped slots with a nil payload and rotates
+// each inbox in place, so even the fully faulty steady state must not
+// allocate per round.
 func TestAllocGuardLossyAdversary(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
@@ -239,39 +240,53 @@ func sleepyConvergecastProc(rounds int) congest.Proc {
 
 // TestAllocGuardSleep is the sleeping-barrier guard: nodes filed in the wake
 // heap, woken by mail marks and by their wake round, must not allocate per
-// round on the event-loop engine.
+// round, at one shard and at four. On the 32-node path the four shards are
+// consecutive stretches, so the convergecast's reports cross shard
+// boundaries and relayed mail wakes sleepers in another shard.
 func TestAllocGuardSleep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
+	prev := congest.SetEngine(congest.EngineSharded)
 	defer congest.SetEngine(prev)
-	if per := perRoundAllocs(t, gen.Path(32), congest.Options{Seed: 3}, sleepyConvergecastProc); per > 0.02 {
-		t.Errorf("sleeping steady state allocates %.3f allocs/round, want 0", per)
+	for _, shards := range []int{1, 4} {
+		opts := congest.Options{Seed: 3, Shards: shards}
+		if per := perRoundAllocs(t, gen.Path(32), opts, sleepyConvergecastProc); per > 0.02 {
+			t.Errorf("sleeping steady state (shards=%d) allocates %.3f allocs/round, want 0", shards, per)
+		}
 	}
 }
 
-// TestAllocGuardPerRun bounds what one run costs to set up on the event-loop
-// engine once its state is pooled: each node's coroutine (iter.Pull's state,
-// about a dozen small objects) plus a small fixed term. The per-round
-// guards above cancel this cost out; this one pins it.
+// TestAllocGuardPerRun bounds what one run costs to set up once its state
+// is pooled: each node's coroutine (iter.Pull's state, about a dozen small
+// objects) plus a fixed term of 16 and 4 per driver past the first (each is
+// a goroutine). It checks the event-loop engine and four shards. The
+// per-round guards above cancel this cost out; this one pins it.
 func TestAllocGuardPerRun(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
-	const perNode, fixed = 12, 16
+	const perNode, fixed, perShard = 12, 16, 4
 	g := gen.Grid(16, 16)
-	proc := engbench.BroadcastProc(1)
-	run := func() {
-		if _, err := congest.Run(g, proc, congest.Options{Seed: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run()
 	n := g.NumNodes()
-	if got := testing.AllocsPerRun(20, run); got > perNode*float64(n)+fixed {
-		t.Errorf("one %d-node run allocates %.0f times, want at most %d per node + %d", n, got, perNode, fixed)
+	proc := engbench.BroadcastProc(1)
+	for _, tc := range []struct {
+		e      congest.Engine
+		shards int
+	}{
+		{congest.EngineEventLoop, 1},
+		{congest.EngineSharded, 4},
+	} {
+		run := func() {
+			if _, err := congest.RunOn(tc.e, g, proc, congest.Options{Seed: 3, Shards: tc.shards}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		limit := perNode*n + fixed + perShard*(tc.shards-1)
+		if got := testing.AllocsPerRun(20, run); got > float64(limit) {
+			t.Errorf("one %d-node run at %d shards allocates %.0f times, want at most %d per node + %d + %d per extra shard = %d",
+				n, tc.shards, got, perNode, fixed, perShard, limit)
+		}
 	}
 }

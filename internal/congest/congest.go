@@ -17,48 +17,57 @@
 //
 // # Engine internals
 //
-// There are two engines, and every seeded output is byte-identical on both.
-// The default engine (EngineEventLoop) allocates nothing in the steady
-// state. It exploits the model invariant that each edge-direction carries at
-// most one message per round: every node owns a fixed mailbox of degree(v)
-// slots indexed by in-arc, laid out in one flat arena of 2m slots mirroring
-// the graph's CSR arc arrays. Send writes straight into the receiver's slot
-// through the graph's precomputed reverse-arc permutation — no queues, no
-// per-round inbox slices — and slot occupancy is an epoch stamp (the round
-// number), so nothing is ever cleared between rounds. Two stamp/payload
-// arenas alternate by round parity so round-r readers never share an array
-// with round-r+1 writers. Every node's Proc runs in a coroutine (iter.Pull;
-// race-detector builds use a goroutine hand-off, see coro_race.go), and one
-// driver loop on the caller's goroutine runs the round: it resumes the awake
-// nodes one at a time in ascending ID order, each until its next barrier
-// arrival, then retires the round itself (round count, watchdog, cost
-// accounting). There is no countdown, no parking and no scheduler wake-up; a
-// barrier is a coroutine switch.
+// There is one engine. It allocates nothing in the steady state. It exploits
+// the model invariant that each edge-direction carries at most one message
+// per round: every node owns a fixed mailbox of degree(v) slots indexed by
+// in-arc, laid out in one flat arena of 2m slots mirroring the graph's CSR
+// arc arrays. Send writes straight into the receiver's slot through the
+// graph's precomputed reverse-arc permutation — no queues, no per-round inbox
+// slices — and slot occupancy is an epoch stamp (the round number), so
+// nothing is ever cleared between rounds. Two stamp/payload arenas alternate
+// by round parity so round-r readers never share an array with round-r+1
+// writers. A message the lossy network drops is stamped with a nil payload:
+// it is charged to the sender and invisible to every read.
+//
+// The CSR vertex range is cut into P contiguous arc-balanced shards
+// (partition.ShardBounds); EngineEventLoop runs one shard, EngineSharded
+// runs Options.Shards of them (see driver.go). Every node's Proc runs in a
+// coroutine (iter.Pull; race-detector builds use a goroutine hand-off, see
+// coro_race.go), and each shard has one driver: it resumes its awake nodes
+// one at a time in ascending ID order, each until its next barrier arrival,
+// then meets the other drivers at the round barrier; the last to arrive
+// retires the round (first error, round count, watchdog, clock jump). At
+// P = 1 the only driver is the caller's goroutine and the barrier is a
+// function call. A node's barrier arrival is a coroutine switch, never a
+// park.
 //
 // Only awake nodes are resumed. A node with nothing to do until a message or
 // a known round (Ctx.StepUntil, Ctx.Idle, a crash-recovery downtime) arrives
-// as a sleeper: the driver files it in an indexed min-heap keyed by (wake
-// round, node ID) and leaves it suspended. A send to a sleeping receiver
-// marks it — a per-node flag, then a slot in a preallocated wake list — so
-// the driver resumes exactly the nodes that stepped, got mail or are due. A
-// node falling asleep in the round being retired may have missed marks from
-// senders that ran before it, so the driver scans its slots for that round's
-// stamp instead. When no node is awake, the driver jumps the round counter
-// to the earliest wake round; the skipped rounds count in Stats.Rounds and
-// against the watchdog exactly as stepped ones would. A run therefore pays
-// for the node-rounds that do work, not for every live node in every round.
+// as a sleeper: its driver files it in the shard's indexed min-heap keyed by
+// (wake round, node ID) and leaves it suspended. A send to a sleeping
+// receiver marks it — a per-node flag, then a slot in the shard's
+// preallocated wake list — so the driver resumes exactly the nodes that
+// stepped, got mail or are due. A message to another shard travels through a
+// relay ring that the receiving driver drains before it files its sleepers,
+// so relayed mail wakes a sleeper exactly as a local send does. A node
+// falling asleep in the round being retired may have missed marks from
+// senders that ran before it, so its driver scans its slots for that round's
+// stamp instead. When no node of any shard is awake, the round barrier jumps
+// the round counter to the earliest wake round; the skipped rounds count in
+// Stats.Rounds and against the watchdog exactly as stepped ones would. A run
+// therefore pays for the node-rounds that do work, not for every live node
+// in every round.
 //
-// Because nodes run one at a time, a Proc may interact with other nodes only
-// through the engine: a Proc that blocks on another node's channel or mutex
-// deadlocks the run. A runtime.Goexit inside a Proc (for example t.FailNow)
-// propagates to Run's caller after the other nodes are unwound.
+// Because the nodes of a shard run one at a time, a Proc may interact with
+// other nodes only through the engine: a Proc that blocks on another node's
+// channel or mutex deadlocks the run. A runtime.Goexit inside a Proc (for
+// example t.FailNow) ends the run and propagates to Run's caller after the
+// other nodes are unwound, on whichever driver it happened.
 //
-// The multi-core engine (EngineSharded, sharded.go) keeps the same mailbox
-// discipline but cuts the arena into worker shards retired in parallel.
-// Both engines embed one runState — the node table, the radio and fault
-// state and the run's outcome — which every Ctx points at, and both pool
-// their state across runs, so a harness performing thousands of simulations
-// reuses one arena.
+// Every seeded output is byte-identical at every shard count; shards change
+// only wall-clock. The run state — the node table, the arenas, the shards,
+// the radio and fault state and the run's outcome — is pooled across runs,
+// so a harness performing thousands of simulations reuses one arena.
 package congest
 
 import (
@@ -67,8 +76,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
-	"sync"
+	"runtime"
 	"sync/atomic"
 
 	"lcshortcut/internal/graph"
@@ -95,9 +103,9 @@ type Message struct {
 // Proc is the per-node protocol procedure, run with ctx bound to one vertex;
 // returning ends the node's participation (any not-yet-delivered sends are
 // still delivered at the next barrier). Returning a non-nil error aborts the
-// whole run. On EngineEventLoop the nodes of a run take turns on one
-// goroutine, so a Proc must not block on anything another node of the same
-// run would release; EngineSharded runs every node in its own goroutine.
+// whole run. The nodes of a shard take turns on their driver's goroutine,
+// so a Proc must not block on anything another node of the same run would
+// release.
 type Proc func(ctx *Ctx) error
 
 // Options configures a simulation run.
@@ -125,8 +133,9 @@ type Options struct {
 	// byte-identical to the pre-fault-layer engine.
 	Faults *FaultPlan
 	// Shards selects the worker-shard count of EngineSharded (ignored by
-	// EngineEventLoop): how many contiguous arc-balanced vertex ranges the
-	// mailbox arena is cut into, each retired in parallel at the barrier.
+	// EngineEventLoop, which runs one shard): how many contiguous
+	// arc-balanced vertex ranges the run is cut into, each with its own
+	// driver goroutine, mailbox-arena window and sleep state.
 	// 0 uses the process-wide default (SetDefaultShards), itself defaulting
 	// to GOMAXPROCS; the count is clamped to the node count. The seeded
 	// output is byte-identical at every shard count — shards change only
@@ -181,8 +190,9 @@ type Engine int32
 
 const (
 	// EngineEventLoop is the default engine: arc-slot mailbox arenas, node
-	// coroutines resumed by one driver loop, and pooled run state — zero
-	// allocations per round in the steady state.
+	// coroutines resumed by one driver loop on the caller's goroutine, and
+	// pooled run state — zero allocations per round in the steady state.
+	// It is the engine at one shard.
 	EngineEventLoop Engine = iota
 	// EngineChannel named the channel-coordinator engine this repository
 	// used before the arena rewrite. That engine has been removed; RunOn
@@ -190,13 +200,12 @@ const (
 	//
 	// Deprecated: use EngineEventLoop or EngineSharded.
 	EngineChannel
-	// EngineSharded is the multi-core engine: the event-loop engine's
-	// arc-slot mailbox discipline with the CSR cut into P contiguous
-	// arc-balanced shards (partition.ShardBounds), per-shard mailbox arenas,
-	// an epoch-stamped cross-shard relay for boundary arcs and a two-level
-	// barrier retired in parallel (see sharded.go). Seeded outputs are
-	// byte-identical to the event-loop engine at every shard count
-	// (Options.Shards); only wall-clock changes.
+	// EngineSharded is the same engine cut into P contiguous arc-balanced
+	// shards (partition.ShardBounds), P taken from Options.Shards, then
+	// SetDefaultShards, then GOMAXPROCS. Each shard has its own driver
+	// goroutine; boundary arcs go through epoch-stamped relay rings (see
+	// driver.go). Seeded outputs are byte-identical to EngineEventLoop at
+	// every shard count; only wall-clock changes.
 	EngineSharded
 )
 
@@ -244,23 +253,29 @@ func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	if opts.Model != ModelCongest && opts.Model != ModelRadio {
 		return Stats{}, fmt.Errorf("congest: unknown Options.Model %d", opts.Model)
 	}
-	if e == EngineSharded && opts.Shards < 0 {
-		return Stats{}, fmt.Errorf("congest: negative Options.Shards %d", opts.Shards)
+	p := 1
+	if e == EngineSharded {
+		if opts.Shards < 0 {
+			return Stats{}, fmt.Errorf("congest: negative Options.Shards %d", opts.Shards)
+		}
+		if p = opts.Shards; p == 0 {
+			p = DefaultShards()
+		}
+		if p <= 0 {
+			p = runtime.GOMAXPROCS(0)
+		}
 	}
 	if g.NumNodes() == 0 {
 		return Stats{}, nil
 	}
-	if e == EngineSharded {
-		return runSharded(g, proc, opts)
-	}
-	return runEventLoop(g, proc, opts)
+	return run(g, proc, opts, p)
 }
 
 // Barrier arrival kinds recorded by a node as it reaches the barrier.
 // arriveSleep and arriveIdle are stepping arrivals that leave the awake set
-// until the node's wake round (event-loop engine only); a sleeping node also
-// wakes at its first readable message, an idle one does not. Kinds below
-// arriveDone keep the node running.
+// until the node's wake round; a sleeping node also wakes at its first
+// readable message, an idle one does not. Kinds below arriveDone keep the
+// node running.
 const (
 	arriveStep int32 = iota + 1
 	arriveSleep
@@ -275,12 +290,9 @@ const (
 type Ctx struct {
 	id graph.NodeID
 	g  *graph.Graph
-	// run is the state both engines share. Exactly one of loop and sh is
-	// set: it is the engine-specific state the node runs under.
-	run  *runState
-	loop *loopRun    // event-loop engine state (nil under EngineSharded)
-	sh   *shardedRun // sharded engine state (nil under EngineEventLoop)
-	// shard is the worker shard owning this node (sharded engine only).
+	// run is the run's state; shard is the shard whose driver resumes this
+	// node and files it when it sleeps.
+	run   *runState
 	shard *shard
 	// rng is the node's pooled generator; rngSeeded reports whether it is
 	// seeded for the current incarnation (Rand seeds it on first use).
@@ -311,17 +323,15 @@ type Ctx struct {
 	wakeAt  int32
 	err     error
 	inbox   []Message
-	// On the event-loop engine the node runs as a coroutine: next resumes it
-	// until its next barrier arrival or its end, yield (called by arrive)
-	// hands control back to the driver, and stop ends it. On the sharded
-	// engine the node has a goroutine and waits at the barrier on park.
+	// The node runs as a coroutine: next resumes it until its next barrier
+	// arrival or its end, yield (called by arrive) hands control back to the
+	// driver, and stop ends it.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	park  chan struct{}
 
-	// Send accounting since the last delivery barrier, flushed into the run
-	// totals when that barrier delivers.
+	// Send accounting since the last delivery barrier, flushed into the
+	// shard's totals when that barrier's round is retired.
 	pMsgs int64
 	pBits int64
 	pMax  int
@@ -423,40 +433,41 @@ func (c *Ctx) Send(to graph.NodeID, p Payload) {
 // Send, enforcing the same per-edge-direction and message-size budgets.
 func (c *Ctx) SendArc(k int, p Payload) {
 	if c.model != ModelCongest {
-		c.fail(fmt.Errorf("%w: node %d called SendArc under ModelRadio in round %d", ErrModelViolation, c.id, c.round))
+		c.wrongModel("SendArc", "")
 	}
 	if c.down() {
 		return // crashed: a dead node's sends are lost (and can't violate)
 	}
 	if uint(k) >= uint(len(c.arcs)) {
-		c.fail(fmt.Errorf("%w: node %d sent on invalid arc index %d (degree %d) in round %d",
-			ErrModelViolation, c.id, k, len(c.arcs), c.round))
+		c.badArc("sent on", k)
 	}
-	if c.sh != nil {
-		c.sh.sendArc(c, k, p)
-		return
-	}
-	lr := c.loop
+	rs, d := c.run, c.shard
 	stamp := int32(c.round) + 1
 	buf := stamp & 1
-	s := lr.rev[c.lo+int32(k)]
-	if lr.stamp[buf][s] == stamp {
-		c.fail(fmt.Errorf("%w: node %d sent twice to neighbor %d in round %d", ErrModelViolation, c.id, c.arcs[k].To, c.round))
-	}
+	s := rs.rev[c.lo+int32(k)]
 	b := p.Bits()
-	if limit := lr.opts.MaxMessageBits; limit > 0 && b > limit {
-		c.fail(fmt.Errorf("%w: node %d sent %d-bit message (budget %d) in round %d", ErrModelViolation, c.id, b, limit, c.round))
+	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
+		c.oversized("sent", b)
 	}
-	lr.stamp[buf][s] = stamp
-	lr.pay[buf][s] = p
-	// The lossy network still charges the sender: the message consumed its
-	// per-edge budget and counts toward Stats, it just never surfaces in an
-	// inbox (the drop mask hides the slot from both read paths) and never
-	// wakes a sleeping receiver.
-	if lr.dropThresh != 0 && dropped(lr.dropThresh, lr.faultSeed, stamp, s) {
-		lr.dropMask[buf][s] = stamp
-	} else if len(lr.wakeHeap.items) != 0 {
-		lr.markMail(c.arcs[k].To)
+	if !d.owns(s) {
+		c.relay(k, s, stamp, p)
+	} else {
+		if rs.stamp[buf][s] == stamp {
+			c.sentTwice(k)
+		}
+		rs.stamp[buf][s] = stamp
+		// The lossy network still charges the sender: the message consumed
+		// its per-edge budget and counts toward Stats, it just never surfaces
+		// in an inbox (every read treats a stamped nil payload as no message)
+		// and never wakes a sleeping receiver.
+		if rs.dropThresh != 0 && dropped(rs.dropThresh, rs.faultSeed, stamp, s) {
+			rs.pay[buf][s] = nil
+		} else {
+			rs.pay[buf][s] = p
+			if len(d.heap.items) != 0 {
+				d.markMail(c.arcs[k].To)
+			}
+		}
 	}
 	c.pMsgs++
 	c.pBits += int64(b)
@@ -465,49 +476,45 @@ func (c *Ctx) SendArc(k int, p Payload) {
 	}
 }
 
-// SendAll sends the same payload to every neighbor this round. On the
-// event-loop engine it is a single pass over the node's reverse-arc slice
-// with the budget checks and the sleeper check hoisted out of the loop — the
-// broadcast-flood fast path.
+// SendAll sends the same payload to every neighbor this round: a single
+// pass over the node's reverse-arc slice with the budget check and the
+// sleeper check hoisted out of the loop — the broadcast-flood fast path.
 func (c *Ctx) SendAll(p Payload) {
 	if c.model != ModelCongest {
-		c.fail(fmt.Errorf("%w: node %d called SendAll under ModelRadio in round %d", ErrModelViolation, c.id, c.round))
+		c.wrongModel("SendAll", "")
 	}
 	if c.down() {
 		return // crashed: a dead node's sends are lost (and can't violate)
-	}
-	if c.sh != nil {
-		c.sh.sendAll(c, p)
-		return
 	}
 	deg := len(c.arcs)
 	if deg == 0 {
 		return
 	}
-	lr := c.loop
+	rs, d := c.run, c.shard
 	stamp := int32(c.round) + 1
 	buf := stamp & 1
-	st, pay := lr.stamp[buf], lr.pay[buf]
+	st, pay := rs.stamp[buf], rs.pay[buf]
 	b := p.Bits()
-	if limit := lr.opts.MaxMessageBits; limit > 0 && b > limit {
-		c.fail(fmt.Errorf("%w: node %d sent %d-bit message (budget %d) in round %d", ErrModelViolation, c.id, b, limit, c.round))
+	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
+		c.oversized("sent", b)
 	}
-	thresh := lr.dropThresh
-	for i, s := range lr.rev[c.lo : c.lo+int32(deg)] {
+	thresh, mark := rs.dropThresh, len(d.heap.items) != 0
+	for i, s := range rs.rev[c.lo : c.lo+int32(deg)] {
+		if !d.owns(s) {
+			c.relay(i, s, stamp, p)
+			continue
+		}
 		if st[s] == stamp {
-			c.fail(fmt.Errorf("%w: node %d sent twice to neighbor %d in round %d", ErrModelViolation, c.id, c.arcs[i].To, c.round))
+			c.sentTwice(i)
 		}
 		st[s] = stamp
-		pay[s] = p
-		if thresh != 0 && dropped(thresh, lr.faultSeed, stamp, s) {
-			lr.dropMask[buf][s] = stamp
+		if thresh != 0 && dropped(thresh, rs.faultSeed, stamp, s) {
+			pay[s] = nil
+			continue
 		}
-	}
-	if len(lr.wakeHeap.items) != 0 {
-		for i, s := range lr.rev[c.lo : c.lo+int32(deg)] {
-			if thresh == 0 || lr.dropMask[buf][s] != stamp {
-				lr.markMail(c.arcs[i].To)
-			}
+		pay[s] = p
+		if mark {
+			d.markMail(c.arcs[i].To)
 		}
 	}
 	c.pMsgs += int64(deg)
@@ -515,6 +522,36 @@ func (c *Ctx) SendAll(p Payload) {
 	if b > c.pMax {
 		c.pMax = b
 	}
+}
+
+// Model violations, each failing the node. They are kept out of the hot
+// paths that detect them, so those stay small: every node's coroutine starts
+// on a minimal stack, and a deeper send or barrier path makes every node of
+// every run grow it.
+
+// wrongModel fails the node for calling op under the other communication
+// model; hint, if any, follows the round.
+func (c *Ctx) wrongModel(op, hint string) {
+	model := "ModelRadio"
+	if c.model == ModelCongest {
+		model = "ModelCongest"
+	}
+	c.fail(fmt.Errorf("%w: node %d called %s under %s in round %d%s", ErrModelViolation, c.id, op, model, c.round, hint))
+}
+
+// badArc fails the node for using arc index k, which it does not have.
+func (c *Ctx) badArc(op string, k int) {
+	c.fail(fmt.Errorf("%w: node %d %s invalid arc index %d (degree %d) in round %d", ErrModelViolation, c.id, op, k, len(c.arcs), c.round))
+}
+
+// oversized fails the node for a b-bit payload over the strict budget.
+func (c *Ctx) oversized(verb string, b int) {
+	c.fail(fmt.Errorf("%w: node %d %s %d-bit message (budget %d) in round %d", ErrModelViolation, c.id, verb, b, c.run.opts.MaxMessageBits, c.round))
+}
+
+// sentTwice fails the node for a second send on arc k in one round.
+func (c *Ctx) sentTwice(k int) {
+	c.fail(fmt.Errorf("%w: node %d sent twice to neighbor %d in round %d", ErrModelViolation, c.id, c.arcs[k].To, c.round))
 }
 
 // StepRound is the synchronous barrier: it ends the node's current round,
@@ -525,7 +562,7 @@ func (c *Ctx) SendAll(p Payload) {
 // the node's next Step/StepRound.
 func (c *Ctx) StepRound() []Message {
 	if c.model != ModelCongest {
-		c.fail(fmt.Errorf("%w: node %d called StepRound under ModelRadio in round %d (use Step + RadioRecv)", ErrModelViolation, c.id, c.round))
+		c.wrongModel("StepRound", " (use Step + RadioRecv)")
 	}
 	c.maybeCrash()
 	c.stepBarrier()
@@ -544,29 +581,20 @@ func (c *Ctx) Step() {
 // stepping until the node has a readable message or Round() >= round, and
 // returns that round's inbox under StepRound's ordering and reuse rules.
 // StepUntil(r) with r <= Round()+1 is StepRound; math.MaxInt waits for mail
-// alone (the watchdog still bounds it). On the event-loop engine the node
-// sleeps outside the barrier meanwhile, so the skipped rounds cost it
-// nothing; every other engine steps through them. The outcome is the same.
+// alone (the watchdog still bounds it). The node sleeps outside the barrier
+// meanwhile, so the skipped rounds cost it nothing; the rounds, messages and
+// inbox it sees are those of stepping.
 func (c *Ctx) StepUntil(round int) []Message {
 	if c.model != ModelCongest {
-		c.fail(fmt.Errorf("%w: node %d called StepUntil under ModelRadio in round %d (use Step + RadioRecv)", ErrModelViolation, c.id, c.round))
+		c.wrongModel("StepUntil", " (use Step + RadioRecv)")
 	}
 	for {
 		c.maybeCrash()
 		c.sleepBarrier(round, true)
-		if c.round >= round || c.hasMail() {
+		if c.round >= round || c.run.hasMail(c, int32(c.round)) {
 			return c.gather()
 		}
 	}
-}
-
-// hasMail reports whether a readable (undropped) message waits for the node
-// this round, without materializing the inbox.
-func (c *Ctx) hasMail() bool {
-	if c.sh != nil {
-		return c.sh.hasMail(c)
-	}
-	return c.loop.hasMail(c, int32(c.round))
 }
 
 // maybeCrash enforces the node's scheduled crash at the barrier ending round
@@ -599,38 +627,31 @@ func (c *Ctx) maybeCrash() {
 // out-of-range index is a model violation, mirroring SendArc.
 func (c *Ctx) InboxArc(k int) (Payload, bool) {
 	if c.model != ModelCongest {
-		c.fail(fmt.Errorf("%w: node %d called InboxArc under ModelRadio in round %d", ErrModelViolation, c.id, c.round))
+		c.wrongModel("InboxArc", "")
 	}
 	if c.down() {
 		return nil, false // crashed: a dead node's slots stop delivering
 	}
 	if uint(k) >= uint(len(c.arcs)) {
-		c.fail(fmt.Errorf("%w: node %d read invalid arc index %d (degree %d) in round %d",
-			ErrModelViolation, c.id, k, len(c.arcs), c.round))
-	}
-	if c.sh != nil {
-		return c.sh.inboxArc(c, k)
+		c.badArc("read", k)
 	}
 	stamp := int32(c.round)
 	if stamp == 0 {
 		return nil, false
 	}
-	lr := c.loop
 	buf := stamp & 1
 	s := c.lo + int32(k)
-	if lr.stamp[buf][s] != stamp {
+	if c.run.stamp[buf][s] != stamp {
 		return nil, false
 	}
-	if lr.dropThresh != 0 && lr.dropMask[buf][s] == stamp {
-		return nil, false
-	}
-	return lr.pay[buf][s], true
+	p := c.run.pay[buf][s]
+	return p, p != nil
 }
 
 // Idle advances the node through k barriers, discarding anything received.
 // Use it only where the protocol guarantees no meaningful traffic arrives.
-// On the event-loop engine the node sleeps through them: messages do not
-// wake it, and those that arrive meanwhile are never read.
+// The node sleeps through them: messages do not wake it, and those that
+// arrive meanwhile are never read.
 func (c *Ctx) Idle(k int) {
 	target := c.round + min(k, c.run.opts.MaxRounds+1)
 	for c.round < target {
@@ -639,27 +660,26 @@ func (c *Ctx) Idle(k int) {
 	}
 }
 
-// stepBarrier joins the countdown barrier as a stepping node and advances
-// the local round clock once released.
+// stepBarrier joins the round barrier as a stepping node and advances the
+// local round clock once released.
 func (c *Ctx) stepBarrier() {
 	c.arrive(arriveStep)
 	c.round++
 }
 
-// sleepBarrier ends the round like stepBarrier, but on the event-loop engine
-// a node whose wake round is two or more rounds ahead leaves the countdown:
-// it is released at its wake round or, with mail set, at the first round it
-// has a readable message, whichever comes first. The wake round is clamped
-// to MaxRounds+1 (the watchdog's round) and to the round before a pending
-// scheduled crash, so maybeCrash still fires at the crash barrier. Radio runs
-// and the sharded engine step once.
+// sleepBarrier ends the round like stepBarrier, but a node whose wake round
+// is two or more rounds ahead leaves the awake set: it is resumed at its
+// wake round or, with mail set, at the first round it has a readable
+// message, whichever comes first. The wake round is clamped to MaxRounds+1
+// (the watchdog's round) and to the round before a pending scheduled crash,
+// so maybeCrash still fires at the crash barrier. Radio runs step once.
 func (c *Ctx) sleepBarrier(target int, mail bool) {
 	limit := c.run.opts.MaxRounds + 1
 	if crash := int(c.crashAt) - 1; c.round < crash && crash < limit {
 		limit = crash
 	}
 	target = min(target, limit)
-	if c.sh != nil || c.model != ModelCongest || target < c.round+2 {
+	if c.model != ModelCongest || target < c.round+2 {
 		c.stepBarrier()
 		return
 	}
@@ -670,39 +690,27 @@ func (c *Ctx) sleepBarrier(target int, mail bool) {
 		c.arrive(arriveIdle)
 	}
 	// A sleeper may have skipped rounds: the run's counter is its clock.
-	c.round = c.loop.rounds
+	c.round = c.run.rounds
 }
 
 // gather materializes this round's inbox from the mailbox slots, scanning
 // them in ascending sender ID (the graph's precomputed by-neighbor order) so
-// inbox order is deterministic without sorting. The buffer is reused.
+// inbox order is deterministic without sorting. A stamped nil payload is a
+// dropped message. The buffer is reused.
 func (c *Ctx) gather() []Message {
-	if c.sh != nil {
-		return c.sh.gather(c)
-	}
-	lr := c.loop
+	rs := c.run
 	stamp := int32(c.round)
 	buf := stamp & 1
-	st := lr.stamp[buf]
-	pay := lr.pay[buf]
+	st, pay := rs.stamp[buf], rs.pay[buf]
 	c.inbox = c.inbox[:0]
 	lo := c.lo
-	if thresh := lr.dropThresh; thresh != 0 {
-		dm := lr.dropMask[buf]
-		for _, j := range lr.order[lo : lo+int32(len(c.arcs))] {
-			if s := lo + int32(j); st[s] == stamp && dm[s] != stamp {
-				c.inbox = append(c.inbox, Message{From: c.arcs[j].To, Payload: pay[s]})
-			}
-		}
-	} else {
-		for _, j := range lr.order[lo : lo+int32(len(c.arcs))] {
-			if s := lo + int32(j); st[s] == stamp {
-				c.inbox = append(c.inbox, Message{From: c.arcs[j].To, Payload: pay[s]})
-			}
+	for _, j := range rs.order[lo : lo+int32(len(c.arcs))] {
+		if s := lo + int32(j); st[s] == stamp && pay[s] != nil {
+			c.inbox = append(c.inbox, Message{From: c.arcs[j].To, Payload: pay[s]})
 		}
 	}
-	if lr.adversary == AdversaryRotate {
-		scrambleInbox(lr.faultSeed, c.round, c.id, c.inbox)
+	if rs.adversary == AdversaryRotate {
+		scrambleInbox(rs.faultSeed, c.round, c.id, c.inbox)
 	}
 	return c.inbox
 }
@@ -714,415 +722,15 @@ func (c *Ctx) fail(err error) {
 	panic(errAbort)
 }
 
-// arrive records this node's barrier arrival. On the event-loop engine a
-// stepping or sleeping node then yields to the driver, which resumes it in a
-// later round or, when the run ends without it, stops it so it unwinds; a
-// done or fail arrival returns at once, since the node is ending.
+// arrive records this node's barrier arrival. A stepping or sleeping node
+// then yields to its driver, which resumes it in a later round or, when the
+// run ends without it, stops it so it unwinds; a done or fail arrival
+// returns at once, since the node is ending.
 func (c *Ctx) arrive(kind int32) {
 	c.arrival = kind
-	if c.sh != nil {
-		c.sh.arrive(c, kind)
-		return
-	}
 	if kind < arriveDone && !c.yield(struct{}{}) {
 		panic(errAbort)
 	}
-}
-
-// runState is the per-run state both engines share: the graph and options,
-// the node table, the radio arenas, the fault plan's hot fields and the
-// run's outcome. loopRun and shardedRun each embed one, and every Ctx of
-// the run points at it.
-type runState struct {
-	g    *graph.Graph
-	opts Options
-	// rev and order alias the graph's derived arc views (see graph.RevArcs
-	// and graph.ArcsByNeighborID).
-	rev   []int32
-	order []int32
-	// nodes is the node table (length = capacity high-water mark; the first
-	// NumNodes entries belong to the current run).
-	nodes []Ctx
-	// arcArena backs every node's Neighbors() slice, laid out exactly like
-	// the CSR arc arrays.
-	arcArena []graph.Arc
-	// txStamp/txPay are the radio-model transmission arenas (one slot per
-	// node, parity-doubled and epoch-stamped like the mailbox arenas; see
-	// radio.go). They are grown only for ModelRadio runs. A transmission slot
-	// has one writer, so the sharded engine keeps them global too.
-	txStamp [2][]int32
-	txPay   [2][]Payload
-	// Fault-layer state (see fault.go): fault-free runs see dropThresh == 0
-	// and skip every drop check.
-	dropThresh uint64
-	faultSeed  int64
-	adversary  Adversary
-	// err/rounds are written when a round is retired and read by nodes
-	// after their release from the barrier.
-	err    error
-	rounds int
-}
-
-// setup binds rs to a run of opts on g: it resets the node table, applies
-// the fault plan's crash schedule and sizes the radio arenas. All buffers
-// grow to high-water marks and are reused across runs; freshly grown arrays
-// are zero and released ones were scrubbed by release, so stamps start
-// unoccupied without a per-run clear. The engine binds each Ctx to its own
-// state afterwards.
-func (rs *runState) setup(g *graph.Graph, opts Options) {
-	n := g.NumNodes()
-	numArcs := int(g.ArcOffset(n))
-	rs.g, rs.opts = g, opts
-	rs.rev, rs.order = g.RevArcs(), g.ArcsByNeighborID()
-	if opts.Model == ModelRadio {
-		for i := range rs.txStamp {
-			rs.txStamp[i] = growInt32(rs.txStamp[i], n)
-			rs.txPay[i] = growPayload(rs.txPay[i], n)
-		}
-	}
-	plan := opts.Faults
-	rs.dropThresh = plan.dropThreshold()
-	rs.faultSeed, rs.adversary = 0, AdversaryNone
-	if plan != nil {
-		rs.faultSeed, rs.adversary = plan.Seed, plan.Adversary
-	}
-	if cap(rs.arcArena) < numArcs {
-		rs.arcArena = make([]graph.Arc, 0, numArcs)
-	}
-	arena := rs.arcArena[:0]
-	for v := 0; v < n; v++ {
-		arena = g.AppendArcs(arena, v)
-	}
-	rs.arcArena = arena
-	if len(rs.nodes) < n {
-		nodes := make([]Ctx, n)
-		copy(nodes, rs.nodes)
-		rs.nodes = nodes
-	}
-	idBits := BitsForID(n)
-	for v := 0; v < n; v++ {
-		nd := &rs.nodes[v]
-		nd.id = v
-		nd.g = g
-		nd.run = rs
-		lo, hi := g.ArcOffset(v), g.ArcOffset(v+1)
-		nd.arcs = arena[lo:hi:hi]
-		nd.lo = lo
-		nd.round = 0
-		nd.idBits = idBits
-		nd.model = opts.Model
-		nd.crashAt = noCrash
-		nd.rejoinAt = noCrash
-		nd.incarnation = 0
-		nd.rngSeeded = false
-		nd.arrival = 0
-		nd.err = nil
-		nd.inbox = nd.inbox[:0]
-		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
-	}
-	if plan != nil {
-		for _, cr := range plan.Crashes {
-			// The earliest crash round wins; among equal rounds the first
-			// entry wins (its Downtime rides along).
-			if nd := &rs.nodes[cr.Node]; int32(cr.Round) < nd.crashAt {
-				nd.crashAt = int32(cr.Round)
-				nd.rejoinAt = cr.rejoinRound()
-			}
-		}
-	}
-	rs.err = nil
-	rs.rounds = 0
-}
-
-// release scrubs the radio arenas, the node inboxes and every graph and
-// payload reference, so pooled state neither resurrects ghost messages nor
-// pins a finished run's memory. The engine scrubs its own arenas first.
-func (rs *runState) release() {
-	if rs.opts.Model == ModelRadio {
-		// Only a radio run writes the transmission arenas.
-		for i := range rs.txStamp {
-			clear(rs.txStamp[i])
-			clear(rs.txPay[i])
-		}
-	}
-	n := rs.g.NumNodes()
-	for v := 0; v < n; v++ {
-		nd := &rs.nodes[v]
-		clear(nd.inbox[:cap(nd.inbox)])
-		nd.inbox = nd.inbox[:0]
-		nd.g = nil
-		nd.arcs = nil
-		nd.run, nd.loop, nd.sh, nd.shard = nil, nil, nil, nil
-	}
-	rs.g = nil
-	rs.rev, rs.order = nil, nil
-	rs.dropThresh = 0
-	rs.err = nil
-}
-
-// loopRun is the pooled per-run state of the event-loop engine: the mailbox
-// arenas, the awake set and the sleep state. Only the driver and the one
-// node it is running touch it, so none of it is atomic.
-type loopRun struct {
-	runState
-	// stamp/pay are the mailbox arenas: slot lo(v)+k holds the message
-	// in flight to v from its k-th neighbor, stamped with the round at which
-	// it becomes readable. Two arenas alternate by round parity so round-r
-	// readers never share an array with round-(r+1) writers; stale stamps
-	// simply never match, so nothing is cleared between rounds.
-	stamp [2][]int32
-	pay   [2][]Payload
-	// dropMask mirrors the stamp arenas: a slot whose mask equals the
-	// current stamp holds a message the lossy network swallowed — charged to
-	// the sender, invisible to both read paths. The arenas are grown only for
-	// runs whose plan actually drops and are epoch-stamped, so nothing is
-	// cleared between rounds.
-	dropMask [2][]int32
-	// awake lists the nodes the driver resumes this round, ascending;
-	// rebuilt in place when the round is retired.
-	awake []int32
-	// Sleep state. asleep holds the arrival kind (arriveSleep or arriveIdle)
-	// of each node filed in wakeHeap and 0 for the rest; the first sender to
-	// an arriveSleep node clears it and appends the receiver to wakeList.
-	// wakeHeap orders the sleepers by wake round; senders skip the flag while
-	// it is empty.
-	asleep   []int32
-	wakeList []int32
-	wakeHeap wakeHeap
-
-	msgs    int64
-	bitsSum int64
-	maxBits int
-}
-
-var loopPool = sync.Pool{New: func() any { return new(loopRun) }}
-
-// retire ends the round once every awake node has arrived, given the
-// number of live arrivals (steppers and sleepers) and the first failure:
-// it counts the round against the watchdog, flushes the arrivers' send
-// accounting when the round delivers, files new sleepers and wakes the
-// marked and due ones (jumping the clock when nobody is awake), leaving the
-// next round's awake set in lr.awake. It reports false when the run aborts.
-func (lr *loopRun) retire(live int, err error) bool {
-	if err == nil && live > 0 {
-		lr.rounds++
-		if lr.rounds > lr.opts.MaxRounds {
-			err = fmt.Errorf("%w (%d)", ErrMaxRounds, lr.opts.MaxRounds)
-		}
-	}
-	deliver := err == nil && live > 0
-	stamp := int32(lr.rounds)
-	w := 0
-	for _, id := range lr.awake {
-		nd := &lr.nodes[id]
-		if deliver {
-			// Sends buffered before this barrier are counted even if the
-			// sender has finished, and not counted at all when the run
-			// aborts or ends at this barrier.
-			lr.msgs += nd.pMsgs
-			lr.bitsSum += nd.pBits
-			if nd.pMax > lr.maxBits {
-				lr.maxBits = nd.pMax
-			}
-			nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
-		}
-		switch nd.arrival {
-		case arriveStep:
-			lr.awake[w] = id
-			w++
-		case arriveSleep:
-			// Senders that ran before this node in the retired round saw it
-			// awake and did not mark it: look for their messages directly.
-			if deliver && lr.hasMail(nd, stamp) {
-				lr.awake[w] = id
-				w++
-			} else {
-				lr.sleep(nd)
-			}
-		case arriveIdle:
-			lr.sleep(nd)
-		}
-	}
-	lr.awake = lr.awake[:w]
-	if err == nil {
-		err = lr.wake()
-	}
-	lr.err = err
-	return err == nil
-}
-
-// sleep files an arriving sleeper or idler in the wake heap.
-func (lr *loopRun) sleep(nd *Ctx) {
-	lr.asleep[nd.id] = nd.arrival
-	lr.wakeHeap.push(int32(nd.id), nd.wakeAt)
-}
-
-// wake moves the sleepers marked by the retired round's senders and those
-// due at the new round into the awake set. When nobody is awake it first
-// jumps the clock to the earliest wake round, failing with ErrMaxRounds (at
-// MaxRounds+1 rounds, as stepping would) when that round is past the
-// watchdog bound. The awake set is left in ascending ID order, so the
-// driver walks the node table and the mailbox arena in address order.
-func (lr *loopRun) wake() error {
-	stepped := len(lr.awake)
-	for _, id := range lr.wakeList {
-		lr.wakeHeap.remove(id)
-		lr.rouse(id)
-	}
-	lr.wakeList = lr.wakeList[:0]
-	h := &lr.wakeHeap
-	if len(lr.awake) == 0 && len(h.items) > 0 {
-		next := int(h.items[0].round)
-		if next > lr.opts.MaxRounds {
-			lr.rounds = lr.opts.MaxRounds + 1
-			return fmt.Errorf("%w (%d)", ErrMaxRounds, lr.opts.MaxRounds)
-		}
-		lr.rounds = next
-	}
-	for now := int32(lr.rounds); len(h.items) > 0 && h.items[0].round <= now; {
-		id := h.items[0].node
-		h.remove(id)
-		lr.rouse(id)
-	}
-	if len(lr.awake) > stepped {
-		slices.Sort(lr.awake)
-	}
-	return nil
-}
-
-// rouse clears a woken node's sleep flag (a mail wake's sender already did)
-// and adds it to the awake set.
-func (lr *loopRun) rouse(id int32) {
-	lr.asleep[id] = 0
-	lr.awake = append(lr.awake, id)
-}
-
-// hasMail reports whether a readable (undropped) message stamped for round
-// stamp waits in one of nd's mailbox slots.
-func (lr *loopRun) hasMail(nd *Ctx, stamp int32) bool {
-	buf := stamp & 1
-	lo := nd.lo
-	for s := lo; s < lo+int32(len(nd.arcs)); s++ {
-		if lr.stamp[buf][s] == stamp && (lr.dropThresh == 0 || lr.dropMask[buf][s] != stamp) {
-			return true
-		}
-	}
-	return false
-}
-
-// markMail wakes sleeping receiver v for the round a message sent to it
-// becomes readable: the first sender to flip its flag files it in the wake
-// list. An idler's flag never matches, so mail does not wake it.
-func (lr *loopRun) markMail(v graph.NodeID) {
-	if lr.asleep[v] == arriveSleep {
-		lr.asleep[v] = 0
-		lr.wakeList = append(lr.wakeList, int32(v))
-	}
-}
-
-// wakeHeap is an indexed binary min-heap of sleeping nodes ordered by (wake
-// round, node ID); pos[v] is v's index in items while v sleeps. Both arrays
-// are sized to the node count when a run starts, so no operation allocates.
-type wakeHeap struct {
-	items []wakeItem
-	pos   []int32
-}
-
-type wakeItem struct{ round, node int32 }
-
-func (h *wakeHeap) less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	return a.round < b.round || (a.round == b.round && a.node < b.node)
-}
-
-func (h *wakeHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].node] = int32(i)
-	h.pos[h.items[j].node] = int32(j)
-}
-
-func (h *wakeHeap) push(node, round int32) {
-	h.items = append(h.items, wakeItem{round: round, node: node})
-	h.pos[node] = int32(len(h.items) - 1)
-	h.up(len(h.items) - 1)
-}
-
-// remove deletes node v, which must be in the heap.
-func (h *wakeHeap) remove(v int32) {
-	i, last := int(h.pos[v]), len(h.items)-1
-	if i != last {
-		h.swap(i, last)
-	}
-	h.items = h.items[:last]
-	if i != last {
-		h.down(i)
-		h.up(i)
-	}
-}
-
-func (h *wakeHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
-		}
-		h.swap(i, p)
-		i = p
-	}
-}
-
-func (h *wakeHeap) down(i int) {
-	for {
-		m := 2*i + 1
-		if m >= len(h.items) {
-			return
-		}
-		if r := m + 1; r < len(h.items) && h.less(r, m) {
-			m = r
-		}
-		if !h.less(m, i) {
-			return
-		}
-		h.swap(i, m)
-		i = m
-	}
-}
-
-// runEventLoop drives one simulation on the arena engine. It starts every
-// node as a coroutine running nodeMain, then per round resumes the awake
-// nodes in ascending ID order, each until its next barrier arrival or its
-// end, and retires the round. On abort releaseLoop stops every suspended
-// node, sleepers included, so each unwinds and its coroutine ends before
-// Run returns.
-func runEventLoop(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
-	lr := acquireLoop(g, opts)
-	defer releaseLoop(lr)
-	for v := 0; v < g.NumNodes(); v++ {
-		nd := &lr.nodes[v]
-		nd.loop = lr
-		lr.awake[v] = int32(v)
-		nd.next, nd.stop = pull(func(yield func(struct{}) bool) {
-			nd.yield = yield
-			nodeMain(nd, proc)
-		})
-	}
-	for len(lr.awake) > 0 {
-		live := len(lr.wakeHeap.items) // sleepers are live steppers
-		var err error
-		for _, id := range lr.awake {
-			nd := &lr.nodes[id]
-			nd.next()
-			if nd.arrival < arriveDone {
-				live++
-			} else if nd.arrival == arriveFail && err == nil {
-				err = nd.err // the lowest failing node ID wins
-			}
-		}
-		if !lr.retire(live, err) {
-			break
-		}
-	}
-	return Stats{Rounds: lr.rounds, Messages: lr.msgs, TotalBits: lr.bitsSum, MaxMessageBits: lr.maxBits}, lr.err
 }
 
 // nodeMain is the per-node wrapper: it converts proc errors and panics into
@@ -1174,59 +782,6 @@ func runProcOnce(c *Ctx, proc Proc) (restart bool) {
 	}
 	c.arrive(arriveDone)
 	return false
-}
-
-// acquireLoop takes a loopRun from the pool and sizes/resets it for g.
-func acquireLoop(g *graph.Graph, opts Options) *loopRun {
-	lr := loopPool.Get().(*loopRun)
-	lr.setup(g, opts)
-	n := g.NumNodes()
-	numArcs := int(g.ArcOffset(n))
-	for i := range lr.stamp {
-		lr.stamp[i] = growInt32(lr.stamp[i], numArcs)
-		lr.pay[i] = growPayload(lr.pay[i], numArcs)
-	}
-	if lr.dropThresh != 0 {
-		for i := range lr.dropMask {
-			lr.dropMask[i] = growInt32(lr.dropMask[i], numArcs)
-		}
-	}
-	lr.awake = growInt32(lr.awake, n)
-	lr.wakeList = growInt32(lr.wakeList, n)[:0]
-	lr.wakeHeap.pos = growInt32(lr.wakeHeap.pos, n)
-	if cap(lr.wakeHeap.items) < n {
-		lr.wakeHeap.items = make([]wakeItem, 0, n)
-	}
-	lr.wakeHeap.items = lr.wakeHeap.items[:0]
-	lr.asleep = growInt32(lr.asleep, n)
-	clear(lr.asleep)
-	lr.msgs, lr.bitsSum, lr.maxBits = 0, 0, 0
-	return lr
-}
-
-// releaseLoop stops every coroutine still suspended — after an abort or a
-// Proc's runtime.Goexit — so it unwinds from its barrier, scrubs the mailbox
-// arenas and the shared state (see runState.release) and returns lr to the
-// pool.
-func releaseLoop(lr *loopRun) {
-	for v := 0; v < lr.g.NumNodes(); v++ {
-		nd := &lr.nodes[v]
-		nd.stop()
-		nd.next, nd.stop, nd.yield = nil, nil, nil
-	}
-	for i := range lr.stamp {
-		clear(lr.stamp[i])
-		clear(lr.pay[i])
-	}
-	if lr.dropThresh != 0 {
-		// Only a lossy run writes drop-mask stamps; scrub them so a pooled
-		// arena cannot shadow a same-round slot of a later lossy run.
-		for i := range lr.dropMask {
-			clear(lr.dropMask[i])
-		}
-	}
-	lr.release()
-	loopPool.Put(lr)
 }
 
 func growInt32(s []int32, n int) []int32 {

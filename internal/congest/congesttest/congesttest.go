@@ -1,8 +1,11 @@
 // Package congesttest holds the cross-engine identity check the protocol
 // packages' tests share: every seeded output, Stats and error must be the
-// same on the event-loop engine, where nodes waiting in StepUntil or Idle
-// sleep outside the barrier, and on the sharded engine, which steps every
-// node through every round.
+// same on EngineEventLoop, the engine at one shard, and on EngineSharded at
+// the test binary's default shard count — results must not depend on the
+// shard count. Both put waiting nodes to sleep; that sleeping is the same as
+// stepping through every round stays pinned at the protocol level by the
+// golden outputs, recorded when every node still stepped every round, and
+// at the engine level by congest's FuzzStepUntil.
 package congesttest
 
 import (
@@ -23,7 +26,7 @@ var Engines = []struct {
 }
 
 // Identical runs run once per engine, selected with congest.SetEngine, and
-// fails t unless every engine returns the event-loop engine's output
+// fails t unless every engine returns the one-shard engine's output
 // (reflect.DeepEqual), Stats and error text. It returns the event-loop
 // results. run must call congest.Run (not RunOn) so the selection applies,
 // and no other simulation may be in flight meanwhile.

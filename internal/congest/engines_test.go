@@ -26,7 +26,7 @@ var engines = []struct {
 
 // TestRunOnRejectsUnknownEngine pins the engine check: the removed channel
 // engine's name and any other value that is not an engine are errors, from
-// RunOn and from Run after SetEngine, and no node goroutine starts.
+// RunOn and from Run after SetEngine, and no node starts.
 func TestRunOnRejectsUnknownEngine(t *testing.T) {
 	g := gen.Path(4)
 	bad := []struct {
@@ -181,9 +181,10 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestEventLoopWatchdogNoGoroutineLeak checks that a MaxRounds abort unwinds
-// every node goroutine. Run joins every node's Proc before it returns, but a
-// goroutine that has run its deferred WaitGroup.Done may not have exited yet,
-// so the count is polled back to baseline with a bound.
+// every node and ends every driver. Run joins every driver before it
+// returns, but a driver goroutine that has run its deferred WaitGroup.Done
+// may not have exited yet, so the count is polled back to baseline with a
+// bound.
 func TestEventLoopWatchdogNoGoroutineLeak(t *testing.T) {
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
@@ -275,38 +276,44 @@ func TestEventLoopAbortWhileAsleepNoGoroutineLeak(t *testing.T) {
 
 // TestEventLoopGoexitPropagates checks that a runtime.Goexit inside a Proc
 // (what t.FailNow does) ends the goroutine that called Run, after every other
-// node has unwound, instead of hanging the barrier.
+// node has unwound, instead of hanging the barrier. Node 29 falls in the last
+// of the sharded engine's three shards (TestMain), so there the Goexit
+// happens on a driver other than Run's caller and must still reach it.
 func TestEventLoopGoexitPropagates(t *testing.T) {
-	base := runtime.NumGoroutine()
-	returned := make(chan bool)
-	go func() {
-		ok := false
-		defer func() { returned <- ok }()
-		RunOn(EngineEventLoop, gen.Grid(6, 6), func(ctx *Ctx) error {
-			switch {
-			case ctx.ID() == 7:
-				ctx.Idle(3)
-				runtime.Goexit()
-			case ctx.ID()%2 == 0:
-				ctx.StepUntil(10_000)
-			default:
-				for {
-					ctx.StepRound()
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			returned := make(chan bool)
+			go func() {
+				ok := false
+				defer func() { returned <- ok }()
+				RunOn(eng.e, gen.Grid(6, 6), func(ctx *Ctx) error {
+					switch {
+					case ctx.ID() == 29:
+						ctx.Idle(3)
+						runtime.Goexit()
+					case ctx.ID()%2 == 0:
+						ctx.StepUntil(10_000)
+					default:
+						for {
+							ctx.StepRound()
+						}
+					}
+					return nil
+				}, Options{})
+				ok = true
+			}()
+			select {
+			case ok := <-returned:
+				if ok {
+					t.Fatal("Run returned after a node called runtime.Goexit")
 				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run hung after a node called runtime.Goexit")
 			}
-			return nil
-		}, Options{})
-		ok = true
-	}()
-	select {
-	case ok := <-returned:
-		if ok {
-			t.Fatal("Run returned after a node called runtime.Goexit")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run hung after a node called runtime.Goexit")
+			waitGoroutines(t, base)
+		})
 	}
-	waitGoroutines(t, base)
 }
 
 // TestEnginesDifferential runs a messy randomized protocol — uneven

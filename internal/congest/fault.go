@@ -21,17 +21,16 @@ import (
 //     every shard count and at any harness worker count.
 //   - The fault-free fast path is untouched. A nil (or empty) plan costs one
 //     predictable branch per operation: no allocation, no extra memory
-//     traffic. Faulty event-loop runs use an epoch-stamped drop mask laid
-//     out exactly like the mailbox stamp arenas (pooled, never cleared
-//     between rounds); the sharded engine stamps a dropped message with a
-//     nil payload instead.
+//     traffic. A faulty run stamps a dropped message's slot with a nil
+//     payload, which every read path treats as no message, so drops need no
+//     arena of their own.
 //
 // # The fault model's determinism contract
 //
 // Crash-stop: a node with crash round R behaves normally through round R-1 —
 // its round-(R-1) sends are delivered — and never participates in round R or
 // later: it sends nothing, its mailbox slots stop being read, and the engine
-// retires its goroutine at the barrier ending round R-1 exactly as if its
+// retires the node at the barrier ending round R-1 exactly as if its
 // Proc had returned. (For R = 0 the node's round-0 code still executes
 // locally, but every send is suppressed, so nothing it does is observable;
 // the network sees a node that was dead from the start.)
@@ -67,7 +66,7 @@ import (
 // can run a state-sync path. The network does not announce the rejoin:
 // messages sent to the node in its last down round are readable at the
 // rejoin round (senders cannot know the node was down), and everything the
-// node missed in between is gone. Both engines honor the same schedule
+// node missed in between is gone. Every shard count honors the same schedule
 // identically.
 type Crash struct {
 	Node  graph.NodeID
@@ -168,7 +167,7 @@ func (p *FaultPlan) dropThreshold() uint64 {
 // noCrash is the sentinel crash round of a node the plan never crashes.
 const noCrash = math.MaxInt32
 
-// errCrashed is panicked into a node goroutine at the barrier where its
+// errCrashed is panicked into a node at the barrier where its
 // scheduled crash-stop takes effect, so it unwinds like a normal return.
 var errCrashed = fmt.Errorf("congest: node crashed (fault plan)")
 
@@ -188,7 +187,7 @@ const (
 // faultHash mixes a plan seed, a stream selector and two run coordinates
 // into a uniform uint64 (splitmix64 finalizer over the combined words). It
 // is the single source of fault randomness: pure, allocation-free and
-// identical on both engines.
+// independent of the shard count.
 func faultHash(seed int64, stream uint64, x, y int32) uint64 {
 	z := uint64(seed) ^ stream
 	z = (z + uint64(uint32(x))*0x9E3779B97F4A7C15) + uint64(uint32(y))*0xBF58476D1CE4E5B9
@@ -201,9 +200,9 @@ func faultHash(seed int64, stream uint64, x, y int32) uint64 {
 }
 
 // dropped decides whether the message stamped `stamp` into receiver arc slot
-// s is lost. Both engines key the decision on the receiver-side slot (the
-// global CSR arc index, reached through the reverse-arc permutation), so they
-// lose exactly the same messages at every shard count.
+// s is lost. The decision keys on the receiver-side slot (the global CSR
+// arc index, reached through the reverse-arc permutation), whichever shard
+// sends, so a run loses exactly the same messages at every shard count.
 func dropped(thresh uint64, seed int64, stamp, s int32) bool {
 	return faultHash(seed, dropStream, stamp, s) < thresh
 }

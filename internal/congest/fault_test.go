@@ -351,7 +351,7 @@ func TestRandomCrashes(t *testing.T) {
 
 // faultyMessyProc is the differential workhorse: random lifetimes, random
 // sparse sends, an order-dependent accumulator (so adversarial reordering is
-// observable) and occasional arc-indexed reads (so the drop mask's InboxArc
+// observable) and occasional arc-indexed reads (so InboxArc's dropped-slot
 // path is exercised).
 func faultyMessyProc(out []int) Proc {
 	return func(ctx *Ctx) error {

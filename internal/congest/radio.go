@@ -29,8 +29,8 @@ import (
 //
 // Determinism: a transmission is one store keyed by round parity, and
 // reception is a pure function of the arena contents at the barrier. The
-// arenas live on the shared runState, so both engines run this exact code
-// path; their barriers provide the happens-before edges.
+// arenas live on the run-wide runState, so every shard runs this exact code
+// path; the round barrier provides the happens-before edges.
 
 // Model selects the engine's communication model.
 type Model int32
@@ -79,7 +79,7 @@ func (s RadioStatus) String() string {
 // even when every receiver loses it.
 func (c *Ctx) Transmit(p Payload) {
 	if c.model != ModelRadio {
-		c.fail(fmt.Errorf("%w: node %d called Transmit under ModelCongest in round %d", ErrModelViolation, c.id, c.round))
+		c.wrongModel("Transmit", "")
 	}
 	if c.down() {
 		return // crashed: a dead node's transmissions are lost (and can't violate)
@@ -87,7 +87,7 @@ func (c *Ctx) Transmit(p Payload) {
 	rs := c.run
 	b := p.Bits()
 	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
-		c.fail(fmt.Errorf("%w: node %d transmitted %d-bit message (budget %d) in round %d", ErrModelViolation, c.id, b, limit, c.round))
+		c.oversized("transmitted", b)
 	}
 	stamp := int32(c.round) + 1
 	buf := stamp & 1
@@ -112,7 +112,7 @@ func (c *Ctx) Transmit(p Payload) {
 // its own transmission.
 func (c *Ctx) RadioRecv() (Payload, graph.NodeID, RadioStatus) {
 	if c.model != ModelRadio {
-		c.fail(fmt.Errorf("%w: node %d called RadioRecv under ModelCongest in round %d", ErrModelViolation, c.id, c.round))
+		c.wrongModel("RadioRecv", "")
 	}
 	if c.down() {
 		return nil, -1, RadioSilence

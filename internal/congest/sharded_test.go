@@ -14,9 +14,9 @@ import (
 // TestMain installs a default shard count of 3 for the whole test binary:
 // every table-driven run of EngineSharded (the shared `engines` table, the
 // fault/radio/recovery differentials) then cuts its graph into three shards,
-// so cross-shard relays, the sender-side double-send stamps and the
-// two-level barrier are exercised even on single-core CI boxes where the
-// GOMAXPROCS default would collapse to one shard.
+// so cross-shard relays, the sender-side double-send stamps and the round
+// barrier between three drivers are exercised even on single-core CI boxes
+// where the GOMAXPROCS default would collapse to one shard.
 func TestMain(m *testing.M) {
 	SetDefaultShards(3)
 	os.Exit(m.Run())
@@ -197,8 +197,9 @@ func TestShardedNegativeShardsRejected(t *testing.T) {
 }
 
 // TestShardedRetiredShardTraffic keeps sending into a shard whose nodes all
-// finished rounds earlier: the relay must stop feeding its rings (they are
-// never drained again) without wedging or corrupting the run.
+// finished rounds earlier: its driver keeps meeting the barrier and draining
+// its rings until the run ends, so the traffic neither wedges nor corrupts
+// the run.
 func TestShardedRetiredShardTraffic(t *testing.T) {
 	// Ring(9) at 3 shards cuts [0,3) [3,6) [6,9); nodes 0-2 exit after one
 	// round, then both their ring neighbors (8 and 3, in other shards) keep
@@ -224,8 +225,8 @@ func TestShardedRetiredShardTraffic(t *testing.T) {
 }
 
 // TestShardedAbortNoGoroutineLeak checks that watchdog, proc-error and
-// violation aborts unwind every node goroutine, with the two-level barrier
-// mid-flight.
+// violation aborts unwind every node coroutine and end every driver, with
+// three drivers meeting at the round barrier.
 func TestShardedAbortNoGoroutineLeak(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
@@ -273,7 +274,7 @@ func TestShardedAbortNoGoroutineLeak(t *testing.T) {
 
 // TestShardedCrashNoGoroutineLeak aborts a run while crashed nodes are inside
 // their downtime windows and other shards are still stepping: the unwind must
-// reach every goroutine, including silently-stepping crashed ones.
+// reach every node, including crashed ones asleep through their downtime.
 func TestShardedCrashNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	g := gen.Grid(6, 6)

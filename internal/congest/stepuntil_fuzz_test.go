@@ -17,8 +17,10 @@ import (
 // the clock reaches failAt (0 disables it), every third node fails at its
 // next action: even IDs return an error, odd IDs send twice on one arc (a
 // model violation). Without forever, StepUntil(math.MaxInt) is left out of
-// the script.
-func sleepyProc(logs [][]int, failAt int, forever bool) Proc {
+// the script. With stepping, the same script waits round by round instead
+// of sleeping: each StepUntil(r) becomes StepRound calls until Round() >= r
+// or the inbox is non-empty, and each Idle(k) becomes k Step calls.
+func sleepyProc(logs [][]int, failAt int, forever, stepping bool) Proc {
 	return func(ctx *Ctx) error {
 		id := ctx.ID()
 		rng := ctx.Rand()
@@ -26,6 +28,25 @@ func sleepyProc(logs [][]int, failAt int, forever bool) Proc {
 			logs[id] = append(logs[id], ctx.Round(), len(in))
 			for _, m := range in {
 				logs[id] = append(logs[id], m.From, m.Payload.(intMsg).v)
+			}
+		}
+		stepUntil := func(round int) []Message {
+			if !stepping {
+				return ctx.StepUntil(round)
+			}
+			for {
+				if in := ctx.StepRound(); ctx.Round() >= round || len(in) > 0 {
+					return in
+				}
+			}
+		}
+		idle := func(k int) {
+			if !stepping {
+				ctx.Idle(k)
+				return
+			}
+			for range k {
+				ctx.Step()
 			}
 		}
 		arcInbox := func() []Message {
@@ -60,17 +81,17 @@ func sleepyProc(logs [][]int, failAt int, forever bool) Proc {
 			}
 			switch x := rng.Intn(16); {
 			case x < 2:
-				record(ctx.StepUntil(ctx.Round() - rng.Intn(3)))
+				record(stepUntil(ctx.Round() - rng.Intn(3)))
 			case x < 4:
-				record(ctx.StepUntil(ctx.Round() + 1))
+				record(stepUntil(ctx.Round() + 1))
 			case x < 7:
-				record(ctx.StepUntil(ctx.Round() + 2 + rng.Intn(4)))
+				record(stepUntil(ctx.Round() + 2 + rng.Intn(4)))
 			case x < 10:
-				record(ctx.StepUntil(ctx.Round() + 6 + rng.Intn(40)))
+				record(stepUntil(ctx.Round() + 6 + rng.Intn(40)))
 			case x < 11 && forever:
-				record(ctx.StepUntil(math.MaxInt))
+				record(stepUntil(math.MaxInt))
 			case x < 13:
-				ctx.Idle(1 + rng.Intn(8))
+				idle(1 + rng.Intn(8))
 				record(arcInbox())
 			case x < 14:
 				record(ctx.StepRound())
@@ -85,9 +106,10 @@ func sleepyProc(logs [][]int, failAt int, forever bool) Proc {
 
 // FuzzStepUntil is the differential test of the sleeping barrier: random
 // scripts of sends, StepUntil, Idle, early returns, proc errors and model
-// violations run on the event-loop engine, where waiting nodes sleep outside
-// the barrier, and on the sharded engine at one and three shards, which
-// steps every node through every round. Per-node logs of (Round(), inbox)
+// violations run once with every wait stepped round by round (the
+// reference), then with waiting nodes sleeping outside the barrier at one
+// shard (EngineEventLoop) and at three (EngineSharded), where relayed mail
+// must wake sleepers in other shards. Per-node logs of (Round(), inbox)
 // after every barrier, Stats and the error must be identical. The seed
 // corpus covers dropped messages (which must never wake a sleeper), the
 // rotating adversary, crash-stop and crash-recovery scheduled inside sleeps,
@@ -125,13 +147,14 @@ func FuzzStepUntil(f *testing.F) {
 			opts.MaxRounds = 5 + int(maxRounds%60)
 		}
 		runs := []struct {
-			name   string
-			e      Engine
-			shards int
+			name     string
+			e        Engine
+			shards   int
+			stepping bool
 		}{
-			{"eventloop", EngineEventLoop, 0},
-			{"sharded-1", EngineSharded, 1},
-			{"sharded-3", EngineSharded, 3},
+			{"stepping", EngineEventLoop, 0, true},
+			{"sleeping-1", EngineEventLoop, 0, false},
+			{"sleeping-3", EngineSharded, 3, false},
 		}
 		var refLogs [][]int
 		var refStats Stats
@@ -140,21 +163,21 @@ func FuzzStepUntil(f *testing.F) {
 			logs := make([][]int, n)
 			o := opts
 			o.Shards = r.shards
-			stats, err := RunOn(r.e, g, sleepyProc(logs, fail, forever), o)
+			stats, err := RunOn(r.e, g, sleepyProc(logs, fail, forever, r.stepping), o)
 			errStr := fmt.Sprint(err)
 			if i == 0 {
 				refLogs, refStats, refErr = logs, stats, errStr
 				continue
 			}
 			if errStr != refErr {
-				t.Fatalf("%s: err %s, eventloop err %s", r.name, errStr, refErr)
+				t.Fatalf("%s: err %s, stepping err %s", r.name, errStr, refErr)
 			}
 			if stats != refStats {
-				t.Fatalf("%s: stats %+v, eventloop %+v", r.name, stats, refStats)
+				t.Fatalf("%s: stats %+v, stepping %+v", r.name, stats, refStats)
 			}
 			for v := range logs {
 				if !slices.Equal(logs[v], refLogs[v]) {
-					t.Fatalf("%s: node %d log\n%v\neventloop log\n%v", r.name, v, logs[v], refLogs[v])
+					t.Fatalf("%s: node %d log\n%v\nstepping log\n%v", r.name, v, logs[v], refLogs[v])
 				}
 			}
 		}

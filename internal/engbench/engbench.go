@@ -176,7 +176,7 @@ func broadcastLargeOn(family string, n int, seed int64) Scenario {
 
 // faultyBroadcastOn builds the same maximum-traffic flood under a lossy
 // adversarial network: every fault-layer hot path is on (drop hashing on
-// every send, drop-mask maintenance, per-inbox rotation), so the measurement
+// every send, nil-payload drop stamps, per-inbox rotation), so the measurement
 // tracks the faulty path's overhead against the fault-free flood recorded
 // next to it.
 func faultyBroadcastOn(family string, n int, seed int64) Scenario {

@@ -4,11 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // maxBodyBytes bounds /shortcut request bodies (uploaded edge lists are the
 // only large payload; 16 MiB is ~10^6 edges of JSON).
 const maxBodyBytes = 16 << 20
+
+// bodyReadTimeout bounds the /shortcut body read. A client that stalls
+// inside its body would otherwise hold its handler, and a graceful drain,
+// without bound. The deadline is cleared once the body is decoded, so it
+// never cuts a construction or the reply.
+const bodyReadTimeout = 5 * time.Second
 
 // Response is the /shortcut reply.
 type Response struct {
@@ -78,12 +85,16 @@ func (s *Service) handleShortcut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
+	// Writers without deadlines (httptest recorders) leave the read unbounded.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	ent, outcome, err := s.Query(&req)
 	if err != nil {
 		switch {
