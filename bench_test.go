@@ -18,47 +18,27 @@ import (
 
 // BenchmarkCongest measures the simulation engine itself on the engbench
 // scenario suite (broadcast flood, sparse token ring, the BFS opening phase
-// on grid256x256 and er50000), on both engines inside one binary:
-// `event-loop` is the arc-slot mailbox engine, whose steady state must stay
-// at 0 allocs per round (the per-run setup cost is amortized by the pooled
-// run state; see the alloc guard tests in internal/congest), and `sharded`
-// the multi-core engine (shard count defaults to GOMAXPROCS). Simulated
-// rounds are reported so per-round cost can be derived.
+// on grid256x256 and er50000), one sub-benchmark per row: `event-loop` runs
+// at one shard, whose steady state must stay at 0 allocs per round (the
+// per-run setup cost is amortized by the pooled run state; see the alloc
+// guard tests in internal/congest), and `sharded`, only when GOMAXPROCS is
+// above one, at one shard per core. Variant-bearing scenarios (the
+// findshortcut construction) run their variants instead. Simulated rounds
+// are reported so per-round cost can be derived.
 func BenchmarkCongest(b *testing.B) {
 	for _, sc := range engbench.Scenarios() {
 		if sc.Heavy && testing.Short() {
 			continue
 		}
-		if len(sc.Variants) > 0 {
-			// Variant-bearing scenarios (the findshortcut construction) are
-			// engine-independent: run each variant once, no engine loop.
-			for _, v := range sc.Variants {
-				v := v
-				b.Run(sc.Name+"/"+v.Name, func(b *testing.B) {
-					g := sc.Graph()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := v.Run(g); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-			continue
-		}
-		for _, e := range engbench.Engines() {
-			e := e
-			b.Run(sc.Name+"/"+engbench.EngineName(e), func(b *testing.B) {
-				g := sc.Graph() // cached across engines; built only if this sub-benchmark runs
-				prev := congest.SetEngine(e)
-				defer congest.SetEngine(prev)
+		for _, row := range sc.Rows() {
+			b.Run(sc.Name+"/"+row.Name, func(b *testing.B) {
+				g := sc.Graph() // cached across rows; built only if this sub-benchmark runs
 				var stats congest.Stats
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var err error
-					stats, err = sc.Run(g)
+					stats, err = row.Run(g)
 					if err != nil {
 						b.Fatal(err)
 					}

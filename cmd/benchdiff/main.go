@@ -21,7 +21,8 @@
 // -allow-host-mismatch downgrades the refusal to a warning for local
 // exploration.
 //
-// A second, baseline-free mode gates the sharded engine's scaling claim:
+// A second, baseline-free mode gates the scaling claim of the sharded row
+// (one shard per core) over the event-loop row (one shard):
 //
 //	go run ./cmd/benchdiff -candidate /tmp/large.json -require-faster sharded:event-loop -min-n 100000
 //

@@ -141,12 +141,12 @@ func run(args []string, out *os.File) error {
 	return nil
 }
 
-// writeBenchJSON runs the engine microbenchmark suite (internal/engbench) on
-// both engines (or a scenario's named variants) and records the measurements
-// — the repository's engine perf trajectory — at path. Short mode runs each
-// light scenario twice per engine and skips the heavy ones (the CI bench
-// gate; two iterations keep single-run scheduler noise out of the regression
-// comparison); otherwise each measurement lasts at least a second. A filter
+// writeBenchJSON runs the engine microbenchmark suite (internal/engbench),
+// one measurement per row (see engbench.Scenario.Rows), and records the
+// measurements — the repository's engine perf trajectory — at path. Short
+// mode runs each light scenario twice per row and skips the heavy ones (the
+// CI bench gate; two iterations keep single-run scheduler noise out of the
+// regression comparison); otherwise each measurement lasts at least a second. A filter
 // regexp narrows the suite by scenario name — and since naming a scenario is
 // an explicit request to run it, a filtered run measures matching Heavy
 // scenarios even in short mode (the nightly large-n job measures exactly the

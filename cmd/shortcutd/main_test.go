@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -118,57 +119,72 @@ func TestServeDrainsStalledHeader(t *testing.T) {
 }
 
 // TestServeDrainsStalledBody connects over raw TCP, sends a complete request
-// header announcing a 100-byte body, sends 5 bytes of it and stalls. Without
-// a bound on the body read the handler waits for the rest forever, so the
-// drain runs out; with the service's 5-s body deadline the handler fails the
-// request, the server closes the connection and serve returns nil within the
-// budget.
+// header and then less body than its Content-Length announces, and stalls:
+// either 5 bytes of a 100-byte body, or a complete, valid JSON request under
+// a Content-Length 100 bytes longer. Without a bound on the whole body read
+// the handler, or net/http reading the rest of the body after the reply,
+// waits forever, so the drain runs out; with the service's 5-s body
+// deadline the handler fails the request, the server closes the connection
+// and serve returns nil within the budget.
 func TestServeDrainsStalledBody(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	valid := `{"family":"ring","n":16,"seed":1,"partition":{"kind":"voronoi","parts":2,"seed":1}}`
+	cases := []struct {
+		name          string
+		contentLength int
+		sent          string
+	}{
+		{"partial-body", 100, `{"fam`},
+		{"inflated-content-length", len(valid) + 100, valid},
 	}
-	svc := shortcutsvc.New(shortcutsvc.Config{CacheEntries: 8})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const drain = 8 * time.Second
-	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ln, svc, io.Discard, drain) }()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc := shortcutsvc.New(shortcutsvc.Config{CacheEntries: 8})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			const drain = 8 * time.Second
+			done := make(chan error, 1)
+			go func() { done <- serve(ctx, ln, svc, io.Discard, drain) }()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	req := "POST /shortcut HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"fam"
-	if _, err := io.WriteString(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	awaitAccepted(t, ln.Addr().String())
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			req := fmt.Sprintf("POST /shortcut HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", tc.contentLength, tc.sent)
+			if _, err := io.WriteString(conn, req); err != nil {
+				t.Fatal(err)
+			}
+			awaitAccepted(t, ln.Addr().String())
 
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve returned %v after %v with a stalled body", err, time.Since(start).Round(time.Millisecond))
-		}
-	case <-time.After(drain + 5*time.Second):
-		t.Fatal("serve did not return after context cancellation")
+			start := time.Now()
+			cancel()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("serve returned %v after %v with a stalled body", err, time.Since(start).Round(time.Millisecond))
+				}
+			case <-time.After(drain + 5*time.Second):
+				t.Fatal("serve did not return after context cancellation")
+			}
+			// The server, not the client, ended the stalled connection:
+			// reading it reaches EOF after the server's 400 reply.
+			if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("stalled connection still open after the drain: read %q, %v", reply, err)
+			}
+			if !strings.HasPrefix(string(reply), "HTTP/1.1 400") {
+				t.Fatalf("reply to the stalled body = %q, want a 400", reply)
+			}
+			t.Logf("drained in %v", time.Since(start).Round(time.Millisecond))
+		})
 	}
-	// The server, not the client, ended the stalled connection: reading it
-	// reaches EOF after the server's 400 reply.
-	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := io.ReadAll(conn)
-	if err != nil {
-		t.Fatalf("stalled connection still open after the drain: read %q, %v", reply, err)
-	}
-	if !strings.HasPrefix(string(reply), "HTTP/1.1 400") {
-		t.Fatalf("reply to the stalled body = %q, want a 400", reply)
-	}
-	t.Logf("drained in %v", time.Since(start).Round(time.Millisecond))
 }
 
 // awaitAccepted returns once the server has accepted every connection

@@ -26,7 +26,7 @@ func (aggDownMsg) Bits() int { return 64 }
 // traffic a desynchronized protocol leaks onto non-tree arcs during the
 // aggregate window is no longer detected as an "unexpected payload" (wrong
 // payload types on the tree arcs still are) — alignment is the composition
-// contract, and the cross-engine golden tests pin it. Between its own
+// contract, and the golden tests pin it. Between its own
 // actions a node waits in StepUntil: for mail or its report round h−depth,
 // then for mail or the phase end.
 func AggregatePhase(ctx congest.Net, info *Info, local int64, combine func(a, b int64) int64) (int64, error) {

@@ -2,7 +2,6 @@ package bfsproto
 
 import (
 	"errors"
-	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
@@ -10,14 +9,6 @@ import (
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 )
-
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run cuts its graph into three shards and exercises
-// cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
 
 // aggregateOut is one node's result of the BFS phase followed by the three
 // aggregate phases.
@@ -27,9 +18,9 @@ type aggregateOut struct {
 	Or       bool
 }
 
-// TestBfsprotoEnginesIdentical pins the cross-engine contract for the BFS
-// phase (whose waits sleep on the event-loop engine) and the aggregates run
-// after it: per-node results and Stats must be identical on both engines.
+// TestBfsprotoEnginesIdentical pins the shard-count contract for the BFS
+// phase (whose waits sleep) and the aggregates run after it: per-node
+// results and Stats must be identical at one shard and at three.
 func TestBfsprotoEnginesIdentical(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -43,7 +34,7 @@ func TestBfsprotoEnginesIdentical(t *testing.T) {
 	}
 	for _, gr := range graphs {
 		t.Run(gr.name, func(t *testing.T) {
-			_, _, err := congesttest.Identical(t, func() (any, congest.Stats, error) {
+			_, _, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
 				outs := make([]aggregateOut, gr.g.NumNodes())
 				stats, err := congest.Run(gr.g, func(ctx *congest.Ctx) error {
 					info, err := Phase(ctx, 0, 99)
@@ -62,7 +53,7 @@ func TestBfsprotoEnginesIdentical(t *testing.T) {
 					}
 					outs[ctx.ID()] = o
 					return nil
-				}, congest.Options{})
+				}, congest.Options{Shards: shards})
 				return outs, stats, err
 			})
 			if err != nil {
@@ -74,13 +65,13 @@ func TestBfsprotoEnginesIdentical(t *testing.T) {
 
 // TestBfsprotoEnginesIdenticalWatchdog runs the BFS phase on a disconnected
 // graph: the far component never hears an offer and waits for mail until
-// the watchdog fires — on the event-loop engine through a round jump. Both
-// engines must report ErrMaxRounds with identical Stats.
+// the watchdog fires, through a round jump. One shard and three must report
+// ErrMaxRounds with identical Stats.
 func TestBfsprotoEnginesIdenticalWatchdog(t *testing.T) {
 	g := graph.MustFromEdges(7, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 4, V: 5, W: 1}, {U: 5, V: 6, W: 1}})
 	const maxRounds = 40
-	_, stats, err := congesttest.Identical(t, func() (any, congest.Stats, error) {
-		infos, stats, err := Run(g, 0, 7, congest.Options{MaxRounds: maxRounds})
+	_, stats, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
+		infos, stats, err := Run(g, 0, 7, congest.Options{MaxRounds: maxRounds, Shards: shards})
 		return infos, stats, err
 	})
 	if !errors.Is(err, congest.ErrMaxRounds) {

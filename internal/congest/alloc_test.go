@@ -9,8 +9,8 @@ import (
 	"lcshortcut/internal/graph"
 )
 
-// perRoundAllocs isolates the event-loop engine's steady-state (per-round)
-// allocation count: run the same protocol for r1 and r2 rounds on the same
+// perRoundAllocs isolates the engine's steady-state (per-round) allocation
+// count: run the same protocol for r1 and r2 rounds on the same
 // graph and divide the allocation delta by the extra rounds. Per-run setup
 // (goroutine spawns, pool misses) is identical on both sides and cancels;
 // any genuine per-round allocation shows up ≥ (r2-r1) times.
@@ -37,15 +37,13 @@ func TestAllocGuardBroadcast(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	if per := perRoundAllocs(t, gen.Grid(16, 16), congest.Options{Seed: 3}, engbench.BroadcastProc); per > 0.02 {
 		t.Errorf("broadcast steady state allocates %.3f allocs/round, want 0", per)
 	}
 }
 
-// TestAllocGuardSharded extends the steady-state guard to the sharded
-// engine: local arena writes, cross-shard relay appends/drains and the
+// TestAllocGuardSharded extends the steady-state guard to runs of several
+// shards: local arena writes, cross-shard relay appends/drains and the
 // drivers' round barrier are all pooled and preallocated, so a flooded round
 // must allocate nothing at any shard count (per-run setup — the shard cut,
 // ring sizing, the driver goroutines — cancels between the two run
@@ -54,8 +52,6 @@ func TestAllocGuardSharded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineSharded)
-	defer congest.SetEngine(prev)
 	for _, shards := range []int{1, 4} {
 		opts := congest.Options{Seed: 3, Shards: shards}
 		if per := perRoundAllocs(t, gen.Grid(16, 16), opts, engbench.BroadcastProc); per > 0.02 {
@@ -72,8 +68,6 @@ func TestAllocGuardEmptyFaultPlan(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	opts := congest.Options{Seed: 3, Faults: &congest.FaultPlan{}}
 	if per := perRoundAllocs(t, gen.Grid(16, 16), opts, engbench.BroadcastProc); per > 0.02 {
 		t.Errorf("broadcast with empty fault plan allocates %.3f allocs/round, want 0", per)
@@ -88,8 +82,6 @@ func TestAllocGuardLossyAdversary(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	opts := congest.Options{Seed: 3, Faults: &congest.FaultPlan{
 		DropProb:  0.3,
 		Adversary: congest.AdversaryRotate,
@@ -141,8 +133,6 @@ func TestAllocGuardPackingTraffic(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	if per := perRoundAllocs(t, gen.Grid(12, 12), congest.Options{Seed: 3}, packingTrafficProc); per > 0.02 {
 		t.Errorf("packing-traffic steady state allocates %.3f allocs/round, want 0", per)
 	}
@@ -169,8 +159,6 @@ func TestAllocGuardRadio(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	opts := congest.Options{Seed: 3, Model: congest.ModelRadio}
 	if per := perRoundAllocs(t, gen.Grid(16, 16), opts, radioBroadcastProc); per > 0.02 {
 		t.Errorf("radio broadcast steady state allocates %.3f allocs/round, want 0", per)
@@ -186,8 +174,6 @@ func TestAllocGuardCrashRecovery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	g := gen.Grid(16, 16)
 	opts := congest.Options{Seed: 3, Faults: &congest.FaultPlan{
 		Crashes: congest.RandomRecoveries(g.NumNodes(), 0.1, 8, 12, 0, 5),
@@ -205,8 +191,6 @@ func TestAllocGuardTokenRing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	const n = 64
 	g := gen.Ring(n)
 	if per := perRoundAllocs(t, g, congest.Options{Seed: 3}, func(rounds int) congest.Proc { return engbench.TokenRingProc(n, rounds) }); per > 0.02 {
@@ -247,8 +231,6 @@ func TestAllocGuardSleep(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineSharded)
-	defer congest.SetEngine(prev)
 	for _, shards := range []int{1, 4} {
 		opts := congest.Options{Seed: 3, Shards: shards}
 		if per := perRoundAllocs(t, gen.Path(32), opts, sleepyConvergecastProc); per > 0.02 {
@@ -260,7 +242,7 @@ func TestAllocGuardSleep(t *testing.T) {
 // TestAllocGuardPerRun bounds what one run costs to set up once its state
 // is pooled: each node's coroutine (iter.Pull's state, about a dozen small
 // objects) plus a fixed term of 16 and 4 per driver past the first (each is
-// a goroutine). It checks the event-loop engine and four shards. The
+// a goroutine). It checks one shard and four. The
 // per-round guards above cancel this cost out; this one pins it.
 func TestAllocGuardPerRun(t *testing.T) {
 	if raceEnabled {
@@ -270,23 +252,17 @@ func TestAllocGuardPerRun(t *testing.T) {
 	g := gen.Grid(16, 16)
 	n := g.NumNodes()
 	proc := engbench.BroadcastProc(1)
-	for _, tc := range []struct {
-		e      congest.Engine
-		shards int
-	}{
-		{congest.EngineEventLoop, 1},
-		{congest.EngineSharded, 4},
-	} {
+	for _, shards := range []int{1, 4} {
 		run := func() {
-			if _, err := congest.RunOn(tc.e, g, proc, congest.Options{Seed: 3, Shards: tc.shards}); err != nil {
+			if _, err := congest.Run(g, proc, congest.Options{Seed: 3, Shards: shards}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run()
-		limit := perNode*n + fixed + perShard*(tc.shards-1)
+		limit := perNode*n + fixed + perShard*(shards-1)
 		if got := testing.AllocsPerRun(20, run); got > float64(limit) {
 			t.Errorf("one %d-node run at %d shards allocates %.0f times, want at most %d per node + %d + %d per extra shard = %d",
-				n, tc.shards, got, perNode, fixed, perShard, limit)
+				n, shards, got, perNode, fixed, perShard, limit)
 		}
 	}
 }

@@ -30,16 +30,17 @@
 // it is charged to the sender and invisible to every read.
 //
 // The CSR vertex range is cut into P contiguous arc-balanced shards
-// (partition.ShardBounds); EngineEventLoop runs one shard, EngineSharded
-// runs Options.Shards of them (see driver.go). Every node's Proc runs in a
-// coroutine (iter.Pull; race-detector builds use a goroutine hand-off, see
-// coro_race.go), and each shard has one driver: it resumes its awake nodes
-// one at a time in ascending ID order, each until its next barrier arrival,
-// then meets the other drivers at the round barrier; the last to arrive
-// retires the round (first error, round count, watchdog, clock jump). At
-// P = 1 the only driver is the caller's goroutine and the barrier is a
-// function call. A node's barrier arrival is a coroutine switch, never a
-// park.
+// (partition.ShardBounds, see driver.go). P is Options.Shards, or the
+// process-wide SetDefaultShards count when that is 0, or else one: the
+// shard count is the only thing that selects how a run executes. Every
+// node's Proc runs in a coroutine (iter.Pull; race-detector builds use a
+// goroutine hand-off, see coro_race.go), and each shard has one driver: it
+// resumes its awake nodes one at a time in ascending ID order, each until
+// its next barrier arrival, then meets the other drivers at the round
+// barrier; the last to arrive retires the round (first error, round count,
+// watchdog, clock jump). At P = 1 the only driver is the caller's goroutine
+// and the barrier is a function call. A node's barrier arrival is a
+// coroutine switch, never a park.
 //
 // Only awake nodes are resumed. A node with nothing to do until a message or
 // a known round (Ctx.StepUntil, Ctx.Idle, a crash-recovery downtime) arrives
@@ -76,8 +77,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync/atomic"
 
 	"lcshortcut/internal/graph"
 )
@@ -132,14 +131,14 @@ type Options struct {
 	// one); a nil or empty plan leaves the simulation fault-free and
 	// byte-identical to the pre-fault-layer engine.
 	Faults *FaultPlan
-	// Shards selects the worker-shard count of EngineSharded (ignored by
-	// EngineEventLoop, which runs one shard): how many contiguous
-	// arc-balanced vertex ranges the run is cut into, each with its own
-	// driver goroutine, mailbox-arena window and sleep state.
-	// 0 uses the process-wide default (SetDefaultShards), itself defaulting
-	// to GOMAXPROCS; the count is clamped to the node count. The seeded
-	// output is byte-identical at every shard count — shards change only
-	// wall-clock. Negative is an error.
+	// Shards is the run's shard count: how many contiguous arc-balanced
+	// vertex ranges the run is cut into, each with its own driver, mailbox
+	// arena window and sleep state. Shard 0's driver is the caller's
+	// goroutine; every further shard adds a goroutine. 0 selects the
+	// process-wide default (SetDefaultShards), itself one shard unless set;
+	// the count is clamped to the node count. The seeded output is
+	// byte-identical at every shard count — shards change only wall-clock.
+	// Negative is an error.
 	Shards int
 }
 
@@ -185,58 +184,45 @@ var (
 // aborts, so they unwind and exit promptly.
 var errAbort = errors.New("congest: run aborted")
 
-// Engine selects a simulation engine implementation.
+// Engine names the engine a run used, for reports that predate the shard
+// count being the only selector.
+//
+// Deprecated: a run is selected by Options.Shards alone.
 type Engine int32
 
 const (
-	// EngineEventLoop is the default engine: arc-slot mailbox arenas, node
-	// coroutines resumed by one driver loop on the caller's goroutine, and
-	// pooled run state — zero allocations per round in the steady state.
-	// It is the engine at one shard.
+	// EngineEventLoop names a run at one shard.
+	//
+	// Deprecated: a run is selected by Options.Shards alone.
 	EngineEventLoop Engine = iota
 	// EngineChannel named the channel-coordinator engine this repository
-	// used before the arena rewrite. That engine has been removed; RunOn
-	// returns an error for it.
+	// used before the arena rewrite. That engine has been removed.
 	//
-	// Deprecated: use EngineEventLoop or EngineSharded.
+	// Deprecated: a run is selected by Options.Shards alone.
 	EngineChannel
-	// EngineSharded is the same engine cut into P contiguous arc-balanced
-	// shards (partition.ShardBounds), P taken from Options.Shards, then
-	// SetDefaultShards, then GOMAXPROCS. Each shard has its own driver
-	// goroutine; boundary arcs go through epoch-stamped relay rings (see
-	// driver.go). Seeded outputs are byte-identical to EngineEventLoop at
-	// every shard count; only wall-clock changes.
+	// EngineSharded names a run at more than one shard.
+	//
+	// Deprecated: a run is selected by Options.Shards alone.
 	EngineSharded
 )
 
-// defaultEngine is the engine Run dispatches to; differential tests and
-// benchmarks switch it via SetEngine.
-var defaultEngine atomic.Int32
-
-// SetEngine replaces the engine used by Run and returns the previous one.
-// It must not be called while simulations are in flight.
-func SetEngine(e Engine) Engine {
-	return Engine(defaultEngine.Swap(int32(e)))
-}
-
-// CurrentEngine returns the engine Run currently dispatches to.
-func CurrentEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// Run simulates proc on every vertex of g and returns the run's cost. It
-// returns an error if any node's Proc errs, violates the model, panics, or if
-// the watchdog bound is reached; the returned Stats are valid (partial) in
-// either case.
-func Run(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
-	return RunOn(CurrentEngine(), g, proc, opts)
-}
-
-// RunOn is Run on an explicitly chosen engine, regardless of the default.
-// Any engine other than EngineEventLoop and EngineSharded is an error, and
-// no node starts.
-func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
-	if e != EngineEventLoop && e != EngineSharded {
-		return Stats{}, fmt.Errorf("congest: unknown engine %d", e)
+// CurrentEngine reports EngineSharded when the process-wide default shard
+// count is above one, and EngineEventLoop otherwise.
+//
+// Deprecated: use DefaultShards.
+func CurrentEngine() Engine {
+	if DefaultShards() > 1 {
+		return EngineSharded
 	}
+	return EngineEventLoop
+}
+
+// Run simulates proc on every vertex of g, cut into Options.Shards shards,
+// and returns the run's cost. It returns an error if any node's Proc errs,
+// violates the model, panics, or if the watchdog bound is reached; the
+// returned Stats are valid (partial) in either case. Invalid options are an
+// error before any node starts.
+func Run(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
@@ -253,22 +239,16 @@ func RunOn(e Engine, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
 	if opts.Model != ModelCongest && opts.Model != ModelRadio {
 		return Stats{}, fmt.Errorf("congest: unknown Options.Model %d", opts.Model)
 	}
-	p := 1
-	if e == EngineSharded {
-		if opts.Shards < 0 {
-			return Stats{}, fmt.Errorf("congest: negative Options.Shards %d", opts.Shards)
-		}
-		if p = opts.Shards; p == 0 {
-			p = DefaultShards()
-		}
-		if p <= 0 {
-			p = runtime.GOMAXPROCS(0)
-		}
+	if opts.Shards < 0 {
+		return Stats{}, fmt.Errorf("congest: negative Options.Shards %d", opts.Shards)
+	}
+	if opts.Shards == 0 {
+		opts.Shards = DefaultShards()
 	}
 	if g.NumNodes() == 0 {
 		return Stats{}, nil
 	}
-	return run(g, proc, opts, p)
+	return run(g, proc, opts)
 }
 
 // Barrier arrival kinds recorded by a node as it reaches the barrier.

@@ -103,12 +103,12 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 // read.
 func TestRandReadSeeded(t *testing.T) {
 	g := gen.Path(2)
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			// read returns the k bytes node 0 reads in a one-round run.
 			read := func(k int) []byte {
 				out := make([]byte, k)
-				if _, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+				if _, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 					if ctx.ID() == 0 {
 						ctx.Rand().Read(out)
 					}
@@ -129,7 +129,7 @@ func TestRandReadSeeded(t *testing.T) {
 			second := func(first int) []byte {
 				out := make([]byte, 8)
 				plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 1, Downtime: 1}}}
-				if _, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+				if _, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 					if ctx.ID() == 0 {
 						if ctx.Incarnation() == 1 {
 							ctx.Rand().Read(out)

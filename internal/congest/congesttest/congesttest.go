@@ -1,11 +1,11 @@
-// Package congesttest holds the cross-engine identity check the protocol
+// Package congesttest holds the shard-count identity check the protocol
 // packages' tests share: every seeded output, Stats and error must be the
-// same on EngineEventLoop, the engine at one shard, and on EngineSharded at
-// the test binary's default shard count — results must not depend on the
-// shard count. Both put waiting nodes to sleep; that sleeping is the same as
-// stepping through every round stays pinned at the protocol level by the
-// golden outputs, recorded when every node still stepped every round, and
-// at the engine level by congest's FuzzStepUntil.
+// same at one shard and at three — results must not depend on the shard
+// count. Three shards cross relay rings and wake sleepers across shards
+// even where GOMAXPROCS is 1. That sleeping is the same as stepping through
+// every round stays pinned at the protocol level by the golden outputs,
+// recorded when every node still stepped every round, and at the engine
+// level by congest's FuzzStepUntil.
 package congesttest
 
 import (
@@ -16,43 +16,33 @@ import (
 	"lcshortcut/internal/congest"
 )
 
-// Engines lists the engines a protocol must agree on, reference first.
-var Engines = []struct {
-	Name string
-	E    congest.Engine
+// Shardings lists the shard counts a protocol must agree on, reference
+// first. Name is the subtest name a test gives each count.
+var Shardings = []struct {
+	Name   string
+	Shards int
 }{
-	{"eventloop", congest.EngineEventLoop},
-	{"sharded", congest.EngineSharded},
+	{"eventloop", 1},
+	{"sharded", 3},
 }
 
-// Identical runs run once per engine, selected with congest.SetEngine, and
-// fails t unless every engine returns the one-shard engine's output
-// (reflect.DeepEqual), Stats and error text. It returns the event-loop
-// results. run must call congest.Run (not RunOn) so the selection applies,
-// and no other simulation may be in flight meanwhile.
-func Identical(t testing.TB, run func() (any, congest.Stats, error)) (any, congest.Stats, error) {
+// Identical calls run once per shard count in Shardings and fails t unless
+// every count returns the one-shard output (reflect.DeepEqual), Stats and
+// error text. It returns the one-shard results. run must pass its shards
+// argument to congest.Run as Options.Shards.
+func Identical(t testing.TB, run func(shards int) (any, congest.Stats, error)) (any, congest.Stats, error) {
 	t.Helper()
-	var (
-		ref      any
-		refStats congest.Stats
-		refErr   error
-	)
-	for i, eng := range Engines {
-		prev := congest.SetEngine(eng.E)
-		out, stats, err := run()
-		congest.SetEngine(prev)
-		if i == 0 {
-			ref, refStats, refErr = out, stats, err
-			continue
-		}
+	ref, refStats, refErr := run(Shardings[0].Shards)
+	for _, sh := range Shardings[1:] {
+		out, stats, err := run(sh.Shards)
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
-			t.Fatalf("%s: err %v, %s err %v", eng.Name, err, Engines[0].Name, refErr)
+			t.Fatalf("%s: err %v, %s err %v", sh.Name, err, Shardings[0].Name, refErr)
 		}
 		if stats != refStats {
-			t.Fatalf("%s: stats %+v, %s stats %+v", eng.Name, stats, Engines[0].Name, refStats)
+			t.Fatalf("%s: stats %+v, %s stats %+v", sh.Name, stats, Shardings[0].Name, refStats)
 		}
 		if !reflect.DeepEqual(out, ref) {
-			t.Fatalf("%s: output diverges from %s", eng.Name, Engines[0].Name)
+			t.Fatalf("%s: output diverges from %s", sh.Name, Shardings[0].Name)
 		}
 	}
 	return ref, refStats, refErr

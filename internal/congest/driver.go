@@ -57,20 +57,20 @@ import (
 // relayed.
 
 // defaultShards holds the process-wide shard count used when Options.Shards
-// is 0; 0 or negative means GOMAXPROCS at run start.
+// is 0; 0 means one shard.
 var defaultShards atomic.Int32
 
-// SetDefaultShards replaces the process-wide worker-shard count used by
-// EngineSharded runs whose Options.Shards is 0, returning the previous value.
-// k <= 0 restores the GOMAXPROCS default. Like SetEngine it must not be
-// called while simulations are in flight.
+// SetDefaultShards replaces the process-wide shard count used by runs whose
+// Options.Shards is 0 and returns the previous one. k <= 0 restores the
+// default of one shard. It must not be called while simulations are in
+// flight.
 func SetDefaultShards(k int) int {
-	return int(defaultShards.Swap(int32(k)))
+	return max(int(defaultShards.Swap(int32(max(k, 0)))), 1)
 }
 
-// DefaultShards returns the current process-wide shard count (0 =
-// GOMAXPROCS at run start).
-func DefaultShards() int { return int(defaultShards.Load()) }
+// DefaultShards returns the shard count a run whose Options.Shards is 0
+// uses.
+func DefaultShards() int { return max(int(defaultShards.Load()), 1) }
 
 // relayMsg is one cross-shard message in flight: the receiver's global
 // mailbox slot, the receiver and the payload.
@@ -196,12 +196,12 @@ var statePool = sync.Pool{New: func() any {
 	return rs
 }}
 
-// run simulates proc on g cut into p shards. Shard 0 is driven on the
-// calling goroutine, the others on goroutines of their own; every driver
-// stops its suspended coroutines before it returns, and release waits for
-// them all before the state goes back to the pool.
-func run(g *graph.Graph, proc Proc, opts Options, p int) (Stats, error) {
-	rs := acquire(g, opts, p)
+// run simulates proc on g cut into opts.Shards shards. Shard 0 is driven on
+// the calling goroutine, the others on goroutines of their own; every
+// driver stops its suspended coroutines before it returns, and release
+// waits for them all before the state goes back to the pool.
+func run(g *graph.Graph, proc Proc, opts Options) (Stats, error) {
+	rs := acquire(g, opts)
 	defer release(rs)
 	rs.wg.Add(len(rs.shards) - 1)
 	for i := 1; i < len(rs.shards); i++ {
@@ -551,12 +551,12 @@ func (h *wakeHeap) down(i int) {
 }
 
 // acquire takes a runState from the pool and binds it to a run of opts on g
-// cut into p shards: it resets the node table, applies the fault plan's
+// cut into opts.Shards shards: it resets the node table, applies the fault plan's
 // crash schedule, sizes the arenas and cuts the shards. All buffers grow to
 // high-water marks and are reused across runs; freshly grown arrays are zero
 // and released ones were scrubbed by release, so stamps start unoccupied
 // without a per-run clear.
-func acquire(g *graph.Graph, opts Options, p int) *runState {
+func acquire(g *graph.Graph, opts Options) *runState {
 	rs := statePool.Get().(*runState)
 	n := g.NumNodes()
 	numArcs := int(g.ArcOffset(n))
@@ -630,7 +630,7 @@ func acquire(g *graph.Graph, opts Options, p int) *runState {
 	if cap(rs.heapItem) < n {
 		rs.heapItem = make([]wakeItem, n)
 	}
-	rs.cut(g, p)
+	rs.cut(g, opts.Shards)
 	rs.rounds, rs.err, rs.over, rs.goexit = 0, nil, false, false
 	return rs
 }

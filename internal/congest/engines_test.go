@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,69 +11,33 @@ import (
 	"lcshortcut/internal/graph"
 )
 
-// engines enumerates the engine implementations for table-driven tests; both
-// engines must show every edge-case behavior identically. Sharded runs here
-// use the process default shard count installed by TestMain (3 — so
-// cross-shard relays are exercised even on single-core boxes).
-var engines = []struct {
-	name string
-	e    Engine
+// shardings names the shard counts the table-driven tests run at: every
+// edge-case behavior must be the same at one shard and at three, where
+// cross-shard relays, the sender-side double-send stamps and the round
+// barrier between three drivers are exercised even on a single core.
+var shardings = []struct {
+	name   string
+	shards int
 }{
-	{"eventloop", EngineEventLoop},
-	{"sharded", EngineSharded},
+	{"eventloop", 1},
+	{"sharded", 3},
 }
 
-// TestRunOnRejectsUnknownEngine pins the engine check: the removed channel
-// engine's name and any other value that is not an engine are errors, from
-// RunOn and from Run after SetEngine, and no node starts.
-func TestRunOnRejectsUnknownEngine(t *testing.T) {
-	g := gen.Path(4)
-	bad := []struct {
-		name string
-		e    Engine
-	}{
-		{"channel", EngineChannel},
-		{"engine-7", Engine(7)},
-	}
-	for _, b := range bad {
-		e := b.e
-		for _, via := range []string{"RunOn", "SetEngine+Run"} {
-			t.Run(b.name+"/"+via, func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				var started atomic.Int32
-				proc := func(ctx *Ctx) error {
-					started.Add(1)
-					return nil
-				}
-				var err error
-				if via == "RunOn" {
-					_, err = RunOn(e, g, proc, Options{})
-				} else {
-					prev := SetEngine(e)
-					_, err = Run(g, proc, Options{})
-					SetEngine(prev)
-				}
-				if err == nil {
-					t.Fatalf("engine %d accepted", e)
-				}
-				if n := started.Load(); n != 0 {
-					t.Fatalf("engine %d ran proc on %d nodes", e, n)
-				}
-				waitGoroutines(t, base)
-			})
-		}
-	}
+// runAt is Run with opts.Shards set to shards.
+func runAt(shards int, g *graph.Graph, proc Proc, opts Options) (Stats, error) {
+	opts.Shards = shards
+	return Run(g, proc, opts)
 }
 
 // TestEnginesSendToFinishedDropped checks that messages addressed to a node
-// that already returned are dropped (and do not wedge the engine), on both
-// engines.
+// that already returned are dropped (and do not wedge the engine), at one
+// shard and at three.
 func TestEnginesSendToFinishedDropped(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(3)
 			got := 0
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				switch ctx.ID() {
 				case 0:
 					return nil // finishes immediately
@@ -102,9 +65,9 @@ func TestEnginesSendToFinishedDropped(t *testing.T) {
 }
 
 // TestEnginesViolations checks that every model violation still aborts with
-// ErrModelViolation on both engines: double-send on one edge-direction,
-// sending to a non-neighbor, an invalid arc index, and an oversized payload
-// under a strict budget.
+// ErrModelViolation at one shard and at three: double-send on one
+// edge-direction, sending to a non-neighbor, an invalid arc index, and an
+// oversized payload under a strict budget.
 func TestEnginesViolations(t *testing.T) {
 	cases := []struct {
 		name string
@@ -149,11 +112,11 @@ func TestEnginesViolations(t *testing.T) {
 			return nil
 		}},
 	}
-	for _, eng := range engines {
+	for _, sh := range shardings {
 		for _, tc := range cases {
-			t.Run(eng.name+"/"+tc.name, func(t *testing.T) {
+			t.Run(sh.name+"/"+tc.name, func(t *testing.T) {
 				g := gen.Path(4) // nodes 0 and 3 not adjacent
-				_, err := RunOn(eng.e, g, tc.proc, tc.opts)
+				_, err := runAt(sh.shards, g, tc.proc, tc.opts)
 				if !errors.Is(err, ErrModelViolation) {
 					t.Fatalf("err = %v, want ErrModelViolation", err)
 				}
@@ -186,11 +149,11 @@ func waitGoroutines(t *testing.T, base int) {
 // may not have exited yet, so the count is polled back to baseline with a
 // bound.
 func TestEventLoopWatchdogNoGoroutineLeak(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			g := gen.Grid(8, 8)
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for {
 					ctx.SendAll(intMsg{bits: 4})
 					ctx.StepRound()
@@ -236,7 +199,7 @@ func TestEventLoopAbortNoGoroutineLeak(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			g := gen.Ring(12)
-			_, err := RunOn(EngineEventLoop, g, tc.proc, Options{})
+			_, err := Run(g, tc.proc, Options{})
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -251,10 +214,10 @@ func TestEventLoopAbortNoGoroutineLeak(t *testing.T) {
 // exits.
 func TestEventLoopAbortWhileAsleepNoGoroutineLeak(t *testing.T) {
 	boom := errors.New("boom")
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, err := RunOn(eng.e, gen.Grid(6, 6), func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, gen.Grid(6, 6), func(ctx *Ctx) error {
 				switch {
 				case ctx.ID() == 7:
 					ctx.Idle(3)
@@ -277,17 +240,16 @@ func TestEventLoopAbortWhileAsleepNoGoroutineLeak(t *testing.T) {
 // TestEventLoopGoexitPropagates checks that a runtime.Goexit inside a Proc
 // (what t.FailNow does) ends the goroutine that called Run, after every other
 // node has unwound, instead of hanging the barrier. Node 29 falls in the last
-// of the sharded engine's three shards (TestMain), so there the Goexit
-// happens on a driver other than Run's caller and must still reach it.
+// of three shards, so there the Goexit happens on a driver other than Run's caller and must still reach it.
 func TestEventLoopGoexitPropagates(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			returned := make(chan bool)
 			go func() {
 				ok := false
 				defer func() { returned <- ok }()
-				RunOn(eng.e, gen.Grid(6, 6), func(ctx *Ctx) error {
+				runAt(sh.shards, gen.Grid(6, 6), func(ctx *Ctx) error {
 					switch {
 					case ctx.ID() == 29:
 						ctx.Idle(3)
@@ -317,8 +279,8 @@ func TestEventLoopGoexitPropagates(t *testing.T) {
 }
 
 // TestEnginesDifferential runs a messy randomized protocol — uneven
-// termination, traffic to finished nodes, random payload sizes — on both
-// engines and requires identical per-node outputs and identical Stats.
+// termination, traffic to finished nodes, random payload sizes — at one
+// shard and at three and requires identical per-node outputs and Stats.
 func TestEnginesDifferential(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.Path(9),
@@ -348,23 +310,23 @@ func TestEnginesDifferential(t *testing.T) {
 	for gi, g := range graphs {
 		var ref []int
 		var refStats Stats
-		for _, eng := range engines {
+		for _, sh := range shardings {
 			out := make([]int, g.NumNodes())
-			stats, err := RunOn(eng.e, g, proc(out), Options{Seed: int64(100 + gi)})
+			stats, err := runAt(sh.shards, g, proc(out), Options{Seed: int64(100 + gi)})
 			if err != nil {
-				t.Fatalf("graph %d engine %s: %v", gi, eng.name, err)
+				t.Fatalf("graph %d engine %s: %v", gi, sh.name, err)
 			}
-			if eng.e == EngineEventLoop {
+			if sh.shards == 1 {
 				ref, refStats = out, stats
 				continue
 			}
 			for v := range out {
 				if out[v] != ref[v] {
-					t.Fatalf("graph %d node %d: %s=%d, eventloop=%d", gi, v, eng.name, out[v], ref[v])
+					t.Fatalf("graph %d node %d: %s=%d, eventloop=%d", gi, v, sh.name, out[v], ref[v])
 				}
 			}
 			if stats != refStats {
-				t.Fatalf("graph %d stats differ: %s=%+v, eventloop=%+v", gi, eng.name, stats, refStats)
+				t.Fatalf("graph %d stats differ: %s=%+v, eventloop=%+v", gi, sh.name, stats, refStats)
 			}
 		}
 	}
@@ -375,8 +337,8 @@ func TestEnginesDifferential(t *testing.T) {
 // false before the first barrier, and messages do not resurface in later
 // rounds.
 func TestStepInboxArc(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Ring(6)
 			// arc0Target(v) is where v's arc 0 leads in gen.Ring's edge
 			// insertion order: node 0's first incident edge is (0,1), node
@@ -387,7 +349,7 @@ func TestStepInboxArc(t *testing.T) {
 				}
 				return v - 1
 			}
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				if _, ok := ctx.InboxArc(0); ok {
 					return fmt.Errorf("node %d: InboxArc hit before any barrier", ctx.ID())
 				}
@@ -452,13 +414,13 @@ func TestPoolReuseNoGhostMessages(t *testing.T) {
 }
 
 // TestEnginesFinalSendsWithoutBarrier pins the "sends from a returning node
-// are still delivered" convention on both engines.
+// are still delivered" convention at one shard and at three.
 func TestEnginesFinalSendsWithoutBarrier(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			got := -1
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				if ctx.ID() == 0 {
 					ctx.Send(1, intMsg{v: 42, bits: 8})
 					return nil
@@ -481,10 +443,10 @@ func TestEnginesFinalSendsWithoutBarrier(t *testing.T) {
 
 // TestIDBits checks the cached per-run ID width matches BitsForID(n).
 func TestIDBits(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Ring(37)
-			if _, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			if _, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				if ctx.IDBits() != BitsForID(ctx.N()) {
 					return fmt.Errorf("IDBits() = %d, want %d", ctx.IDBits(), BitsForID(ctx.N()))
 				}

@@ -17,8 +17,8 @@ import (
 //   - Determinism. Every fault decision is a pure function of the plan and
 //     static run coordinates (round number, arc slot, node ID), never of
 //     goroutine scheduling, so a (graph, proc, Options) triple still produces
-//     one exact outcome, identical on EngineEventLoop and EngineSharded at
-//     every shard count and at any harness worker count.
+//     one exact outcome, identical at every shard count and at any harness
+//     worker count.
 //   - The fault-free fast path is untouched. A nil (or empty) plan costs one
 //     predictable branch per operation: no allocation, no extra memory
 //     traffic. A faulty run stamps a dropped message's slot with a nil
@@ -236,8 +236,8 @@ var defaultFaults atomic.Pointer[FaultPlan]
 // SetDefaultFaults installs a plan applied to every Run whose Options.Faults
 // is nil, and returns the previous default. It is the chaos-testing
 // injection point: a differential harness can replay an entire experiment
-// suite under a plan without touching experiment code. Like SetEngine, it
-// must not be called while simulations are in flight.
+// suite under a plan without touching experiment code. Like
+// SetDefaultShards, it must not be called while simulations are in flight.
 func SetDefaultFaults(p *FaultPlan) *FaultPlan {
 	return defaultFaults.Swap(p)
 }

@@ -32,16 +32,16 @@ func collectProc(rounds int, got *[][]int) Proc {
 	}
 }
 
-// TestFaultCrashStopSemantics pins the crash boundary on both engines: a node
-// crashing at round R completes rounds 0..R-1 — its round-(R-1) sends are
-// still delivered — and is never heard from again.
+// TestFaultCrashStopSemantics pins the crash boundary at one shard and at
+// three: a node crashing at round R completes rounds 0..R-1 — its
+// round-(R-1) sends are still delivered — and is never heard from again.
 func TestFaultCrashStopSemantics(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			var got [][]int
 			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 3}}}
-			if _, err := RunOn(eng.e, g, collectProc(6, &got), Options{Faults: plan}); err != nil {
+			if _, err := runAt(sh.shards, g, collectProc(6, &got), Options{Faults: plan}); err != nil {
 				t.Fatal(err)
 			}
 			want := [][]int{{0}, {1}, {2}, nil, nil, nil}
@@ -56,12 +56,12 @@ func TestFaultCrashStopSemantics(t *testing.T) {
 // runs until the first barrier but every send is suppressed, so the network
 // sees a node that was dead from the start.
 func TestFaultCrashRoundZero(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			var got [][]int
 			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 0}}}
-			stats, err := RunOn(eng.e, g, collectProc(4, &got), Options{Faults: plan})
+			stats, err := runAt(sh.shards, g, collectProc(4, &got), Options{Faults: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,12 +81,12 @@ func TestFaultCrashRoundZero(t *testing.T) {
 // sender is still charged — Stats count messages sent, the model's cost.
 func TestFaultDropAll(t *testing.T) {
 	const rounds = 5
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Ring(8)
 			perNode := make([]int, g.NumNodes()) // one slot per node: procs run concurrently
 			plan := &FaultPlan{DropProb: 1}
-			stats, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			stats, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for r := 0; r < rounds; r++ {
 					ctx.SendAll(intMsg{v: r, bits: 8})
 					perNode[ctx.ID()] += len(ctx.StepRound())
@@ -116,16 +116,17 @@ func TestFaultDropAll(t *testing.T) {
 	}
 }
 
-// TestFaultDropPartialDeterministic runs a lossy flood twice per engine and
-// across engines: the surviving message set must be a strict subset, nonempty,
-// and identical everywhere — drops are a pure function of the plan.
+// TestFaultDropPartialDeterministic runs a lossy flood twice per shard count
+// and across shard counts: the surviving message set must be a strict
+// subset, nonempty, and identical everywhere — drops are a pure function of
+// the plan.
 func TestFaultDropPartialDeterministic(t *testing.T) {
 	g := gen.Grid(6, 6)
 	const rounds = 4
-	run := func(e Engine) ([]int, Stats) {
+	run := func(shards int) ([]int, Stats) {
 		got := make([]int, g.NumNodes())
 		plan := &FaultPlan{DropProb: 0.4, Seed: 99}
-		stats, err := RunOn(e, g, func(ctx *Ctx) error {
+		stats, err := runAt(shards, g, func(ctx *Ctx) error {
 			acc := 0
 			for r := 0; r < rounds; r++ {
 				ctx.SendAll(intMsg{v: ctx.ID()*10 + r, bits: 10})
@@ -141,15 +142,15 @@ func TestFaultDropPartialDeterministic(t *testing.T) {
 		}
 		return got, stats
 	}
-	ref, refStats := run(EngineEventLoop)
-	for _, eng := range engines {
+	ref, refStats := run(1)
+	for _, sh := range shardings {
 		for trial := 0; trial < 2; trial++ {
-			got, stats := run(eng.e)
+			got, stats := run(sh.shards)
 			if fmt.Sprint(got) != fmt.Sprint(ref) {
-				t.Fatalf("%s trial %d: outcomes diverged", eng.name, trial)
+				t.Fatalf("%s trial %d: outcomes diverged", sh.name, trial)
 			}
 			if stats != refStats {
-				t.Fatalf("%s trial %d: stats %+v, want %+v", eng.name, trial, stats, refStats)
+				t.Fatalf("%s trial %d: stats %+v, want %+v", sh.name, trial, stats, refStats)
 			}
 		}
 	}
@@ -226,12 +227,12 @@ func TestFaultAdversaryRotatePermutes(t *testing.T) {
 // is byte-identical to no plan at all, with the disabled fault branches still
 // compiled in and exercised.
 func TestFaultEmptyPlanNoOp(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.ErdosRenyi(30, 0.15, 2)
 			run := func(plan *FaultPlan) ([]int, Stats) {
 				out := make([]int, g.NumNodes())
-				stats, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+				stats, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 					acc := 0
 					for r := 0; r < 5; r++ {
 						for k := range ctx.Neighbors() {
@@ -261,7 +262,7 @@ func TestFaultEmptyPlanNoOp(t *testing.T) {
 }
 
 // TestFaultPlanValidate checks that malformed plans are rejected before any
-// goroutine spawns, on both engines.
+// goroutine spawns, at one shard and at three.
 func TestFaultPlanValidate(t *testing.T) {
 	g := gen.Path(4)
 	bad := []struct {
@@ -276,11 +277,11 @@ func TestFaultPlanValidate(t *testing.T) {
 		{"crash-node-out-of-range", &FaultPlan{Crashes: []Crash{{Node: 4, Round: 1}}}},
 		{"crash-round-negative", &FaultPlan{Crashes: []Crash{{Node: 0, Round: -2}}}},
 	}
-	for _, eng := range engines {
+	for _, sh := range shardings {
 		for _, tc := range bad {
-			t.Run(eng.name+"/"+tc.name, func(t *testing.T) {
+			t.Run(sh.name+"/"+tc.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				if _, err := RunOn(eng.e, g, func(ctx *Ctx) error { return nil }, Options{Faults: tc.plan}); err == nil {
+				if _, err := runAt(sh.shards, g, func(ctx *Ctx) error { return nil }, Options{Faults: tc.plan}); err == nil {
 					t.Fatal("malformed plan accepted")
 				}
 				waitGoroutines(t, base)
@@ -383,8 +384,8 @@ func faultyMessyProc(out []int) Proc {
 
 // TestFaultCrossEngineDifferential is the faulty-run identity acceptance
 // test: for a grid of (graph, plan) pairs spanning crashes, loss and the
-// adversary, both engines must produce identical per-node outcomes and
-// identical Stats.
+// adversary, one shard and three must produce identical per-node outcomes
+// and identical Stats.
 func TestFaultCrossEngineDifferential(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.Path(9),
@@ -403,31 +404,31 @@ func TestFaultCrossEngineDifferential(t *testing.T) {
 		for pi, plan := range plans {
 			var ref []int
 			var refStats Stats
-			for _, eng := range engines {
+			for _, sh := range shardings {
 				out := make([]int, g.NumNodes())
-				stats, err := RunOn(eng.e, g, faultyMessyProc(out), Options{Seed: int64(100*gi + pi)})
+				stats, err := runAt(sh.shards, g, faultyMessyProc(out), Options{Seed: int64(100*gi + pi)})
 				_ = stats
 				if err != nil {
-					t.Fatalf("graph %d plan %d engine %s: %v", gi, pi, eng.name, err)
+					t.Fatalf("graph %d plan %d engine %s: %v", gi, pi, sh.name, err)
 				}
 				// Re-run with the plan (the first run above warms pools
 				// fault-free so pooled-arena reuse is also covered).
 				out = make([]int, g.NumNodes())
-				stats, err = RunOn(eng.e, g, faultyMessyProc(out), Options{Seed: int64(100*gi + pi), Faults: plan})
+				stats, err = runAt(sh.shards, g, faultyMessyProc(out), Options{Seed: int64(100*gi + pi), Faults: plan})
 				if err != nil {
-					t.Fatalf("graph %d plan %d engine %s (faulty): %v", gi, pi, eng.name, err)
+					t.Fatalf("graph %d plan %d engine %s (faulty): %v", gi, pi, sh.name, err)
 				}
-				if eng.e == EngineEventLoop {
+				if sh.shards == 1 {
 					ref, refStats = out, stats
 					continue
 				}
 				for v := range out {
 					if out[v] != ref[v] {
-						t.Fatalf("graph %d plan %d node %d: %s=%d, eventloop=%d", gi, pi, v, eng.name, out[v], ref[v])
+						t.Fatalf("graph %d plan %d node %d: %s=%d, eventloop=%d", gi, pi, v, sh.name, out[v], ref[v])
 					}
 				}
 				if stats != refStats {
-					t.Fatalf("graph %d plan %d stats differ: %s=%+v, eventloop=%+v", gi, pi, eng.name, stats, refStats)
+					t.Fatalf("graph %d plan %d stats differ: %s=%+v, eventloop=%+v", gi, pi, sh.name, stats, refStats)
 				}
 			}
 		}
@@ -435,16 +436,16 @@ func TestFaultCrossEngineDifferential(t *testing.T) {
 }
 
 // TestFaultCrashMidProtocolNoGoroutineLeak extends the abort-mid-protocol
-// leak pattern to crash-stop: nodes dying mid-run must unwind cleanly on both
-// engines, whether the survivors finish normally or the watchdog fires
-// because they wait forever for a dead sender.
+// leak pattern to crash-stop: nodes dying mid-run must unwind cleanly at one
+// shard and at three, whether the survivors finish normally or the watchdog
+// fires because they wait forever for a dead sender.
 func TestFaultCrashMidProtocolNoGoroutineLeak(t *testing.T) {
 	g := gen.Grid(8, 8)
 	plan := &FaultPlan{Crashes: RandomCrashes(g.NumNodes(), 0.4, 8, 0, 17)}
-	for _, eng := range engines {
-		t.Run(eng.name+"/survivors-finish", func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name+"/survivors-finish", func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for r := 0; r < 20; r++ {
 					ctx.SendAll(intMsg{v: r, bits: 6})
 					ctx.StepRound()
@@ -456,12 +457,12 @@ func TestFaultCrashMidProtocolNoGoroutineLeak(t *testing.T) {
 			}
 			waitGoroutines(t, base)
 		})
-		t.Run(eng.name+"/survivors-hang", func(t *testing.T) {
+		t.Run(sh.name+"/survivors-hang", func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			// Every node waits for a round-r message from its arc-0 neighbor
 			// before advancing past r; crashed senders starve the survivors
 			// and the watchdog must fire.
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for {
 					ctx.SendAll(intMsg{v: ctx.Round(), bits: 8})
 					ctx.Step()
@@ -488,10 +489,10 @@ func TestFaultCrashEveryNode(t *testing.T) {
 	for v := range crashes {
 		crashes[v] = Crash{Node: v, Round: v % 3}
 	}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			stats, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			stats, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for {
 					ctx.SendAll(intMsg{bits: 2})
 					ctx.StepRound()

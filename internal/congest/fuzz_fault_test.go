@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzFaultPlan drives random seeded fault plans over random registry graphs
-// and requires the two engines to agree exactly — same per-node outcomes,
+// and requires one shard and three to agree exactly — same per-node outcomes,
 // same Stats, same error (or none) — and to terminate (the MaxRounds
 // watchdog bounds every input, so a hang is a test timeout, not a silent
 // pass). This is the fault layer's determinism contract under adversarial
@@ -33,24 +33,24 @@ func FuzzFaultPlan(f *testing.F) {
 		var refOut []int
 		var refStats Stats
 		var refErr error
-		for _, eng := range engines {
+		for _, sh := range shardings {
 			out := make([]int, g.NumNodes())
-			stats, err := RunOn(eng.e, g, faultyMessyProc(out), Options{Seed: gseed ^ pseed, Faults: plan, MaxRounds: 64})
-			if eng.e == EngineEventLoop {
+			stats, err := runAt(sh.shards, g, faultyMessyProc(out), Options{Seed: gseed ^ pseed, Faults: plan, MaxRounds: 64})
+			if sh.shards == 1 {
 				refOut, refStats, refErr = out, stats, err
 				continue
 			}
 			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-				t.Fatalf("%s on %s: err %v, eventloop err %v", eng.name, fam.Name, err, refErr)
+				t.Fatalf("%s on %s: err %v, eventloop err %v", sh.name, fam.Name, err, refErr)
 			}
 			if err != nil {
 				continue // aborted runs leave outcomes undefined; errors matched
 			}
 			if fmt.Sprint(out) != fmt.Sprint(refOut) {
-				t.Fatalf("%s on %s: outcomes diverged under plan %+v", eng.name, fam.Name, plan)
+				t.Fatalf("%s on %s: outcomes diverged under plan %+v", sh.name, fam.Name, plan)
 			}
 			if stats != refStats {
-				t.Fatalf("%s on %s: stats %+v, eventloop %+v", eng.name, fam.Name, stats, refStats)
+				t.Fatalf("%s on %s: stats %+v, eventloop %+v", sh.name, fam.Name, stats, refStats)
 			}
 		}
 	})

@@ -11,12 +11,12 @@ import (
 )
 
 // TestRadioBasicSemantics pins the three reception outcomes on a star
-// (center 0, leaves 1..4), on both engines: zero transmitters = silence,
+// (center 0, leaves 1..4), at one shard and at three: zero transmitters = silence,
 // one = the decoded message, two or more = collision — and a transmitter
 // never hears itself.
 func TestRadioBasicSemantics(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Star(5)
 			type heard struct {
 				st   RadioStatus
@@ -44,7 +44,7 @@ func TestRadioBasicSemantics(t *testing.T) {
 				}
 				return nil
 			}
-			stats, err := RunOn(eng.e, g, proc, Options{Model: ModelRadio})
+			stats, err := runAt(sh.shards, g, proc, Options{Model: ModelRadio})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,11 +89,11 @@ func TestRadioBasicSemantics(t *testing.T) {
 // partial drop can fade one arm of a collision into a clean message —
 // deterministically, keyed on the receiver's arc slot.
 func TestRadioDropFadesTransmissions(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name+"/drop-all", func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name+"/drop-all", func(t *testing.T) {
 			g := gen.Star(5)
 			heardAny := false
-			stats, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			stats, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for r := 0; r < 4; r++ {
 					ctx.Transmit(intMsg{v: ctx.ID(), bits: 8})
 					ctx.Step()
@@ -117,7 +117,7 @@ func TestRadioDropFadesTransmissions(t *testing.T) {
 	// Partial drop: run a collision-heavy protocol under DropProb=0.5 and
 	// require at least one receiver to decode a message in a round where two
 	// neighbors transmitted (a faded collision arm) — plus determinism via
-	// the cross-engine differential below.
+	// the shard-count differential below.
 	g := gen.Star(3)
 	decodedUnderCollision := false
 	_, err := Run(g, func(ctx *Ctx) error {
@@ -183,11 +183,11 @@ func TestRadioModelViolations(t *testing.T) {
 			return nil
 		}},
 	}
-	for _, eng := range engines {
+	for _, sh := range shardings {
 		for _, tc := range cases {
-			t.Run(eng.name+"/"+tc.name, func(t *testing.T) {
+			t.Run(sh.name+"/"+tc.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				_, err := RunOn(eng.e, g, tc.proc, tc.opts)
+				_, err := runAt(sh.shards, g, tc.proc, tc.opts)
 				if !errors.Is(err, ErrModelViolation) {
 					t.Fatalf("err = %v, want ErrModelViolation", err)
 				}
@@ -199,9 +199,9 @@ func TestRadioModelViolations(t *testing.T) {
 
 // TestRadioUnknownModelRejected checks Options validation.
 func TestRadioUnknownModelRejected(t *testing.T) {
-	for _, eng := range engines {
-		if _, err := RunOn(eng.e, gen.Path(2), func(ctx *Ctx) error { return nil }, Options{Model: Model(9)}); err == nil {
-			t.Errorf("%s: unknown Options.Model accepted", eng.name)
+	for _, sh := range shardings {
+		if _, err := runAt(sh.shards, gen.Path(2), func(ctx *Ctx) error { return nil }, Options{Model: Model(9)}); err == nil {
+			t.Errorf("%s: unknown Options.Model accepted", sh.name)
 		}
 	}
 }
@@ -210,8 +210,8 @@ func TestRadioUnknownModelRejected(t *testing.T) {
 // node's transmissions vanish from the air (its neighbors hear silence or a
 // thinner collision), and with recovery it transmits again after rejoin.
 func TestRadioCrashSilences(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			var heard []RadioStatus
 			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 2, Downtime: 3}}}
@@ -232,7 +232,7 @@ func TestRadioCrashSilences(t *testing.T) {
 				}
 				return nil
 			}
-			if _, err := RunOn(eng.e, g, proc, Options{Model: ModelRadio, Faults: plan}); err != nil {
+			if _, err := runAt(sh.shards, g, proc, Options{Model: ModelRadio, Faults: plan}); err != nil {
 				t.Fatal(err)
 			}
 			want := []RadioStatus{
@@ -277,7 +277,7 @@ func radioMessyProc(rounds int, out []int) Proc {
 // TestRadioCrossEngineDifferential is the radio identity acceptance test:
 // random transmission schedules over several topologies — fault-free, lossy
 // and crashy — must produce identical per-node reception histories and
-// Stats on both engines, across repeated (pool-reusing) runs.
+// Stats at one shard and at three, across repeated (pool-reusing) runs.
 func TestRadioCrossEngineDifferential(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.Path(9),
@@ -310,7 +310,7 @@ func TestRadioCrossEngineDifferential(t *testing.T) {
 			}
 			for trial := 0; trial < 2; trial++ {
 				out := make([]int, g.NumNodes())
-				stats, err := RunOn(EngineEventLoop, g, radioMessyProc(12, out),
+				stats, err := Run(g, radioMessyProc(12, out),
 					Options{Seed: int64(gi + 10*pi), Model: ModelRadio, Faults: plan})
 				if err != nil {
 					t.Fatalf("graph %d plan %d eventloop trial %d: %v", gi, pi, trial, err)
@@ -318,8 +318,8 @@ func TestRadioCrossEngineDifferential(t *testing.T) {
 				check(fmt.Sprintf("eventloop/trial%d", trial), out, stats)
 			}
 			out := make([]int, g.NumNodes())
-			stats, err := RunOn(EngineSharded, g, radioMessyProc(12, out),
-				Options{Seed: int64(gi + 10*pi), Model: ModelRadio, Faults: plan})
+			stats, err := Run(g, radioMessyProc(12, out),
+				Options{Seed: int64(gi + 10*pi), Model: ModelRadio, Faults: plan, Shards: 3})
 			if err != nil {
 				t.Fatalf("graph %d plan %d sharded: %v", gi, pi, err)
 			}
@@ -332,10 +332,10 @@ func TestRadioCrossEngineDifferential(t *testing.T) {
 // the watchdog (the ISSUE's radio-mode abort leak guard).
 func TestRadioAbortNoGoroutineLeak(t *testing.T) {
 	g := gen.Grid(8, 8)
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for {
 					ctx.Transmit(intMsg{v: ctx.Round(), bits: 8})
 					ctx.Step()

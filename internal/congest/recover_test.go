@@ -10,15 +10,15 @@ import (
 	"lcshortcut/internal/graph"
 )
 
-// TestRecoverRejoinTiming pins the crash-recovery window on both engines: a
-// node with Crash{Round: R, Downtime: D} completes rounds 0..R-1, is silent
-// through rounds R..R+D-1, and rejoins at round R+D running its procedure
-// from scratch (zeroed protocol state, Incarnation()==1) — so its sends
-// resume surfacing at the neighbor's round R+D.
+// TestRecoverRejoinTiming pins the crash-recovery window at one shard and at
+// three: a node with Crash{Round: R, Downtime: D} completes rounds 0..R-1,
+// is silent through rounds R..R+D-1, and rejoins at round R+D running its
+// procedure from scratch (zeroed protocol state, Incarnation()==1) — so its
+// sends resume surfacing at the neighbor's round R+D.
 func TestRecoverRejoinTiming(t *testing.T) {
 	const rounds = 10
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			var got [][]int
 			var incs []int
@@ -46,7 +46,7 @@ func TestRecoverRejoinTiming(t *testing.T) {
 				}
 				return nil
 			}
-			if _, err := RunOn(eng.e, g, proc, Options{Faults: plan}); err != nil {
+			if _, err := runAt(sh.shards, g, proc, Options{Faults: plan}); err != nil {
 				t.Fatal(err)
 			}
 			want := [][]int{{0}, {1}, {2}, nil, nil, nil, nil, {7}, {8}, {9}}
@@ -66,10 +66,10 @@ func TestRecoverRejoinTiming(t *testing.T) {
 // TestRecoverInboxAtRejoin pins the state-sync hook's raw material: messages
 // sent to a down node in its FINAL down round are delivered at the rejoin
 // barrier, so the restarted incarnation can read them via InboxArc before
-// its first own barrier — identically on both engines.
+// its first own barrier — identically at one shard and at three.
 func TestRecoverInboxAtRejoin(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			gotV, gotOK := -1, false
 			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 3, Downtime: 4}}}
@@ -93,7 +93,7 @@ func TestRecoverInboxAtRejoin(t *testing.T) {
 				}
 				return nil
 			}
-			if _, err := RunOn(eng.e, g, proc, Options{Faults: plan}); err != nil {
+			if _, err := runAt(sh.shards, g, proc, Options{Faults: plan}); err != nil {
 				t.Fatal(err)
 			}
 			if !gotOK || gotV != 6 {
@@ -109,8 +109,8 @@ func TestRecoverInboxAtRejoin(t *testing.T) {
 // dying — two runs whose first incarnations consume different amounts of
 // randomness see identical second incarnations.
 func TestRecoverRNGIndependentOfFirstIncarnation(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			run := func(draws int) uint64 {
 				var second uint64
@@ -130,7 +130,7 @@ func TestRecoverRNGIndependentOfFirstIncarnation(t *testing.T) {
 					}
 					return nil
 				}
-				if _, err := RunOn(eng.e, g, proc, Options{Seed: 42, Faults: plan}); err != nil {
+				if _, err := runAt(sh.shards, g, proc, Options{Seed: 42, Faults: plan}); err != nil {
 					t.Fatal(err)
 				}
 				return second
@@ -150,12 +150,12 @@ func TestRecoverRNGIndependentOfFirstIncarnation(t *testing.T) {
 // run's end is a no-op, and among multiple entries for one node the earliest
 // crash round wins — including its Downtime.
 func TestRecoverScheduling(t *testing.T) {
-	for _, eng := range engines {
-		t.Run(eng.name+"/beyond-run-noop", func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name+"/beyond-run-noop", func(t *testing.T) {
 			g := gen.Ring(6)
 			run := func(plan *FaultPlan) ([]int, Stats) {
 				out := make([]int, g.NumNodes())
-				stats, err := RunOn(eng.e, g, faultyMessyProc(out), Options{Seed: 5, Faults: plan})
+				stats, err := runAt(sh.shards, g, faultyMessyProc(out), Options{Seed: 5, Faults: plan})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,7 +167,7 @@ func TestRecoverScheduling(t *testing.T) {
 				t.Errorf("crash scheduled past the run's end changed the outcome")
 			}
 		})
-		t.Run(eng.name+"/earliest-entry-wins", func(t *testing.T) {
+		t.Run(sh.name+"/earliest-entry-wins", func(t *testing.T) {
 			g := gen.Path(2)
 			run := func(plan *FaultPlan) [][]int {
 				var got [][]int
@@ -187,7 +187,7 @@ func TestRecoverScheduling(t *testing.T) {
 					}
 					return nil
 				}
-				if _, err := RunOn(eng.e, g, proc, Options{Faults: plan}); err != nil {
+				if _, err := runAt(sh.shards, g, proc, Options{Faults: plan}); err != nil {
 					t.Fatal(err)
 				}
 				return got
@@ -207,11 +207,11 @@ func TestRecoverScheduling(t *testing.T) {
 // TestRecoverValidate extends the malformed-plan gate to recovery fields.
 func TestRecoverValidate(t *testing.T) {
 	g := gen.Path(4)
-	for _, eng := range engines {
-		t.Run(eng.name+"/negative-downtime", func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name+"/negative-downtime", func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 1, Downtime: -1}}}
-			if _, err := RunOn(eng.e, g, func(ctx *Ctx) error { return nil }, Options{Faults: plan}); err == nil {
+			if _, err := runAt(sh.shards, g, func(ctx *Ctx) error { return nil }, Options{Faults: plan}); err == nil {
 				t.Fatal("negative Downtime accepted")
 			}
 			waitGoroutines(t, base)
@@ -262,8 +262,9 @@ func TestRandomRecoveries(t *testing.T) {
 
 // TestRecoverCrossEngineDifferential is the crash-recovery identity
 // acceptance test: recovery plans — alone and composed with loss and the
-// adversary — must produce identical per-node outcomes and Stats on both
-// engines, including multi-incarnation reruns of a randomized protocol.
+// adversary — must produce identical per-node outcomes and Stats at one
+// shard and at three, including multi-incarnation reruns of a randomized
+// protocol.
 func TestRecoverCrossEngineDifferential(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.Path(9),
@@ -280,23 +281,23 @@ func TestRecoverCrossEngineDifferential(t *testing.T) {
 		for pi, plan := range plans {
 			var ref []int
 			var refStats Stats
-			for _, eng := range engines {
+			for _, sh := range shardings {
 				out := make([]int, g.NumNodes())
-				stats, err := RunOn(eng.e, g, faultyMessyProc(out), Options{Seed: int64(100*gi + pi), Faults: plan})
+				stats, err := runAt(sh.shards, g, faultyMessyProc(out), Options{Seed: int64(100*gi + pi), Faults: plan})
 				if err != nil {
-					t.Fatalf("graph %d plan %d engine %s: %v", gi, pi, eng.name, err)
+					t.Fatalf("graph %d plan %d engine %s: %v", gi, pi, sh.name, err)
 				}
-				if eng.e == EngineEventLoop {
+				if sh.shards == 1 {
 					ref, refStats = out, stats
 					continue
 				}
 				for v := range out {
 					if out[v] != ref[v] {
-						t.Fatalf("graph %d plan %d node %d: %s=%d, eventloop=%d", gi, pi, v, eng.name, out[v], ref[v])
+						t.Fatalf("graph %d plan %d node %d: %s=%d, eventloop=%d", gi, pi, v, sh.name, out[v], ref[v])
 					}
 				}
 				if stats != refStats {
-					t.Fatalf("graph %d plan %d stats differ: %s=%+v, eventloop=%+v", gi, pi, eng.name, stats, refStats)
+					t.Fatalf("graph %d plan %d stats differ: %s=%+v, eventloop=%+v", gi, pi, sh.name, stats, refStats)
 				}
 			}
 		}
@@ -309,10 +310,10 @@ func TestRecoverCrossEngineDifferential(t *testing.T) {
 func TestRecoverNoGoroutineLeak(t *testing.T) {
 	g := gen.Grid(6, 6)
 	plan := &FaultPlan{Crashes: RandomRecoveries(g.NumNodes(), 0.4, 8, 30, 0, 17)}
-	for _, eng := range engines {
-		t.Run(eng.name+"/watchdog-during-downtime", func(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name+"/watchdog-during-downtime", func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			_, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for {
 					ctx.SendAll(intMsg{v: ctx.Round(), bits: 8})
 					ctx.StepRound()
@@ -323,9 +324,9 @@ func TestRecoverNoGoroutineLeak(t *testing.T) {
 			}
 			waitGoroutines(t, base)
 		})
-		t.Run(eng.name+"/incarnations-outlive-run", func(t *testing.T) {
+		t.Run(sh.name+"/incarnations-outlive-run", func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			if _, err := RunOn(eng.e, g, func(ctx *Ctx) error {
+			if _, err := runAt(sh.shards, g, func(ctx *Ctx) error {
 				for r := 0; r < 12; r++ {
 					ctx.SendAll(intMsg{v: r, bits: 6})
 					ctx.StepRound()

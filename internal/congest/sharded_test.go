@@ -3,24 +3,12 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 )
-
-// TestMain installs a default shard count of 3 for the whole test binary:
-// every table-driven run of EngineSharded (the shared `engines` table, the
-// fault/radio/recovery differentials) then cuts its graph into three shards,
-// so cross-shard relays, the sender-side double-send stamps and the round
-// barrier between three drivers are exercised even on single-core CI boxes
-// where the GOMAXPROCS default would collapse to one shard.
-func TestMain(m *testing.M) {
-	SetDefaultShards(3)
-	os.Exit(m.Run())
-}
 
 // shardedDiffProc is a messy randomized protocol — uneven lifetimes, mixed
 // SendArc/SendAll, random payload sizes — whose per-node outputs are highly
@@ -50,9 +38,9 @@ func shardedDiffProc(out []int) Proc {
 }
 
 // TestShardedByteIdenticalAcrossShardCounts is the engine's core contract:
-// on every graph and seed, the sharded engine must produce per-node outputs
-// and Stats byte-identical to the event-loop engine at every shard count —
-// shards change wall-clock, never results.
+// on every graph and seed, every shard count must produce per-node outputs
+// and Stats byte-identical to one shard — shards change wall-clock, never
+// results.
 func TestShardedByteIdenticalAcrossShardCounts(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"path":  gen.Path(9),
@@ -67,13 +55,13 @@ func TestShardedByteIdenticalAcrossShardCounts(t *testing.T) {
 	for name, g := range graphs {
 		for _, seed := range []int64{1, 42} {
 			ref := make([]int, g.NumNodes())
-			refStats, err := RunOn(EngineEventLoop, g, shardedDiffProc(ref), Options{Seed: seed})
+			refStats, err := Run(g, shardedDiffProc(ref), Options{Seed: seed})
 			if err != nil {
 				t.Fatalf("%s seed %d eventloop: %v", name, seed, err)
 			}
-			for _, shards := range []int{1, 2, 3, 4, 8, 64} {
+			for _, shards := range []int{2, 3, 4, 8, 64} {
 				out := make([]int, g.NumNodes())
-				stats, err := RunOn(EngineSharded, g, shardedDiffProc(out), Options{Seed: seed, Shards: shards})
+				stats, err := Run(g, shardedDiffProc(out), Options{Seed: seed, Shards: shards})
 				if err != nil {
 					t.Fatalf("%s seed %d shards %d: %v", name, seed, shards, err)
 				}
@@ -91,9 +79,8 @@ func TestShardedByteIdenticalAcrossShardCounts(t *testing.T) {
 }
 
 // TestShardedFaultDifferential runs the full fault stack — crash-stop,
-// crash-recovery, message loss, the rotating adversary — and requires the
-// sharded engine to agree exactly with the event-loop engine at several
-// shard counts. Dropped cross-shard messages are never relayed and dropped
+// crash-recovery, message loss, the rotating adversary — and requires
+// several shard counts to agree exactly with one shard. Dropped cross-shard messages are never relayed and dropped
 // local ones are stamped with a nil payload, so this pins both paths.
 func TestShardedFaultDifferential(t *testing.T) {
 	g := gen.Grid(8, 8)
@@ -119,13 +106,13 @@ func TestShardedFaultDifferential(t *testing.T) {
 		}
 	}
 	ref := make([]int, n)
-	refStats, err := RunOn(EngineEventLoop, g, proc(ref), Options{Seed: 7, Faults: plan})
+	refStats, err := Run(g, proc(ref), Options{Seed: 7, Faults: plan})
 	if err != nil {
 		t.Fatalf("eventloop: %v", err)
 	}
-	for _, shards := range []int{1, 3, 8} {
+	for _, shards := range []int{3, 8} {
 		out := make([]int, n)
-		stats, err := RunOn(EngineSharded, g, proc(out), Options{Seed: 7, Faults: plan, Shards: shards})
+		stats, err := Run(g, proc(out), Options{Seed: 7, Faults: plan, Shards: shards})
 		if err != nil {
 			t.Fatalf("shards %d: %v", shards, err)
 		}
@@ -180,7 +167,7 @@ func TestShardedCrossShardViolations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Path(2) at two shards puts the endpoints in different shards,
 			// so every send crosses the boundary.
-			_, err := RunOn(EngineSharded, gen.Path(2), tc.proc, tc.opts)
+			_, err := Run(gen.Path(2), tc.proc, tc.opts)
 			if !errors.Is(err, ErrModelViolation) {
 				t.Fatalf("err = %v, want ErrModelViolation", err)
 			}
@@ -188,11 +175,57 @@ func TestShardedCrossShardViolations(t *testing.T) {
 	}
 }
 
-// TestShardedNegativeShardsRejected pins the Options.Shards contract.
+// TestShardedNegativeShardsRejected pins the Options.Shards contract: a
+// negative count is an error from Run before any node starts.
 func TestShardedNegativeShardsRejected(t *testing.T) {
-	_, err := RunOn(EngineSharded, gen.Path(3), func(ctx *Ctx) error { return nil }, Options{Shards: -2})
+	started := false
+	_, err := Run(gen.Path(3), func(ctx *Ctx) error {
+		started = true
+		return nil
+	}, Options{Shards: -2})
 	if err == nil {
 		t.Fatal("Shards: -2 accepted")
+	}
+	if started {
+		t.Fatal("Shards: -2 started a node")
+	}
+}
+
+// TestRunHonoursShards pins Options.Shards as the one per-run selector: a
+// Proc sees the shard count its options name, or, when they name none, the
+// SetDefaultShards count, itself one unless set; the count is clamped to the
+// node count.
+func TestRunHonoursShards(t *testing.T) {
+	g := gen.Grid(4, 4)
+	cases := []struct {
+		name     string
+		opts     Options
+		defaults int
+		want     int
+	}{
+		{"options", Options{Shards: 3}, 0, 3},
+		{"options-over-default", Options{Shards: 1}, 2, 1},
+		{"default-unset", Options{}, 0, 1},
+		{"default-set", Options{}, 2, 2},
+		{"clamped", Options{Shards: 64}, 0, g.NumNodes()},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := SetDefaultShards(tc.defaults)
+			defer SetDefaultShards(prev)
+			got := 0
+			if _, err := Run(g, func(ctx *Ctx) error {
+				if ctx.ID() == 0 { // on shard 0, driven by this goroutine
+					got = len(ctx.run.shards)
+				}
+				return nil
+			}, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("a Proc saw %d shards, want %d", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -205,7 +238,7 @@ func TestShardedRetiredShardTraffic(t *testing.T) {
 	// round, then both their ring neighbors (8 and 3, in other shards) keep
 	// flooding for many more rounds.
 	g := gen.Ring(9)
-	stats, err := RunOn(EngineSharded, g, func(ctx *Ctx) error {
+	stats, err := Run(g, func(ctx *Ctx) error {
 		if ctx.ID() < 3 {
 			ctx.StepRound()
 			return nil
@@ -263,7 +296,7 @@ func TestShardedAbortNoGoroutineLeak(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			_, err := RunOn(EngineSharded, gen.Ring(12), tc.proc, tc.opts)
+			_, err := Run(gen.Ring(12), tc.proc, tc.opts)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("err = %v, want %v", err, tc.wantErr)
 			}
@@ -282,7 +315,7 @@ func TestShardedCrashNoGoroutineLeak(t *testing.T) {
 		RandomCrashes(g.NumNodes(), 0.2, 8, 3, 13),
 		Crash{Node: 17, Round: 2, Downtime: 1 << 30}, // down essentially forever
 	), Seed: 4}
-	_, err := RunOn(EngineSharded, g, func(ctx *Ctx) error {
+	_, err := Run(g, func(ctx *Ctx) error {
 		for {
 			ctx.SendAll(intMsg{bits: 4})
 			ctx.StepRound()
@@ -300,7 +333,7 @@ func TestShardedCrashNoGoroutineLeak(t *testing.T) {
 func TestShardedPoolReuseAcrossShardCounts(t *testing.T) {
 	heavy := gen.Grid(9, 9)
 	dist := make([]int, heavy.NumNodes())
-	if _, err := RunOn(EngineSharded, heavy, floodProc(0, heavy.Diameter()+1, dist), Options{Shards: 5}); err != nil {
+	if _, err := Run(heavy, floodProc(0, heavy.Diameter()+1, dist), Options{Shards: 5}); err != nil {
 		t.Fatal(err)
 	}
 	for trial, tc := range []struct {
@@ -311,7 +344,7 @@ func TestShardedPoolReuseAcrossShardCounts(t *testing.T) {
 		{gen.Path(5), 7},
 		{heavy, 8},
 	} {
-		stats, err := RunOn(EngineSharded, tc.g, func(ctx *Ctx) error {
+		stats, err := Run(tc.g, func(ctx *Ctx) error {
 			for r := 0; r < 4; r++ {
 				if n := len(ctx.StepRound()); n != 0 {
 					return fmt.Errorf("node %d round %d: %d ghost messages", ctx.ID(), r, n)
@@ -331,8 +364,8 @@ func TestShardedPoolReuseAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedRadioDifferential pins the radio model on the sharded engine
-// against the event-loop engine: transmissions, collisions and fading links
+// TestShardedRadioDifferential pins the radio model at several shard counts
+// against one shard: transmissions, collisions and fading links
 // go through the global per-node tx arenas regardless of sharding.
 func TestShardedRadioDifferential(t *testing.T) {
 	g := gen.Grid(7, 7)
@@ -358,13 +391,13 @@ func TestShardedRadioDifferential(t *testing.T) {
 		}
 	}
 	ref := make([]int, g.NumNodes())
-	refStats, err := RunOn(EngineEventLoop, g, proc(ref), Options{Seed: 11, Model: ModelRadio, Faults: plan})
+	refStats, err := Run(g, proc(ref), Options{Seed: 11, Model: ModelRadio, Faults: plan})
 	if err != nil {
 		t.Fatalf("eventloop: %v", err)
 	}
-	for _, shards := range []int{1, 3, 6} {
+	for _, shards := range []int{3, 6} {
 		out := make([]int, g.NumNodes())
-		stats, err := RunOn(EngineSharded, g, proc(out), Options{Seed: 11, Model: ModelRadio, Faults: plan, Shards: shards})
+		stats, err := Run(g, proc(out), Options{Seed: 11, Model: ModelRadio, Faults: plan, Shards: shards})
 		if err != nil {
 			t.Fatalf("shards %d: %v", shards, err)
 		}
@@ -379,8 +412,8 @@ func TestShardedRadioDifferential(t *testing.T) {
 	}
 }
 
-// TestSetDefaultShards pins the process-default plumbing Run-path sharded
-// runs use when Options.Shards is 0.
+// TestSetDefaultShards pins the process-default plumbing runs use when
+// Options.Shards is 0: k <= 0 restores one shard.
 func TestSetDefaultShards(t *testing.T) {
 	prev := SetDefaultShards(5)
 	if got := DefaultShards(); got != 5 {
@@ -391,5 +424,10 @@ func TestSetDefaultShards(t *testing.T) {
 	}
 	if got := DefaultShards(); got != prev {
 		t.Fatalf("DefaultShards() = %d, want restored %d", got, prev)
+	}
+	SetDefaultShards(-4)
+	defer SetDefaultShards(prev)
+	if got := DefaultShards(); got != 1 {
+		t.Fatalf("DefaultShards() = %d after SetDefaultShards(-4), want 1", got)
 	}
 }

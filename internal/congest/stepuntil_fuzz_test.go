@@ -108,7 +108,7 @@ func sleepyProc(logs [][]int, failAt int, forever, stepping bool) Proc {
 // scripts of sends, StepUntil, Idle, early returns, proc errors and model
 // violations run once with every wait stepped round by round (the
 // reference), then with waiting nodes sleeping outside the barrier at one
-// shard (EngineEventLoop) and at three (EngineSharded), where relayed mail
+// shard and at three, where relayed mail
 // must wake sleepers in other shards. Per-node logs of (Round(), inbox)
 // after every barrier, Stats and the error must be identical. The seed
 // corpus covers dropped messages (which must never wake a sleeper), the
@@ -148,22 +148,19 @@ func FuzzStepUntil(f *testing.F) {
 		}
 		runs := []struct {
 			name     string
-			e        Engine
 			shards   int
 			stepping bool
 		}{
-			{"stepping", EngineEventLoop, 0, true},
-			{"sleeping-1", EngineEventLoop, 0, false},
-			{"sleeping-3", EngineSharded, 3, false},
+			{"stepping", 1, true},
+			{"sleeping-1", 1, false},
+			{"sleeping-3", 3, false},
 		}
 		var refLogs [][]int
 		var refStats Stats
 		var refErr string
 		for i, r := range runs {
 			logs := make([][]int, n)
-			o := opts
-			o.Shards = r.shards
-			stats, err := RunOn(r.e, g, sleepyProc(logs, fail, forever, r.stepping), o)
+			stats, err := runAt(r.shards, g, sleepyProc(logs, fail, forever, r.stepping), opts)
 			errStr := fmt.Sprint(err)
 			if i == 0 {
 				refLogs, refStats, refErr = logs, stats, errStr

@@ -1,7 +1,6 @@
 package coredist
 
 import (
-	"os"
 	"testing"
 
 	"lcshortcut/internal/bfsproto"
@@ -9,18 +8,10 @@ import (
 	"lcshortcut/internal/congest/congesttest"
 )
 
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run cuts its graph into three shards and exercises
-// cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
-
-// TestCoredistEnginesIdentical pins the cross-engine contract for CoreSlow,
+// TestCoredistEnginesIdentical pins the shard-count contract for CoreSlow,
 // CoreFast and the canonical shortcut, whose upward sweeps, routing chunks
-// and completion checks sleep on the event-loop engine: every node's
-// shortcut state and the Stats must be identical on both engines.
+// and completion checks sleep: every node's shortcut state and the Stats
+// must be identical at one shard and at three.
 func TestCoredistEnginesIdentical(t *testing.T) {
 	algos := []struct {
 		name  string
@@ -39,7 +30,7 @@ func TestCoredistEnginesIdentical(t *testing.T) {
 	for _, in := range testInstances(t) {
 		for _, algo := range algos {
 			t.Run(in.name+"/"+algo.name, func(t *testing.T) {
-				_, _, err := congesttest.Identical(t, func() (any, congest.Stats, error) {
+				_, _, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
 					states := make([]*NodeShortcut, in.g.NumNodes())
 					stats, err := congest.Run(in.g, func(ctx *congest.Ctx) error {
 						info, err := bfsproto.Phase(ctx, 0, 42)
@@ -49,7 +40,7 @@ func TestCoredistEnginesIdentical(t *testing.T) {
 						ns, err := algo.phase(ctx, info, in)
 						states[ctx.ID()] = ns
 						return err
-					}, congest.Options{})
+					}, congest.Options{Shards: shards})
 					return states, stats, err
 				})
 				if err != nil {

@@ -15,7 +15,7 @@
 // Every decision a node makes is a function of its own RNG draw and the
 // *multiset* of messages it received — never of inbox order — so outcomes are
 // invariant under the engine's scheduler adversary by construction, and
-// identical on both engines.
+// identical at every shard count.
 package elect
 
 import (

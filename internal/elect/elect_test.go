@@ -1,29 +1,13 @@
 package elect
 
 import (
-	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
+	"lcshortcut/internal/congest/congesttest"
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 )
-
-var engines = []struct {
-	name string
-	e    congest.Engine
-}{
-	{"eventloop", congest.EngineEventLoop},
-	{"sharded", congest.EngineSharded},
-}
-
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run below cuts its graph into three shards and
-// exercises cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
 
 // skipCrashed builds an Agreed skip function from a crash schedule.
 func skipCrashed(crashes []congest.Crash) func(graph.NodeID) bool {
@@ -70,8 +54,9 @@ func TestFloodAgreementFaultFree(t *testing.T) {
 }
 
 // TestFloodCrossEngineIdentity runs the election under a combined
-// crash+loss+adversary plan on both engines and requires identical outcomes
-// and stats — the protocol layer's half of the faulty-run identity contract.
+// crash+loss+adversary plan at one shard and at three and requires identical
+// outcomes and stats — the protocol layer's half of the faulty-run identity
+// contract.
 func TestFloodCrossEngineIdentity(t *testing.T) {
 	g := gen.Grid(7, 7)
 	plan := &congest.FaultPlan{
@@ -80,26 +65,13 @@ func TestFloodCrossEngineIdentity(t *testing.T) {
 		Adversary: congest.AdversaryRotate,
 		Seed:      11,
 	}
-	var ref []Outcome
-	var refStats congest.Stats
-	for _, eng := range engines {
+	_, _, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
 		out := make([]Outcome, g.NumNodes())
-		stats, err := congest.RunOn(eng.e, g, Flood(3*g.Diameter(), out), congest.Options{Seed: 21, Faults: plan})
-		if err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
-		}
-		if eng.e == congest.EngineEventLoop {
-			ref, refStats = out, stats
-			continue
-		}
-		for v := range out {
-			if out[v] != ref[v] {
-				t.Fatalf("%s node %d: %+v, eventloop %+v", eng.name, v, out[v], ref[v])
-			}
-		}
-		if stats != refStats {
-			t.Fatalf("%s stats %+v, eventloop %+v", eng.name, stats, refStats)
-		}
+		stats, err := congest.Run(g, Flood(3*g.Diameter(), out), congest.Options{Seed: 21, Faults: plan, Shards: shards})
+		return out, stats, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -267,25 +239,12 @@ func TestRaftCrossEngineIdentity(t *testing.T) {
 		Seed:      23,
 	}
 	cfg := RaftConfig{Rounds: 90, TimeoutMin: 8, TimeoutSpread: 6}
-	var ref []RaftOutcome
-	var refStats congest.Stats
-	for _, eng := range engines {
+	_, _, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
 		out := make([]RaftOutcome, g.NumNodes())
-		stats, err := congest.RunOn(eng.e, g, Raft(cfg, out), congest.Options{Seed: 31, Faults: plan})
-		if err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
-		}
-		if eng.e == congest.EngineEventLoop {
-			ref, refStats = out, stats
-			continue
-		}
-		for v := range out {
-			if out[v] != ref[v] {
-				t.Fatalf("%s node %d: %+v, eventloop %+v", eng.name, v, out[v], ref[v])
-			}
-		}
-		if stats != refStats {
-			t.Fatalf("%s stats %+v, eventloop %+v", eng.name, stats, refStats)
-		}
+		stats, err := congest.Run(g, Raft(cfg, out), congest.Options{Seed: 31, Faults: plan, Shards: shards})
+		return out, stats, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // sequence numbers, vote facts, match lengths, commit index) or a
 // lexicographic max (the replicated log, ordered by (accTerm, length)) —
 // so the final state is a function of the multiset of received messages,
-// never of arrival order, and both engines agree bit for bit.
+// never of arrival order, and every shard count agrees bit for bit.
 //
 // Log replication is WHOLESALE: a message carries the sender's full log
 // stamped with accTerm, the term of the leader that produced it. Since a

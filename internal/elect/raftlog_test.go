@@ -5,20 +5,13 @@ import (
 	"testing"
 
 	"lcshortcut/internal/congest"
+	"lcshortcut/internal/congest/congesttest"
 	"lcshortcut/internal/elect"
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/reliable"
 	"lcshortcut/internal/scenario"
 )
-
-var engines = []struct {
-	name string
-	e    congest.Engine
-}{
-	{"eventloop", congest.EngineEventLoop},
-	{"sharded", congest.EngineSharded},
-}
 
 // raftOver runs the committing Raft over the reliable transport.
 func raftOver(g *graph.Graph, cfg elect.RaftLogConfig, rcfg reliable.Config, opts congest.Options) ([]elect.RaftLogOutcome, reliable.Stats, error) {
@@ -72,32 +65,32 @@ func quorumComponent(g *graph.Graph, dead map[graph.NodeID]bool) []graph.NodeID 
 
 // TestRaftLogFaultFreeCommits pins the base case on the raw engine: one
 // stable leader emerges, every node commits the full log, commits agree,
-// and both engines produce byte-identical outcomes.
+// and one shard and three produce byte-identical outcomes.
 func TestRaftLogFaultFreeCommits(t *testing.T) {
 	graphs := []*graph.Graph{gen.Path(1), gen.Path(5), gen.Ring(12), gen.Grid(5, 5), gen.ErdosRenyi(30, 0.15, 2)}
 	for gi, g := range graphs {
 		cfg := elect.RaftLogConfig{Entries: 5}.TunedFor(g.ApproxDiameter(0))
 		var ref []elect.RaftLogOutcome
-		for ei, eng := range engines {
+		for ei, sh := range congesttest.Shardings {
 			out := make([]elect.RaftLogOutcome, g.NumNodes())
-			if _, err := congest.RunOn(eng.e, g, elect.RaftLog(cfg, out), congest.Options{Seed: int64(gi)}); err != nil {
-				t.Fatalf("graph %d %s: %v", gi, eng.name, err)
+			if _, err := congest.Run(g, elect.RaftLog(cfg, out), congest.Options{Seed: int64(gi), Shards: sh.Shards}); err != nil {
+				t.Fatalf("graph %d %s: %v", gi, sh.Name, err)
 			}
 			if ei == 0 {
 				ref = out
 			} else if fmt.Sprint(out) != fmt.Sprint(ref) {
-				t.Fatalf("graph %d: outcomes differ across engines", gi)
+				t.Fatalf("graph %d: outcomes differ across shard counts", gi)
 			}
 			if err := elect.RaftLogConsistent(out, nil); err != nil {
-				t.Fatalf("graph %d %s: %v", gi, eng.name, err)
+				t.Fatalf("graph %d %s: %v", gi, sh.Name, err)
 			}
 			leader := out[0].Leader
 			for v, o := range out {
 				if o.Commit < cfg.Entries {
-					t.Errorf("graph %d %s node %d committed %d entries, want ≥ %d", gi, eng.name, v, o.Commit, cfg.Entries)
+					t.Errorf("graph %d %s node %d committed %d entries, want ≥ %d", gi, sh.Name, v, o.Commit, cfg.Entries)
 				}
 				if o.Leader != leader {
-					t.Errorf("graph %d %s node %d leader %d, others %d", gi, eng.name, v, o.Leader, leader)
+					t.Errorf("graph %d %s node %d leader %d, others %d", gi, sh.Name, v, o.Leader, leader)
 				}
 			}
 		}
@@ -147,8 +140,8 @@ func TestRaftLogAllFamiliesFaultRegimes(t *testing.T) {
 }
 
 // TestRaftLogCrossEngineIdentity requires the full faulty stack — Raft over
-// reliable over a lossy, crashy engine — to be byte-identical across
-// engines, including the transport counters.
+// reliable over a lossy, crashy engine — to be byte-identical across shard
+// counts, including the transport counters.
 func TestRaftLogCrossEngineIdentity(t *testing.T) {
 	g := gen.Grid(5, 5)
 	cfg := elect.RaftLogConfig{Entries: 4}.TunedFor(g.ApproxDiameter(0))
@@ -160,19 +153,17 @@ func TestRaftLogCrossEngineIdentity(t *testing.T) {
 	}
 	var refOut []elect.RaftLogOutcome
 	var refRS reliable.Stats
-	for ei, eng := range engines {
-		prev := congest.SetEngine(eng.e)
-		out, rs, err := raftOver(g, cfg, rcfg, congest.Options{Seed: 4, Faults: plan})
-		congest.SetEngine(prev)
+	for ei, sh := range congesttest.Shardings {
+		out, rs, err := raftOver(g, cfg, rcfg, congest.Options{Seed: 4, Faults: plan, Shards: sh.Shards})
 		if err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
+			t.Fatalf("%s: %v", sh.Name, err)
 		}
 		if ei == 0 {
 			refOut, refRS = out, rs
 			continue
 		}
 		if fmt.Sprint(out) != fmt.Sprint(refOut) {
-			t.Error("raft outcomes diverged across engines")
+			t.Error("raft outcomes diverged across shard counts")
 		}
 		if rs != refRS {
 			t.Errorf("transport stats diverged: %+v vs %+v", rs, refRS)

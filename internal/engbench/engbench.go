@@ -1,8 +1,8 @@
 // Package engbench defines the CONGEST engine microbenchmark scenarios and a
-// self-contained harness for measuring them on both engines (the event-loop
-// arena engine and the sharded multi-core engine). The scenarios
-// are shared by the repository's `go test -bench BenchmarkCongest` suite and
-// by `cmd/experiments -bench-json`, which records the measurements in
+// self-contained harness for measuring them at one shard and, on a
+// multi-core host, at one shard per core. The scenarios are shared by the
+// repository's `go test -bench BenchmarkCongest` suite and by
+// `cmd/experiments -bench-json`, which records the measurements in
 // BENCH_engine.json so the engine's perf trajectory is tracked in-repo;
 // cmd/benchdiff compares a fresh run against that committed baseline in CI.
 //
@@ -64,19 +64,19 @@ type Scenario struct {
 	// BENCH_engine.json, derived as <protocol>/<family>-n<nodes> from the
 	// registry scenario it wraps.
 	Name string
-	// Heavy marks scenarios whose single run takes minutes (bfsopen on the
-	// 65536-node grid simulates ~100M node-rounds): benchmark smoke runs
-	// skip them and Measure times exactly one iteration.
+	// Heavy marks scenarios too slow for smoke runs (the committing Raft,
+	// the million-node flood, the largest construction): benchmark smoke
+	// runs skip them and Measure times exactly one iteration.
 	Heavy bool
 	// Graph returns the scenario's graph, built once and cached.
 	Graph func() *graph.Graph
-	// Run performs one simulation on g under the currently selected engine.
-	// nil when Variants is set.
-	Run func(g *graph.Graph) (congest.Stats, error)
-	// Variants, when non-empty, replaces the per-engine measurement: the
-	// scenario is measured once per variant and the variant name fills the
-	// report's engine column. Used by workloads whose interesting axis is not
-	// the CONGEST engine (the findshortcut construction's sequential/parallel
+	// Run performs one simulation on g cut into shards shards
+	// (congest.Options.Shards). nil when Variants is set.
+	Run func(g *graph.Graph, shards int) (congest.Stats, error)
+	// Variants, when non-empty, replaces the engine rows: the scenario is
+	// measured once per variant and the variant name fills the report's
+	// engine column. Used by workloads whose interesting axis is not the
+	// CONGEST engine (the findshortcut construction's sequential/parallel
 	// walk paths).
 	Variants []Variant
 }
@@ -87,10 +87,37 @@ type Variant struct {
 	Run  func(g *graph.Graph) (congest.Stats, error)
 }
 
-// Engines returns the engine axis every scenario without Variants is
-// measured on.
-func Engines() []congest.Engine {
-	return []congest.Engine{congest.EngineEventLoop, congest.EngineSharded}
+// engineRow is one row of the engine axis: its report label and shard
+// count.
+type engineRow struct {
+	name   string
+	shards int
+}
+
+// engineAxis is the engine axis on this host: one shard ("event-loop")
+// always, and one shard per core ("sharded") only when GOMAXPROCS is above
+// one, since on one core that row would measure the first row's code again.
+func engineAxis() []engineRow {
+	axis := []engineRow{{"event-loop", 1}}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		axis = append(axis, engineRow{"sharded", p})
+	}
+	return axis
+}
+
+// Rows returns the ways sc is measured: its Variants, or else one row per
+// entry of the engine axis.
+func (sc Scenario) Rows() []Variant {
+	if len(sc.Variants) > 0 {
+		return sc.Variants
+	}
+	var rows []Variant
+	for _, e := range engineAxis() {
+		rows = append(rows, Variant{Name: e.name, Run: func(g *graph.Graph) (congest.Stats, error) {
+			return sc.Run(g, e.shards)
+		}})
+	}
+	return rows
 }
 
 // BroadcastProc floods every edge in both directions for `rounds` rounds —
@@ -150,17 +177,16 @@ func broadcastOn(family string, n int, seed int64) Scenario {
 	return Scenario{
 		Name:  "broadcast/" + name,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
-			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1})
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
+			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1, Shards: shards})
 		},
 	}
 }
 
 // broadcastLargeOn builds a short flood on a million-node-scale registry
-// family. The workload exists to compare the event-loop engine against the
-// sharded multi-core engine at a scale where per-round parallelism
-// dominates; the flood is cut to 24 rounds so a single Heavy iteration stays
-// in seconds.
+// family. The workload exists to compare one shard against one shard per
+// core at a scale where per-round parallelism dominates; the flood is cut
+// to 24 rounds so a single Heavy iteration stays in seconds.
 func broadcastLargeOn(family string, n int, seed int64) Scenario {
 	const floodSteps = 24
 	name, g := graphOf(family, n, seed)
@@ -168,8 +194,8 @@ func broadcastLargeOn(family string, n int, seed int64) Scenario {
 		Name:  "broadcast/" + name,
 		Heavy: true,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
-			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1})
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
+			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1, Shards: shards})
 		},
 	}
 }
@@ -186,8 +212,8 @@ func faultyBroadcastOn(family string, n int, seed int64) Scenario {
 	return Scenario{
 		Name:  "faulty/broadcast-" + name,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
-			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1, Faults: plan})
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
+			return congest.Run(g, BroadcastProc(floodSteps), congest.Options{Seed: 1, Faults: plan, Shards: shards})
 		},
 	}
 }
@@ -203,7 +229,7 @@ func faultyElectOn(family string, n int, seed int64) Scenario {
 	return Scenario{
 		Name:  "faulty/elect-" + name,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
 			once.Do(func() {
 				plan = &congest.FaultPlan{
 					Crashes:   congest.RandomCrashes(g.NumNodes(), 0.1, 8, -1, 11),
@@ -213,7 +239,7 @@ func faultyElectOn(family string, n int, seed int64) Scenario {
 				}
 			})
 			out := make([]elect.Outcome, g.NumNodes())
-			return congest.Run(g, elect.Flood(electRounds, out), congest.Options{Seed: 1, Faults: plan})
+			return congest.Run(g, elect.Flood(electRounds, out), congest.Options{Seed: 1, Faults: plan, Shards: shards})
 		},
 	}
 }
@@ -230,14 +256,14 @@ func reliableBroadcastOn(family string, n int, seed int64) Scenario {
 	return Scenario{
 		Name:  "reliable/broadcast-" + name,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
 			stats, _, err := reliable.Run(g, func(ctx *reliable.Ctx) error {
 				for r := 0; r < floodSteps; r++ {
 					ctx.SendAll(beat{})
 					ctx.StepRound()
 				}
 				return nil
-			}, reliable.Config{}, congest.Options{Seed: 1, Faults: plan})
+			}, reliable.Config{}, congest.Options{Seed: 1, Faults: plan, Shards: shards})
 			return stats, err
 		},
 	}
@@ -257,14 +283,14 @@ func raftCommitOn(family string, n int, seed int64) Scenario {
 		Name:  "raft/commit-" + name,
 		Heavy: true,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
 			once.Do(func() {
 				cfg = elect.RaftLogConfig{Entries: 4}.TunedFor(g.ApproxDiameter(0))
 			})
 			out := make([]elect.RaftLogOutcome, g.NumNodes())
 			return congest.Run(g, func(ctx *congest.Ctx) error {
 				return elect.RaftLogNet(ctx, cfg, out)
-			}, congest.Options{Seed: 1})
+			}, congest.Options{Seed: 1, Shards: shards})
 		},
 	}
 }
@@ -279,26 +305,25 @@ func radioBroadcastOn(family string, n int, seed int64) Scenario {
 	return Scenario{
 		Name:  "radio/broadcast-" + name,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
 			once.Do(func() {
 				cfg = radio.DecayConfig{Phases: 2*g.ApproxDiameter(0) + 10}
 			})
 			out := make([]radio.DecayOutcome, g.NumNodes())
 			return congest.Run(g, radio.Decay(cfg, out),
-				congest.Options{Seed: 1, Model: congest.ModelRadio})
+				congest.Options{Seed: 1, Model: congest.ModelRadio, Shards: shards})
 		},
 	}
 }
 
 // bfsOpenOn builds a BFS-opening workload on a registry family.
-func bfsOpenOn(family string, n int, seed int64, heavy bool) Scenario {
+func bfsOpenOn(family string, n int, seed int64) Scenario {
 	name, g := graphOf(family, n, seed)
 	return Scenario{
 		Name:  "bfsopen/" + name,
-		Heavy: heavy,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
-			_, stats, err := bfsproto.Run(g, 0, 7, congest.Options{})
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
+			_, stats, err := bfsproto.Run(g, 0, 7, congest.Options{Shards: shards})
 			return stats, err
 		},
 	}
@@ -348,8 +373,8 @@ func findShortcutOn(family string, n int, seed int64, heavy bool) Scenario {
 // Scenarios returns the engine benchmark suite: every graph family at
 // ~2k nodes under the broadcast flood (all six new families included — the
 // degree profile is what differentiates them), the sparse token ring, and
-// the two large BFS openings (grid-65536 is the Heavy minutes-long one;
-// er-sparse-50000 takes seconds and stays in the short/gate suite).
+// the two large BFS openings (each takes about a second and stays in the
+// short/gate suite).
 func Scenarios() []Scenario {
 	const (
 		ringN  = 1024
@@ -382,8 +407,8 @@ func Scenarios() []Scenario {
 	suite = append(suite, Scenario{
 		Name:  "tokenring/" + ringName,
 		Graph: ringGraph,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
-			return congest.Run(g, TokenRingProc(g.NumNodes(), g.NumNodes()), congest.Options{Seed: 1})
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
+			return congest.Run(g, TokenRingProc(g.NumNodes(), g.NumNodes()), congest.Options{Seed: 1, Shards: shards})
 		},
 	})
 	// The min-cut tree-packing protocol: the heaviest composite workload —
@@ -394,19 +419,19 @@ func Scenarios() []Scenario {
 	suite = append(suite, Scenario{
 		Name:  "mincut/" + mcName,
 		Graph: mcGraph,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
-			_, stats, err := mincut.Run(g, 0, 7, mincut.Config{Trees: 2}, congest.Options{})
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
+			_, stats, err := mincut.Run(g, 0, 7, mincut.Config{Trees: 2}, congest.Options{Shards: shards})
 			return stats, err
 		},
 	})
 	suite = append(suite,
-		bfsOpenOn("grid", 65536, 1, true),
-		bfsOpenOn("er-sparse", 50000, 1, false),
+		bfsOpenOn("grid", 65536, 1),
+		bfsOpenOn("er-sparse", 50000, 1),
 	)
 	// The million-node flood (PR 9): preferential attachment keeps the
 	// diameter logarithmic, so 24 rounds saturate every arc without the
 	// ~2000-round diameter a million-node mesh would need. The nightly
-	// large-n CI job gates the sharded engine faster on every n >= 1e5
+	// large-n CI job gates the sharded row faster on every n >= 1e5
 	// scenario.
 	suite = append(suite, broadcastLargeOn("ba", 1000000, 7))
 	// The centralized FindShortcut construction hot path, sequential vs the
@@ -421,14 +446,6 @@ func Scenarios() []Scenario {
 	return suite
 }
 
-// EngineName renders an engine for reports.
-func EngineName(e congest.Engine) string {
-	if e == congest.EngineSharded {
-		return "sharded"
-	}
-	return "event-loop"
-}
-
 // Measurement is one (scenario, engine) timing.
 type Measurement struct {
 	Scenario    string `json:"scenario"`
@@ -441,11 +458,11 @@ type Measurement struct {
 }
 
 // Report is the BENCH_engine.json document: one measurement per (scenario,
-// engine or variant). The host metadata
-// (go_version, gomaxprocs, engines) is load-bearing: cmd/benchdiff refuses
+// row). Engines lists the engine rows measured on this host. The host
+// metadata (go_version, gomaxprocs) is load-bearing: cmd/benchdiff refuses
 // to compare reports whose recording configurations differ, since absolute
 // ns/op does not transfer across Go releases or core counts (the sharded
-// engine's numbers in particular are meaningless without GOMAXPROCS).
+// row in particular is meaningless without GOMAXPROCS).
 type Report struct {
 	GoVersion  string        `json:"go_version"`
 	GoMaxProcs int           `json:"gomaxprocs"`
@@ -453,8 +470,7 @@ type Report struct {
 	Results    []Measurement `json:"results"`
 }
 
-// Measure runs every suite scenario on both engines and assembles the
-// report. minIters and minDuration bound each measurement (whichever is hit
+// Measure runs every suite scenario's rows and assembles the report. minIters and minDuration bound each measurement (whichever is hit
 // last); smoke runs pass (1, 0) and skipHeavy to drop the minutes-long
 // scenarios.
 func Measure(minIters int, minDuration time.Duration, skipHeavy bool) (*Report, error) {
@@ -471,26 +487,16 @@ func MeasureSuite(suite []Scenario, minIters int, minDuration time.Duration, ski
 		GoVersion:  runtime.Version(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
-	for _, e := range Engines() {
-		rep.Engines = append(rep.Engines, EngineName(e))
+	for _, e := range engineAxis() {
+		rep.Engines = append(rep.Engines, e.name)
 	}
 	for _, sc := range suite {
 		if sc.Heavy && skipHeavy {
 			continue
 		}
 		g := sc.Graph()
-		if len(sc.Variants) > 0 {
-			for _, v := range sc.Variants {
-				m, err := measureRun(sc.Name, v.Name, sc.Heavy, v.Run, g, minIters, minDuration)
-				if err != nil {
-					return nil, err
-				}
-				rep.Results = append(rep.Results, m)
-			}
-			continue
-		}
-		for _, e := range Engines() {
-			m, err := measureOne(sc, g, e, minIters, minDuration)
+		for _, row := range sc.Rows() {
+			m, err := measureRun(sc.Name, row.Name, sc.Heavy, row.Run, g, minIters, minDuration)
 			if err != nil {
 				return nil, err
 			}
@@ -498,12 +504,6 @@ func MeasureSuite(suite []Scenario, minIters int, minDuration time.Duration, ski
 		}
 	}
 	return rep, nil
-}
-
-func measureOne(sc Scenario, g *graph.Graph, e congest.Engine, minIters int, minDuration time.Duration) (Measurement, error) {
-	prev := congest.SetEngine(e)
-	defer congest.SetEngine(prev)
-	return measureRun(sc.Name, EngineName(e), sc.Heavy, sc.Run, g, minIters, minDuration)
 }
 
 func measureRun(name, engine string, heavy bool, run func(*graph.Graph) (congest.Stats, error), g *graph.Graph, minIters int, minDuration time.Duration) (Measurement, error) {

@@ -2,6 +2,8 @@ package engbench
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,50 +105,52 @@ func TestSuiteShape(t *testing.T) {
 
 // TestMeasureSmoke runs the harness end to end on one tiny scenario to keep
 // MeasureSuite's accounting wired (full measurements belong to
-// cmd/experiments -bench-json and CI's bench gate).
+// cmd/experiments -bench-json and CI's bench gate). The engine rows follow
+// the core count: one shard always, one shard per core only when
+// GOMAXPROCS is above one.
 func TestMeasureSmoke(t *testing.T) {
 	name, g := graphOf("ring", 64, 1)
 	tiny := []Scenario{{
 		Name:  "tokenring/" + name,
 		Graph: g,
-		Run: func(g *graph.Graph) (congest.Stats, error) {
-			return congest.Run(g, TokenRingProc(g.NumNodes(), g.NumNodes()), congest.Options{Seed: 1})
+		Run: func(g *graph.Graph, shards int) (congest.Stats, error) {
+			return congest.Run(g, TokenRingProc(g.NumNodes(), g.NumNodes()), congest.Options{Seed: 1, Shards: shards})
 		},
 	}}
 	tiny = append(tiny, findShortcutOn("grid", 36, 1, false))
-	rep, err := MeasureSuite(tiny, 1, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 4 {
-		t.Fatalf("want 4 measurements (2 engines + 2 variants), got %d", len(rep.Results))
-	}
-	engines := map[string]bool{}
-	for _, m := range rep.Results {
-		engines[m.Engine] = true
-		if m.NsPerOp <= 0 {
-			t.Errorf("%s/%s: empty measurement %+v", m.Scenario, m.Engine, m)
+	for _, tc := range []struct {
+		procs   int
+		engines []string
+	}{
+		{1, []string{"event-loop"}},
+		{2, []string{"event-loop", "sharded"}},
+	} {
+		prev := runtime.GOMAXPROCS(tc.procs)
+		rep, err := MeasureSuite(tiny, 1, 0, true)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.SimRounds <= 0 && !strings.HasPrefix(m.Scenario, "findshortcut/") {
-			t.Errorf("%s/%s: no simulated rounds %+v", m.Scenario, m.Engine, m)
+		want := append(slices.Clone(tc.engines), "sequential", "parallel")
+		var got []string
+		for _, m := range rep.Results {
+			got = append(got, m.Engine)
+			if m.NsPerOp <= 0 {
+				t.Errorf("%s/%s: empty measurement %+v", m.Scenario, m.Engine, m)
+			}
+			if m.SimRounds <= 0 && !strings.HasPrefix(m.Scenario, "findshortcut/") {
+				t.Errorf("%s/%s: no simulated rounds %+v", m.Scenario, m.Engine, m)
+			}
 		}
-	}
-	for _, want := range []string{"event-loop", "sharded", "sequential", "parallel"} {
-		if !engines[want] {
-			t.Errorf("missing measurement column %q", want)
+		if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: measured rows %v, want %v", tc.procs, got, want)
 		}
-	}
-	// Host metadata is what cmd/benchdiff's mismatch refusal keys on.
-	if rep.GoVersion == "" || rep.GoMaxProcs < 1 {
-		t.Errorf("report missing host metadata: go_version=%q gomaxprocs=%d", rep.GoVersion, rep.GoMaxProcs)
-	}
-	wantEngines := []string{"event-loop", "sharded"}
-	if len(rep.Engines) != len(wantEngines) {
-		t.Fatalf("report engines = %v, want %v", rep.Engines, wantEngines)
-	}
-	for i, w := range wantEngines {
-		if rep.Engines[i] != w {
-			t.Errorf("report engines[%d] = %q, want %q", i, rep.Engines[i], w)
+		if !slices.Equal(rep.Engines, tc.engines) {
+			t.Errorf("GOMAXPROCS=%d: report engines = %v, want %v", tc.procs, rep.Engines, tc.engines)
+		}
+		// Host metadata is what cmd/benchdiff's mismatch refusal keys on.
+		if rep.GoVersion == "" || rep.GoMaxProcs != tc.procs {
+			t.Errorf("report host metadata: go_version=%q gomaxprocs=%d, want gomaxprocs %d", rep.GoVersion, rep.GoMaxProcs, tc.procs)
 		}
 	}
 }

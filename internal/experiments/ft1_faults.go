@@ -88,55 +88,46 @@ func ft1Axis(short bool) []GridAxis {
 	return append(ax, regimes)
 }
 
-// ft1Broadcast floods a rumor from node 0 for a fixed round budget and
-// reports how far and how fast it spread: heardAt[v] is the round node v
-// first heard (-1 if never, or if v crashed before finishing).
-func ft1Broadcast(rc *RunContext, g *graph.Graph, budget int, plan *congest.FaultPlan) (heardAt []int, stats congest.Stats, err error) {
-	heardAt = make([]int, g.NumNodes())
+// rumorFlood returns heardAt, every entry -1, and the flood of a rumor from
+// node 0 for a fixed round budget over any congest.Net: a node that knows
+// the rumor sends it on every arc every round, and a node that finishes
+// records in heardAt[v] the round it first heard it (0 at the source), so
+// heardAt stays -1 for a node that never heard or crashed before finishing.
+func rumorFlood(n, budget int) (heardAt []int, flood func(congest.Net) error) {
+	heardAt = make([]int, n)
 	for v := range heardAt {
 		heardAt[v] = -1
 	}
-	stats, err = rc.Run(g, func(ctx *congest.Ctx) error {
-		knows, at := ctx.ID() == 0, 0
+	return heardAt, func(net congest.Net) error {
+		knows, at := net.ID() == 0, 0
 		for r := 0; r < budget; r++ {
 			if knows {
-				ctx.SendAll(ft1Beat{})
+				net.SendAll(ft1Beat{})
 			}
-			if len(ctx.StepRound()) > 0 && !knows {
+			if len(net.StepRound()) > 0 && !knows {
 				knows, at = true, r+1
 			}
 		}
 		if knows {
-			heardAt[ctx.ID()] = at
+			heardAt[net.ID()] = at
 		}
 		return nil
-	}, congest.Options{Seed: 1, Faults: plan})
+	}
+}
+
+// ft1Broadcast runs rumorFlood on the raw engine and reports how far and how
+// fast the rumor spread.
+func ft1Broadcast(rc *RunContext, g *graph.Graph, budget int, plan *congest.FaultPlan) (heardAt []int, stats congest.Stats, err error) {
+	heardAt, flood := rumorFlood(g.NumNodes(), budget)
+	stats, err = rc.Run(g, func(ctx *congest.Ctx) error { return flood(ctx) }, congest.Options{Seed: 1, Faults: plan})
 	return heardAt, stats, err
 }
 
 // ft1ReliableBroadcast is ft1Broadcast over the reliable transport: the same
-// flood, written against the congest.Net surface, experiencing a loss-free
-// logical network among the survivors.
+// flood, experiencing a loss-free logical network among the survivors.
 func ft1ReliableBroadcast(rc *RunContext, g *graph.Graph, budget int, plan *congest.FaultPlan) (heardAt []int, stats congest.Stats, err error) {
-	heardAt = make([]int, g.NumNodes())
-	for v := range heardAt {
-		heardAt[v] = -1
-	}
-	stats, _, err = reliable.Run(g, func(ctx *reliable.Ctx) error {
-		knows, at := ctx.ID() == 0, 0
-		for r := 0; r < budget; r++ {
-			if knows {
-				ctx.SendAll(ft1Beat{})
-			}
-			if len(ctx.StepRound()) > 0 && !knows {
-				knows, at = true, r+1
-			}
-		}
-		if knows {
-			heardAt[ctx.ID()] = at
-		}
-		return nil
-	}, ft1RelConfig, congest.Options{Seed: 1, Faults: plan})
+	heardAt, flood := rumorFlood(g.NumNodes(), budget)
+	stats, _, err = reliable.Run(g, func(ctx *reliable.Ctx) error { return flood(ctx) }, ft1RelConfig, congest.Options{Seed: 1, Faults: plan})
 	rc.Record(stats)
 	return heardAt, stats, err
 }

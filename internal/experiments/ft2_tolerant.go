@@ -26,7 +26,7 @@ import (
 //     backoff must push the rumor through contention to every node.
 //
 // Every family runs at one fixed small size so the sweep stays cheap enough
-// for the short registry; the protocols' cross-engine identity and larger
+// for the short registry; the protocols' shard-count identity and larger
 // regimes live in the package test suites.
 
 const (
@@ -76,26 +76,8 @@ func ft2CrashPlan(n int, drop float64) *congest.FaultPlan {
 func ft2Broadcast(rc *RunContext, g *graph.Graph, plan *congest.FaultPlan) (row []string, ok bool, err error) {
 	n := g.NumNodes()
 	dead := crashedOf(plan)
-	budget := n + 2
-	heardAt := make([]int, n)
-	for v := range heardAt {
-		heardAt[v] = -1
-	}
-	stats, rstats, err := reliable.Run(g, func(ctx *reliable.Ctx) error {
-		knows, at := ctx.ID() == 0, 0
-		for r := 0; r < budget; r++ {
-			if knows {
-				ctx.SendAll(ft1Beat{})
-			}
-			if len(ctx.StepRound()) > 0 && !knows {
-				knows, at = true, r+1
-			}
-		}
-		if knows {
-			heardAt[ctx.ID()] = at
-		}
-		return nil
-	}, ft2RelConfig, congest.Options{Seed: ft2Seed, Faults: plan})
+	heardAt, flood := rumorFlood(n, n+2)
+	stats, rstats, err := reliable.Run(g, func(ctx *reliable.Ctx) error { return flood(ctx) }, ft2RelConfig, congest.Options{Seed: ft2Seed, Faults: plan})
 	rc.Record(stats)
 	if err != nil {
 		return nil, false, err

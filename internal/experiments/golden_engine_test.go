@@ -18,7 +18,7 @@ type shortRun struct {
 }
 
 // runShortUncached computes a shortRun on workers harness workers under the
-// process-wide engine, shard count and fault plan.
+// process-wide shard count and fault plan.
 func runShortUncached(t *testing.T, workers int) *shortRun {
 	t.Helper()
 	results, err := RunAll(Options{Workers: workers, Short: true})
@@ -34,26 +34,25 @@ func runShortUncached(t *testing.T, workers int) *shortRun {
 }
 
 // shortRuns memoizes runShort per test binary. Several tests compare the
-// same run (the sequential default-engine run is shared by four, the
-// 8-worker one by three), and each run takes a quarter of a minute.
+// same run (the sequential one-shard run is shared by four, the 8-worker
+// one by three), and each run takes a quarter of a minute.
 var shortRuns = struct {
 	sync.Mutex
 	m map[shortRunKey]*shortRun
 }{m: map[shortRunKey]*shortRun{}}
 
 type shortRunKey struct {
-	engine  congest.Engine
 	workers int
 	shards  int
 }
 
-// runShort is runShortUncached computed once per (engine, workers, shards)
-// and shared; callers must not modify the result. It assumes no default
+// runShort is runShortUncached computed once per (workers, shards) and
+// shared; callers must not modify the result. It assumes no default
 // fault plan is installed: the chaos test, which installs one, runs
 // uncached.
 func runShort(t *testing.T, workers int) *shortRun {
 	t.Helper()
-	key := shortRunKey{congest.CurrentEngine(), workers, congest.DefaultShards()}
+	key := shortRunKey{workers, congest.DefaultShards()}
 	shortRuns.Lock()
 	defer shortRuns.Unlock()
 	r, ok := shortRuns.m[key]
@@ -93,47 +92,32 @@ func TestGoldenBaselineFile(t *testing.T) {
 	}
 }
 
-// TestGoldenEngineIdentity is the cross-engine contract: the full registry
-// must produce byte-identical JSON on the event-loop and sharded engines,
-// sequentially and on eight harness workers — and, for the sharded engine,
-// across shard counts 1, 4 and 8, since the shard cut must never leak into
-// seeded protocol output (deliveries are merged back into by-neighbor-ID
-// inbox order regardless of which shard relayed them).
+// TestGoldenEngineIdentity is the shard-count contract: the full registry
+// must produce byte-identical JSON at one shard, sequentially and on eight
+// harness workers, and at shard counts 4 and 8, since the shard cut must
+// never leak into seeded protocol output (deliveries are merged back into
+// by-neighbor-ID inbox order regardless of which shard relayed them).
 func TestGoldenEngineIdentity(t *testing.T) {
 	type variant struct {
-		engine  congest.Engine
 		workers int
 		shards  int
 	}
-	ref := runShort(t, 1).json // current default engine, sequential
-	variants := []variant{
-		{congest.EngineEventLoop, 8, 0},
-		{congest.EngineSharded, 1, 4},
-	}
+	ref := runShort(t, 1).json // one shard, sequential
+	variants := []variant{{8, 1}, {1, 4}}
 	if !raceEnabled {
 		// Each variant is a full registry run — minutes under the race
-		// detector, so the race job keeps one sharded variant (shards=4
-		// exercises cross-shard relays everywhere) and the uninstrumented
-		// jobs sweep the full shard-count matrix. The congest package's own
-		// race suite already runs every protocol at 3 shards.
-		variants = append(variants,
-			variant{congest.EngineSharded, 1, 1},
-			variant{congest.EngineSharded, 8, 8},
-		)
+		// detector, so the race job keeps one variant of several shards
+		// (shards=4 exercises cross-shard relays everywhere) and the
+		// uninstrumented jobs add shards=8. The congest package's own race
+		// suite already runs every protocol at 3 shards.
+		variants = append(variants, variant{8, 8})
 	}
 	for _, v := range variants {
-		prev := congest.SetEngine(v.engine)
-		var prevShards int
-		if v.shards > 0 {
-			prevShards = congest.SetDefaultShards(v.shards)
-		}
+		prev := congest.SetDefaultShards(v.shards)
 		got := runShort(t, v.workers).json
-		if v.shards > 0 {
-			congest.SetDefaultShards(prevShards)
-		}
-		congest.SetEngine(prev)
+		congest.SetDefaultShards(prev)
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("engine %v workers=%d shards=%d diverges from event-loop workers=1 JSON", v.engine, v.workers, v.shards)
+			t.Fatalf("workers=%d shards=%d diverges from one-shard workers=1 JSON", v.workers, v.shards)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package findshort
 
 import (
-	"os"
 	"testing"
 
 	"lcshortcut/internal/bfsproto"
@@ -9,22 +8,14 @@ import (
 	"lcshortcut/internal/congest/congesttest"
 )
 
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run cuts its graph into three shards and exercises
-// cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
-
-// TestFindshortEnginesIdentical pins the cross-engine contract for the
+// TestFindshortEnginesIdentical pins the shard-count contract for the
 // doubling FindShortcut (AutoPhase), which composes every converted wait —
 // the BFS phase, CoreFast, the casts and the aggregates: every node's result
-// and the Stats must be identical on both engines.
+// and the Stats must be identical at one shard and at three.
 func TestFindshortEnginesIdentical(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
-			_, _, err := congesttest.Identical(t, func() (any, congest.Stats, error) {
+			_, _, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
 				results := make([]*AutoResult, in.g.NumNodes())
 				stats, err := congest.Run(in.g, func(ctx *congest.Ctx) error {
 					info, err := bfsproto.Phase(ctx, 0, 21)
@@ -34,7 +25,7 @@ func TestFindshortEnginesIdentical(t *testing.T) {
 					ar, err := AutoPhase(ctx, info, in.p, in.p.NumParts(), 21, true)
 					results[ctx.ID()] = ar
 					return err
-				}, congest.Options{})
+				}, congest.Options{Shards: shards})
 				return results, stats, err
 			})
 			if err != nil {

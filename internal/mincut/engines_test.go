@@ -2,56 +2,27 @@ package mincut
 
 import (
 	"errors"
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"lcshortcut/internal/congest"
+	"lcshortcut/internal/congest/congesttest"
 	"lcshortcut/internal/gen"
 )
 
-var engines = []struct {
-	name string
-	e    congest.Engine
-}{
-	{"eventloop", congest.EngineEventLoop},
-	{"sharded", congest.EngineSharded},
-}
-
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run below cuts its graph into three shards and
-// exercises cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
-
-// TestMincutEnginesIdentical pins the cross-engine contract for the
-// protocol: outcome and simulated cost must be byte-identical on the
-// event-loop and sharded engines.
+// TestMincutEnginesIdentical pins the shard-count contract for the
+// protocol: outcome and simulated cost must be byte-identical at one shard
+// and at three.
 func TestMincutEnginesIdentical(t *testing.T) {
 	g := gen.WithUniqueWeights(gen.Grid(6, 6), 4)
-	var ref *Outcome
-	var refStats congest.Stats
-	for _, eng := range engines {
-		prev := congest.SetEngine(eng.e)
-		out, stats, err := Run(g, 0, 9, Config{Trees: 3}, congest.Options{})
-		congest.SetEngine(prev)
-		if err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
-		}
-		if ref == nil {
-			ref, refStats = out, stats
-			continue
-		}
-		if !reflect.DeepEqual(out, ref) {
-			t.Fatalf("%s outcome %+v diverges from event-loop %+v", eng.name, out, ref)
-		}
-		if stats != refStats {
-			t.Fatalf("%s stats %+v diverge from event-loop %+v", eng.name, stats, refStats)
-		}
+	_, _, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
+		out, stats, err := Run(g, 0, 9, Config{Trees: 3}, congest.Options{Shards: shards})
+		return out, stats, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -74,18 +45,16 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestMincutAbortMidPackingNoGoroutineLeak aborts the protocol in the middle
-// of the packing stage with a tight watchdog on both engines: Run must
-// surface ErrMaxRounds and every node goroutine must exit (polled with a
-// bound: a goroutine past its deferred WaitGroup.Done may not have exited
+// of the packing stage with a tight watchdog at one shard and at three: Run
+// must surface ErrMaxRounds and every node goroutine must exit (polled with
+// a bound: a goroutine past its deferred WaitGroup.Done may not have exited
 // when Run returns).
 func TestMincutAbortMidPackingNoGoroutineLeak(t *testing.T) {
 	g := gen.Grid(6, 6)
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
+	for _, sh := range congesttest.Shardings {
+		t.Run(sh.Name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			prev := congest.SetEngine(eng.e)
-			_, _, err := Run(g, 0, 7, Config{Trees: 4}, congest.Options{MaxRounds: 60})
-			congest.SetEngine(prev)
+			_, _, err := Run(g, 0, 7, Config{Trees: 4}, congest.Options{MaxRounds: 60, Shards: sh.Shards})
 			if !errors.Is(err, congest.ErrMaxRounds) {
 				t.Fatalf("err = %v, want ErrMaxRounds", err)
 			}
@@ -94,9 +63,9 @@ func TestMincutAbortMidPackingNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestMincutWorkerConcurrencySafe runs the protocol concurrently on both
-// engines from several goroutines — the harness's worker-pool shape — so the
-// race detector can check the shared engine pools under the new workload.
+// TestMincutWorkerConcurrencySafe runs the protocol concurrently from several
+// goroutines — the harness's worker-pool shape — so the race detector can
+// check the shared engine pools under the new workload.
 func TestMincutWorkerConcurrencySafe(t *testing.T) {
 	graphs := []struct {
 		name string

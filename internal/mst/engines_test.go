@@ -2,7 +2,6 @@ package mst
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
@@ -11,18 +10,10 @@ import (
 	"lcshortcut/internal/graph"
 )
 
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run cuts its graph into three shards and exercises
-// cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
-
-// TestMstEnginesIdentical pins the cross-engine contract for the distributed
+// TestMstEnginesIdentical pins the shard-count contract for the distributed
 // MST under all three strategies (the no-shortcut flood chunks and every
-// shortcut phase sleep on the event-loop engine): every node's result and
-// the Stats must be identical on both engines.
+// shortcut phase sleep): every node's result and the Stats must be
+// identical at one shard and at three.
 func TestMstEnginesIdentical(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -34,8 +25,8 @@ func TestMstEnginesIdentical(t *testing.T) {
 	for _, gr := range graphs {
 		for _, s := range []Strategy{StrategyShortcut, StrategyCanonical, StrategyNoShortcut} {
 			t.Run(fmt.Sprintf("%s/strategy%d", gr.name, s), func(t *testing.T) {
-				_, _, err := congesttest.Identical(t, func() (any, congest.Stats, error) {
-					results, stats, err := Run(gr.g, 0, 11, Config{Strategy: s}, congest.Options{})
+				_, _, err := congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
+					results, stats, err := Run(gr.g, 0, 11, Config{Strategy: s}, congest.Options{Shards: shards})
 					return results, stats, err
 				})
 				if err != nil {

@@ -16,12 +16,10 @@ func TestAllocGuardPartops(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race builds run nodes on goroutines whose bookkeeping allocates; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	in := testInstances(t)[1] // grid10x10/voronoi7
 	const bLimit = 3
 	run := func(calls int) congest.Stats {
-		_, _, stats := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+		_, _, stats := pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 			for c := 0; c < calls; c++ {
 				if _, err := m.VerifyBlockCount(ctx, bLimit); err != nil {
 					return err

@@ -1,20 +1,11 @@
 package partops
 
 import (
-	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
 	"lcshortcut/internal/congest/congesttest"
 )
-
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run cuts its graph into three shards and exercises
-// cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
 
 // castOut is one node's result of the annotated membership followed by a
 // block count verification and a part-wide minimum.
@@ -24,17 +15,17 @@ type castOut struct {
 	Min        []Value
 }
 
-// TestPartopsEnginesIdentical pins the cross-engine contract for Annotate
-// and the Lemma 2 casts behind VerifyBlockCount and MinToAll, which sleep
-// on the event-loop engine: every node's membership, verdicts, minima and
-// the Stats must be identical on both engines.
+// TestPartopsEnginesIdentical pins the shard-count contract for Annotate
+// and the Lemma 2 casts behind VerifyBlockCount and MinToAll, which sleep:
+// every node's membership, verdicts, minima and the Stats must be identical
+// at one shard and at three.
 func TestPartopsEnginesIdentical(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
 			const bLimit = 3
-			congesttest.Identical(t, func() (any, congest.Stats, error) {
+			congesttest.Identical(t, func(shards int) (any, congest.Stats, error) {
 				outs := make([]castOut, in.g.NumNodes())
-				members, _, stats := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+				members, _, stats := pipeline(t, in, shards, func(ctx *congest.Ctx, m *Membership) error {
 					verify, err := m.VerifyBlockCount(ctx, bLimit)
 					if err != nil {
 						return err

@@ -40,10 +40,11 @@ func testInstances(tb testing.TB) []instance {
 	return out
 }
 
-// pipeline runs BFS + CoreSlow(c*) + membership + annotation on every node,
-// then the supplied continuation, and returns the per-node memberships plus
-// the centralized view of the computed shortcut for cross-checking.
-func pipeline(tb testing.TB, in instance, cont func(ctx *congest.Ctx, m *Membership) error) ([]*Membership, *core.Shortcut, congest.Stats) {
+// pipeline runs BFS + CoreSlow(c*) + membership + annotation on every node
+// of a run cut into shards shards, then the supplied continuation, and
+// returns the per-node memberships plus the centralized view of the
+// computed shortcut for cross-checking.
+func pipeline(tb testing.TB, in instance, shards int, cont func(ctx *congest.Ctx, m *Membership) error) ([]*Membership, *core.Shortcut, congest.Stats) {
 	tb.Helper()
 	n := in.g.NumNodes()
 	states := make([]*coredist.NodeShortcut, n)
@@ -70,7 +71,7 @@ func pipeline(tb testing.TB, in instance, cont func(ctx *congest.Ctx, m *Members
 			return cont(ctx, m)
 		}
 		return nil
-	}, congest.Options{})
+	}, congest.Options{Shards: shards})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func cstarOf(tb testing.TB, in instance) int {
 func TestAnnotateMatchesCentralBlocks(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
-			members, s, _ := pipeline(t, in, nil)
+			members, s, _ := pipeline(t, in, 1, nil)
 			for i := 0; i < in.p.NumParts(); i++ {
 				for _, blk := range s.Blocks(i) {
 					for _, v := range blk.Nodes {
@@ -143,7 +144,7 @@ func TestAnnotateMatchesCentralBlocks(t *testing.T) {
 func TestMembershipPartsMatchBlocks(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
-			members, s, _ := pipeline(t, in, nil)
+			members, s, _ := pipeline(t, in, 1, nil)
 			// Every block node must list the part in its membership and
 			// vice versa.
 			inBlock := make(map[[2]int]bool)
@@ -175,10 +176,10 @@ func TestMembershipPartsMatchBlocks(t *testing.T) {
 func TestElectLeaders(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
-			_, s, _ := pipeline(t, in, nil)
+			_, s, _ := pipeline(t, in, 1, nil)
 			steps := blockBound(in, s)
 			leaders := make([][]int64, in.g.NumNodes())
-			members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+			members, _, _ := pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 				l, err := m.ElectLeaders(ctx, steps)
 				leaders[ctx.ID()] = l
 				return err
@@ -290,7 +291,7 @@ func TestVerifyBlockCountExact(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
 			// First pass to learn the true block counts.
-			_, s, _ := pipeline(t, in, nil)
+			_, s, _ := pipeline(t, in, 1, nil)
 			bMax := blockBound(in, s)
 			counts := make([]int, in.p.NumParts())
 			for i := range counts {
@@ -298,7 +299,7 @@ func TestVerifyBlockCountExact(t *testing.T) {
 			}
 			for _, bLimit := range []int{1, 2, bMax} {
 				results := make([][]SumResult, in.g.NumNodes())
-				members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+				members, _, _ := pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 					r, err := m.VerifyBlockCount(ctx, bLimit)
 					results[ctx.ID()] = r
 					return err
@@ -329,10 +330,10 @@ func TestVerifyBlockCountExact(t *testing.T) {
 func TestPartSumCountsMembers(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
-			_, s, _ := pipeline(t, in, nil)
+			_, s, _ := pipeline(t, in, 1, nil)
 			steps := blockBound(in, s)
 			results := make([][]SumResult, in.g.NumNodes())
-			members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+			members, _, _ := pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 				r, err := m.PartSum(ctx, func(i int) int64 {
 					if i == m.OwnPart {
 						return 1
@@ -359,13 +360,13 @@ func TestPartSumCountsMembers(t *testing.T) {
 
 func TestMinToAllAndBroadcast(t *testing.T) {
 	in := testInstances(t)[1] // grid10x10/voronoi7
-	_, s, _ := pipeline(t, in, nil)
+	_, s, _ := pipeline(t, in, 1, nil)
 	steps := blockBound(in, s)
 	n := in.g.NumNodes()
 	value := func(i int) int64 { return int64(1000 + i) }
 	minGot := make([][]Value, n)
 	bcGot := make([][]BroadcastResult, n)
-	members, _, _ := pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+	members, _, _ := pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 		top := IDVal{V: int64(n + 10), N: 4 * n}
 		mins, err := m.MinToAll(ctx, func(i int) Value {
 			return IDVal{V: int64(ctx.ID()), N: 4 * n}
@@ -438,17 +439,17 @@ func TestVerifyRoundComplexity(t *testing.T) {
 	// Lemma 3: O(b(D+c)) rounds. Assert the concrete budget accounting:
 	// rounds ≤ pipeline prefix + (4b+2)·(2·CastBudget+1) + slack.
 	in := instance{"grid9x9/voronoi5", gen.Grid(9, 9), partition.Voronoi(gen.Grid(9, 9), 5, 4)}
-	_, s, _ := pipeline(t, in, nil)
+	_, s, _ := pipeline(t, in, 1, nil)
 	b := blockBound(in, s)
-	_, _, statsBase := pipeline(t, in, nil)
+	_, _, statsBase := pipeline(t, in, 1, nil)
 	var stats congest.Stats
-	_, _, stats = pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+	_, _, stats = pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 		_, err := m.VerifyBlockCount(ctx, b)
 		return err
 	})
 	extra := stats.Rounds - statsBase.Rounds
 	castBudget := 0
-	pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+	pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 		// The budget is the same at every node; only node 0 records it so the
 		// closure stays race-free under -race.
 		if ctx.ID() == 0 {
@@ -469,7 +470,7 @@ func TestResultsOutliveLaterCalls(t *testing.T) {
 	in := testInstances(t)[1] // grid10x10/voronoi7
 	n := in.g.NumNodes()
 	bad := make([]string, n)
-	pipeline(t, in, func(ctx *congest.Ctx, m *Membership) error {
+	pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
 		top := IDVal{V: int64(n), N: n}
 		mins, err := m.MinToAll(ctx, func(int) Value { return IDVal{V: int64(ctx.ID()), N: n} }, top, lessID, 1)
 		if err != nil {

@@ -2,37 +2,22 @@ package radio_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
+	"lcshortcut/internal/congest/congesttest"
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/radio"
 	"lcshortcut/internal/scenario"
 )
 
-var engines = []struct {
-	name string
-	e    congest.Engine
-}{
-	{"eventloop", congest.EngineEventLoop},
-	{"sharded", congest.EngineSharded},
-}
-
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run below cuts its graph into three shards even where
-// GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
-
-func runDecay(t *testing.T, e congest.Engine, g *graph.Graph, cfg radio.DecayConfig, opts congest.Options) []radio.DecayOutcome {
+// runDecay runs Decay on g cut into shards shards.
+func runDecay(t *testing.T, shards int, g *graph.Graph, cfg radio.DecayConfig, opts congest.Options) []radio.DecayOutcome {
 	t.Helper()
 	out := make([]radio.DecayOutcome, g.NumNodes())
-	opts.Model = congest.ModelRadio
-	if _, err := congest.RunOn(e, g, radio.Decay(cfg, out), opts); err != nil {
+	opts.Model, opts.Shards = congest.ModelRadio, shards
+	if _, err := congest.Run(g, radio.Decay(cfg, out), opts); err != nil {
 		t.Fatalf("decay: %v", err)
 	}
 	return out
@@ -42,13 +27,13 @@ func runDecay(t *testing.T, e congest.Engine, g *graph.Graph, cfg radio.DecayCon
 // informed source is the only transmitter, so its very first slot is
 // collision-free and informs the neighbor in round 1.
 func TestDecayPath(t *testing.T) {
-	for _, eng := range engines {
-		out := runDecay(t, eng.e, gen.Path(2), radio.DecayConfig{Phases: 1}, congest.Options{Seed: 1})
+	for _, sh := range congesttest.Shardings {
+		out := runDecay(t, sh.Shards, gen.Path(2), radio.DecayConfig{Phases: 1}, congest.Options{Seed: 1})
 		if !out[0].Informed || out[0].Round != 0 {
-			t.Errorf("%s: source outcome %+v", eng.name, out[0])
+			t.Errorf("%s: source outcome %+v", sh.Name, out[0])
 		}
 		if !out[1].Informed || out[1].Round != 1 {
-			t.Errorf("%s: neighbor outcome %+v, want informed in round 1", eng.name, out[1])
+			t.Errorf("%s: neighbor outcome %+v, want informed in round 1", sh.Name, out[1])
 		}
 	}
 }
@@ -67,18 +52,18 @@ func TestDecayCollisionsResolve(t *testing.T) {
 		edges = append(edges, graph.Edge{U: 0, V: v, W: 1})
 	}
 	gr := graph.MustFromEdges(10, append(edges, graph.Edge{U: 8, V: 9, W: 1}))
-	for _, eng := range engines {
-		out := runDecay(t, eng.e, gr, radio.DecayConfig{Phases: 12}, congest.Options{Seed: 3})
+	for _, sh := range congesttest.Shardings {
+		out := runDecay(t, sh.Shards, gr, radio.DecayConfig{Phases: 12}, congest.Options{Seed: 3})
 		informed, total := radio.DecayCoverage(out, nil)
 		if informed != total {
-			t.Errorf("%s: %d/%d informed; outlier must be reached through the contended hub", eng.name, informed, total)
+			t.Errorf("%s: %d/%d informed; outlier must be reached through the contended hub", sh.Name, informed, total)
 		}
 	}
 }
 
 // TestDecayAllFamiliesCoverage is the acceptance sweep: full coverage on
 // every scenario family with diameter-scaled phases, byte-identical across
-// engines.
+// shard counts.
 func TestDecayAllFamiliesCoverage(t *testing.T) {
 	for _, s := range scenario.All() {
 		s := s
@@ -86,15 +71,15 @@ func TestDecayAllFamiliesCoverage(t *testing.T) {
 			g := s.Build(s.Sizes[0], 1)
 			cfg := radio.DecayConfig{Phases: 2*g.ApproxDiameter(0) + 10}
 			var ref []radio.DecayOutcome
-			for ei, eng := range engines {
-				out := runDecay(t, eng.e, g, cfg, congest.Options{Seed: 7})
+			for ei, sh := range congesttest.Shardings {
+				out := runDecay(t, sh.Shards, g, cfg, congest.Options{Seed: 7})
 				if informed, total := radio.DecayCoverage(out, nil); informed != total {
-					t.Errorf("%s: coverage %d/%d", eng.name, informed, total)
+					t.Errorf("%s: coverage %d/%d", sh.Name, informed, total)
 				}
 				if ei == 0 {
 					ref = out
 				} else if fmt.Sprint(out) != fmt.Sprint(ref) {
-					t.Error("outcomes differ across engines")
+					t.Error("outcomes differ across shard counts")
 				}
 			}
 		})
@@ -109,17 +94,17 @@ func TestDecayCrashedNodesExcluded(t *testing.T) {
 	// Node 5 dies immediately; the grid stays connected without it.
 	plan := &congest.FaultPlan{Crashes: []congest.Crash{{Node: 5, Round: 0}}}
 	cfg := radio.DecayConfig{Phases: 2*g.ApproxDiameter(0) + 10}
-	for _, eng := range engines {
-		out := runDecay(t, eng.e, g, cfg, congest.Options{Seed: 5, Faults: plan})
+	for _, sh := range congesttest.Shardings {
+		out := runDecay(t, sh.Shards, g, cfg, congest.Options{Seed: 5, Faults: plan})
 		for v, o := range out {
 			if v == 5 {
 				if o.Informed {
-					t.Errorf("%s: crashed node 5 got informed", eng.name)
+					t.Errorf("%s: crashed node 5 got informed", sh.Name)
 				}
 				continue
 			}
 			if !o.Informed {
-				t.Errorf("%s: survivor %d never informed", eng.name, v)
+				t.Errorf("%s: survivor %d never informed", sh.Name, v)
 			}
 		}
 	}
@@ -130,7 +115,7 @@ func TestDecayRoundsAccounting(t *testing.T) {
 	g := gen.Ring(8)
 	cfg := radio.DecayConfig{Phases: 4}
 	out := make([]radio.DecayOutcome, g.NumNodes())
-	stats, err := congest.RunOn(congest.EngineEventLoop, g, radio.Decay(cfg, out),
+	stats, err := congest.Run(g, radio.Decay(cfg, out),
 		congest.Options{Seed: 2, Model: congest.ModelRadio})
 	if err != nil {
 		t.Fatal(err)

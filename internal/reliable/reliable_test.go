@@ -3,32 +3,16 @@ package reliable_test
 import (
 	"errors"
 	"fmt"
-	"os"
 	"testing"
 
 	"lcshortcut/internal/congest"
+	"lcshortcut/internal/congest/congesttest"
 	"lcshortcut/internal/elect"
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/reliable"
 	"lcshortcut/internal/scenario"
 )
-
-var engines = []struct {
-	name string
-	e    congest.Engine
-}{
-	{"eventloop", congest.EngineEventLoop},
-	{"sharded", congest.EngineSharded},
-}
-
-// TestMain installs a default shard count of 3 for the whole test binary, so
-// every EngineSharded run below cuts its graph into three shards and
-// exercises cross-shard relays even where GOMAXPROCS is 1.
-func TestMain(m *testing.M) {
-	congest.SetDefaultShards(3)
-	os.Exit(m.Run())
-}
 
 // floodOver runs the flood-max election over the reliable transport.
 func floodOver(g *graph.Graph, rounds int, cfg reliable.Config, opts congest.Options) ([]elect.Outcome, congest.Stats, reliable.Stats, error) {
@@ -158,7 +142,7 @@ func TestReliableCoverageAllFamilies(t *testing.T) {
 
 // TestReliableCrossEngineIdentity requires the transport's behavior — the
 // protocol outcome, the transport counters and the engine stats — to be
-// identical on both engines under loss and crash-stop failures.
+// identical at one shard and at three under loss and crash-stop failures.
 func TestReliableCrossEngineIdentity(t *testing.T) {
 	g := gen.Grid(6, 6)
 	plans := []*congest.FaultPlan{
@@ -170,19 +154,17 @@ func TestReliableCrossEngineIdentity(t *testing.T) {
 		var refOut []elect.Outcome
 		var refCS congest.Stats
 		var refRS reliable.Stats
-		for ei, eng := range engines {
-			prev := congest.SetEngine(eng.e)
-			out, cs, rs, err := floodOver(g, 12, cfg, congest.Options{Seed: 2, Faults: plan})
-			congest.SetEngine(prev)
+		for ei, sh := range congesttest.Shardings {
+			out, cs, rs, err := floodOver(g, 12, cfg, congest.Options{Seed: 2, Faults: plan, Shards: sh.Shards})
 			if err != nil {
-				t.Fatalf("plan %d engine %s: %v", pi, eng.name, err)
+				t.Fatalf("plan %d %s: %v", pi, sh.Name, err)
 			}
 			if ei == 0 {
 				refOut, refCS, refRS = out, cs, rs
 				continue
 			}
 			if fmt.Sprint(out) != fmt.Sprint(refOut) {
-				t.Errorf("plan %d: outcomes diverged across engines", pi)
+				t.Errorf("plan %d: outcomes diverged across shard counts", pi)
 			}
 			if cs != refCS {
 				t.Errorf("plan %d: engine stats %+v vs %+v", pi, cs, refCS)
@@ -274,8 +256,6 @@ func TestAllocGuardReliable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
 	}
-	prev := congest.SetEngine(congest.EngineEventLoop)
-	defer congest.SetEngine(prev)
 	g := gen.Grid(8, 8)
 	run := func(rounds int) {
 		_, _, err := reliable.Run(g, func(ctx *reliable.Ctx) error {
@@ -301,7 +281,7 @@ func TestAllocGuardReliable(t *testing.T) {
 
 // FuzzReliableTransport drives random (family, drop, seed) triples through
 // the flood election over the transport and checks the two invariants the
-// ISSUE names: cross-engine outcome and stats identity, and — since pure
+// transport promises: outcome and stats identity across shard counts, and — since pure
 // loss never kills arcs — exact agreement with the fault-free raw outcome.
 func FuzzReliableTransport(f *testing.F) {
 	f.Add(uint8(0), uint8(3), int64(1))
@@ -323,10 +303,8 @@ func FuzzReliableTransport(f *testing.F) {
 		}
 		var refOut []elect.Outcome
 		var refRS reliable.Stats
-		for ei, eng := range engines {
-			prev := congest.SetEngine(eng.e)
-			out, _, rs, err := floodOver(g, rounds, reliable.Config{}, congest.Options{Seed: seed, Faults: plan})
-			congest.SetEngine(prev)
+		for ei, sh := range congesttest.Shardings {
+			out, _, rs, err := floodOver(g, rounds, reliable.Config{}, congest.Options{Seed: seed, Faults: plan, Shards: sh.Shards})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,14 +312,14 @@ func FuzzReliableTransport(f *testing.F) {
 				t.Fatalf("pure loss at %.1f killed %d arcs", drop, rs.DeadArcs)
 			}
 			if fmt.Sprint(out) != fmt.Sprint(ref) {
-				t.Fatalf("%s: outcome over reliable+loss diverged from fault-free raw outcome", eng.name)
+				t.Fatalf("%s: outcome over reliable+loss diverged from fault-free raw outcome", sh.Name)
 			}
 			if ei == 0 {
 				refOut, refRS = out, rs
 				continue
 			}
 			if fmt.Sprint(out) != fmt.Sprint(refOut) || rs != refRS {
-				t.Fatalf("cross-engine divergence: stats %+v vs %+v", rs, refRS)
+				t.Fatalf("divergence across shard counts: stats %+v vs %+v", rs, refRS)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package shortcutsvc
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -13,8 +14,10 @@ const maxBodyBytes = 16 << 20
 
 // bodyReadTimeout bounds the /shortcut body read. A client that stalls
 // inside its body would otherwise hold its handler, and a graceful drain,
-// without bound. The deadline is cleared once the body is decoded, so it
-// never cuts a construction or the reply.
+// without bound. The body is read to its end under the deadline — a JSON
+// value may end before the Content-Length it was sent under, and net/http
+// would read the rest after the reply with no deadline — and the deadline
+// is then cleared, so it never cuts a construction or the reply.
 const bodyReadTimeout = 5 * time.Second
 
 // Response is the /shortcut reply.
@@ -88,10 +91,15 @@ func (s *Service) handleShortcut(w http.ResponseWriter, r *http.Request) {
 	// Writers without deadlines (httptest recorders) leave the read unbounded.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if _, err := io.Copy(io.Discard, body); err != nil {
+		http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	_ = rc.SetReadDeadline(time.Time{})
