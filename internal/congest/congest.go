@@ -12,8 +12,8 @@
 //
 // The simulation is deterministic: nodes interact only through the engine at
 // round barriers and each node's random source is seeded from (Options.Seed,
-// node ID, incarnation), so a run's outcome is independent of the order in
-// which nodes run within a round.
+// node ID), so a run's outcome is independent of the order in which nodes
+// run within a round.
 //
 // # Engine internals
 //
@@ -43,21 +43,20 @@
 // coroutine switch, never a park.
 //
 // Only awake nodes are resumed. A node with nothing to do until a message or
-// a known round (Ctx.StepUntil, Ctx.Idle, a crash-recovery downtime) arrives
-// as a sleeper: its driver files it in the shard's indexed min-heap keyed by
-// (wake round, node ID) and leaves it suspended. A send to a sleeping
-// receiver marks it — a per-node flag, then a slot in the shard's
-// preallocated wake list — so the driver resumes exactly the nodes that
-// stepped, got mail or are due. A message to another shard travels through a
-// relay ring that the receiving driver drains before it files its sleepers,
-// so relayed mail wakes a sleeper exactly as a local send does. A node
-// falling asleep in the round being retired may have missed marks from
-// senders that ran before it, so its driver scans its slots for that round's
-// stamp instead. When no node of any shard is awake, the round barrier jumps
-// the round counter to the earliest wake round; the skipped rounds count in
-// Stats.Rounds and against the watchdog exactly as stepped ones would. A run
-// therefore pays for the node-rounds that do work, not for every live node
-// in every round.
+// a known round (Ctx.StepUntil, Ctx.Idle) arrives as a sleeper: its driver
+// files it in the shard's indexed min-heap keyed by (wake round, node ID)
+// and leaves it suspended. A send to a sleeping receiver marks it — a
+// per-node flag, then a slot in the shard's preallocated wake list — so the
+// driver resumes exactly the nodes that stepped, got mail or are due. A
+// message to another shard travels through a relay ring that the receiving
+// driver drains before it files its sleepers, so relayed mail wakes a
+// sleeper exactly as a local send does. A node falling asleep in the round
+// being retired may have missed marks from senders that ran before it, so
+// its driver scans its slots for that round's stamp instead. When no node of
+// any shard is awake, the round barrier jumps the round counter to the
+// earliest wake round; the skipped rounds count in Stats.Rounds and against
+// the watchdog exactly as stepped ones would. A run therefore pays for the
+// node-rounds that do work, not for every live node in every round.
 //
 // Because the nodes of a shard run one at a time, a Proc may interact with
 // other nodes only through the engine: a Proc that blocks on another node's
@@ -275,7 +274,7 @@ type Ctx struct {
 	run   *runState
 	shard *shard
 	// rng is the node's pooled generator; rngSeeded reports whether it is
-	// seeded for the current incarnation (Rand seeds it on first use).
+	// seeded for the current run (Rand seeds it on first use).
 	rng       *rand.Rand
 	rngSeeded bool
 	// arcs is the node's adjacency materialized once from the graph's CSR
@@ -290,13 +289,8 @@ type Ctx struct {
 	model  Model
 	// crashAt is the node's scheduled crash round (noCrash when the fault
 	// plan never crashes it): the node behaves normally through round
-	// crashAt-1 and never sends, receives or steps in rounds
-	// [crashAt, rejoinAt). rejoinAt is noCrash for a crash-stop entry; a
-	// crash-recovery entry sets it to crashAt+Downtime, the round at which
-	// the Proc restarts as incarnation+1 with fresh state.
-	crashAt     int32
-	rejoinAt    int32
-	incarnation int32
+	// crashAt-1 and never sends, receives or steps from round crashAt on.
+	crashAt int32
 
 	// Barrier state. wakeAt is the wake round of a sleep or idle arrival.
 	arrival int32
@@ -353,19 +347,15 @@ func (c *Ctx) ArcIndex(to graph.NodeID) int {
 }
 
 // Rand returns the node-local deterministic random source: a pure function
-// of (Options.Seed, node ID, incarnation), seeded at the incarnation's first
-// call, so a run that never draws never pays for seeding.
+// of (Options.Seed, node ID), seeded at the run's first call, so a run that
+// never draws never pays for seeding.
 func (c *Ctx) Rand() *rand.Rand {
 	if !c.rngSeeded {
 		seed := mix(c.run.opts.Seed, int64(c.id))
-		if c.incarnation > 0 {
-			seed = mix(seed, int64(c.incarnation))
-		}
 		if c.rng == nil {
 			c.rng = rand.New(rand.NewSource(seed))
 		} else {
-			// Seed also discards the bytes Read buffered in an earlier run
-			// or incarnation.
+			// Seed also discards the bytes Read buffered in an earlier run.
 			c.rng.Seed(seed)
 		}
 		c.rngSeeded = true
@@ -373,19 +363,9 @@ func (c *Ctx) Rand() *rand.Rand {
 	return c.rng
 }
 
-// Incarnation reports how many times this node has crash-recovered: 0 for
-// the original execution, k for the Proc's k-th restart. A Proc seeing a
-// positive incarnation knows its state was wiped by a crash and can run a
-// state-sync path against its neighbors (the network never announces the
-// rejoin on its own).
-func (c *Ctx) Incarnation() int { return int(c.incarnation) }
-
-// down reports whether the node is inside its crash window — from its crash
-// round up to (exclusive) its rejoin round. A fault-free node short-circuits
-// on the first compare (crashAt is the noCrash sentinel).
-func (c *Ctx) down() bool {
-	return int32(c.round) >= c.crashAt && int32(c.round) < c.rejoinAt
-}
+// down reports whether the node has reached its crash round. A fault-free
+// node never has (crashAt is the noCrash sentinel).
+func (c *Ctx) down() bool { return int32(c.round) >= c.crashAt }
 
 // EdgeWeight returns the weight of edge id (edge weights are part of a
 // node's local input for its incident edges).
@@ -578,27 +558,17 @@ func (c *Ctx) StepUntil(round int) []Message {
 }
 
 // maybeCrash enforces the node's scheduled crash at the barrier ending round
-// crashAt-1. A crash-stop node arrives as a finished node — its buffered
-// sends from the completed round are still delivered, matching the "final
-// sends" convention — and its Proc unwinds without ever entering round
-// crashAt. A crash-recovery node instead joins this same barrier as a
-// stepping node (so the final sends are delivered identically), sleeps
-// through its downtime deaf to mail, and unwinds its Proc at the rejoin
-// round for nodeMain to restart. On the fault-free path crashAt is the
-// noCrash sentinel and the check is one never-taken branch; a rejoined node
-// additionally fails the rejoinAt compare so it can never crash twice.
+// crashAt-1: the node arrives as a finished node — its buffered sends from
+// the completed round are still delivered, matching the "final sends"
+// convention — and its Proc unwinds without ever entering round crashAt. On
+// the fault-free path crashAt is the noCrash sentinel and the check is one
+// never-taken branch.
 func (c *Ctx) maybeCrash() {
-	if int32(c.round)+1 < c.crashAt || int32(c.round) >= c.rejoinAt {
+	if int32(c.round)+1 < c.crashAt {
 		return
 	}
-	if c.rejoinAt == noCrash {
-		c.arrive(arriveDone)
-		panic(errCrashed)
-	}
-	for int32(c.round) < c.rejoinAt {
-		c.sleepBarrier(int(c.rejoinAt), false)
-	}
-	panic(errCrashedRecover)
+	c.arrive(arriveDone)
+	panic(errCrashed)
 }
 
 // InboxArc returns the message the neighbor at arc index k sent this round,
@@ -714,39 +684,18 @@ func (c *Ctx) arrive(kind int32) {
 }
 
 // nodeMain is the per-node wrapper: it converts proc errors and panics into
-// fail arrivals and normal returns into done arrivals. After a crash with
-// scheduled recovery it restarts proc as a fresh incarnation: Round() at the
-// rejoin round, Incarnation() incremented and the random source due for
-// reseeding as a pure function of (Options.Seed, node ID, incarnation), so a
-// restarted node's behavior does not depend on how many random draws its
-// previous life consumed.
+// fail arrivals and normal returns into done arrivals. An engine-initiated
+// unwind (abort or crash) has already arrived.
 func nodeMain(c *Ctx, proc Proc) {
-	for runProcOnce(c, proc) {
-		c.incarnation++
-		c.rngSeeded = false
-	}
-}
-
-// runProcOnce runs one incarnation of proc, classifying its exit: normal
-// return and error/panic arrivals end the node (false); a crash with a
-// scheduled recovery, unwound at the rejoin round, asks nodeMain to restart
-// it (true).
-func runProcOnce(c *Ctx, proc Proc) (restart bool) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
 		if err, ok := r.(error); ok {
-			switch {
-			case errors.Is(err, errAbort), errors.Is(err, errCrashed):
-				return // engine-initiated unwind (abort or crash-stop)
-			case errors.Is(err, errCrashedRecover):
-				restart = true
+			if errors.Is(err, errAbort) || errors.Is(err, errCrashed) {
 				return
 			}
-		}
-		if err, ok := r.(error); ok {
 			// Keep the chain inspectable: a transport wrapper panicking a
 			// model violation surfaces as errors.Is(err, ErrModelViolation).
 			c.err = fmt.Errorf("congest: node %d panicked: %w", c.id, err)
@@ -758,10 +707,9 @@ func runProcOnce(c *Ctx, proc Proc) (restart bool) {
 	if err := proc(c); err != nil {
 		c.err = fmt.Errorf("congest: node %d: %w", c.id, err)
 		c.arrive(arriveFail)
-		return false
+		return
 	}
 	c.arrive(arriveDone)
-	return false
 }
 
 func growInt32(s []int32, n int) []int32 {

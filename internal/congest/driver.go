@@ -604,8 +604,6 @@ func acquire(g *graph.Graph, opts Options) *runState {
 		nd.idBits = idBits
 		nd.model = opts.Model
 		nd.crashAt = noCrash
-		nd.rejoinAt = noCrash
-		nd.incarnation = 0
 		nd.rngSeeded = false
 		nd.arrival = 0
 		nd.err = nil
@@ -614,11 +612,10 @@ func acquire(g *graph.Graph, opts Options) *runState {
 	}
 	if plan != nil {
 		for _, cr := range plan.Crashes {
-			// The earliest crash round wins; among equal rounds the first
-			// entry wins (its Downtime rides along).
-			if nd := &rs.nodes[cr.Node]; int32(cr.Round) < nd.crashAt {
-				nd.crashAt = int32(cr.Round)
-				nd.rejoinAt = cr.rejoinRound()
+			// The earliest crash round wins; a round past the stamp space
+			// never comes.
+			if nd, r := &rs.nodes[cr.Node], int32(min(cr.Round, noCrash)); r < nd.crashAt {
+				nd.crashAt = r
 			}
 		}
 	}

@@ -53,40 +53,13 @@ import (
 // delivery, deliver a message in any round other than the one after its
 // send, or resurrect a crashed node.
 
-// Crash schedules one crash failure: node Node halts at round Round
-// (see the fault-model contract above for the exact boundary semantics).
-//
-// Downtime selects between the two crash modes. Zero (the historical
-// default) is crash-stop: the node never returns. A positive Downtime is
-// crash-recovery: the node is dead for exactly Downtime rounds — silent,
-// deaf, indistinguishable from a crash-stop node — and then rejoins at round
-// Round+Downtime with completely fresh protocol state: its Proc is invoked
-// again from the top, its random source is reseeded for the new incarnation,
-// and Ctx.Incarnation() reports how many times it has crashed so protocols
-// can run a state-sync path. The network does not announce the rejoin:
-// messages sent to the node in its last down round are readable at the
-// rejoin round (senders cannot know the node was down), and everything the
-// node missed in between is gone. Every shard count honors the same schedule
+// Crash schedules one crash-stop failure: node Node halts at round Round
+// and never returns (see the fault-model contract above for the exact
+// boundary semantics). Every shard count honors the same schedule
 // identically.
 type Crash struct {
 	Node  graph.NodeID
 	Round int
-	// Downtime is the number of rounds the node stays down; 0 means forever
-	// (crash-stop).
-	Downtime int
-}
-
-// rejoinRound returns the round at which this crash entry rejoins, or
-// noCrash for a crash-stop entry (including downtimes that overflow the
-// stamp space — a node down past the watchdog horizon never rejoins).
-func (cr Crash) rejoinRound() int32 {
-	if cr.Downtime <= 0 {
-		return noCrash
-	}
-	if r := int64(cr.Round) + int64(cr.Downtime); r < noCrash {
-		return int32(r)
-	}
-	return noCrash
 }
 
 // Adversary selects the inbox-materialization schedule.
@@ -120,12 +93,6 @@ type FaultPlan struct {
 	Seed int64
 }
 
-// Empty reports whether the plan injects no fault at all — such a plan is
-// contractually a no-op: runs under it are byte-identical to nil-plan runs.
-func (p *FaultPlan) Empty() bool {
-	return p == nil || (len(p.Crashes) == 0 && p.DropProb == 0 && p.Adversary == AdversaryNone)
-}
-
 // validate rejects malformed plans before a run starts.
 func (p *FaultPlan) validate(n int) error {
 	if p == nil {
@@ -143,9 +110,6 @@ func (p *FaultPlan) validate(n int) error {
 		}
 		if cr.Round < 0 {
 			return fmt.Errorf("congest: FaultPlan crashes node %d at negative round %d", cr.Node, cr.Round)
-		}
-		if cr.Downtime < 0 {
-			return fmt.Errorf("congest: FaultPlan crashes node %d with negative downtime %d", cr.Node, cr.Downtime)
 		}
 	}
 	return nil
@@ -168,13 +132,8 @@ func (p *FaultPlan) dropThreshold() uint64 {
 const noCrash = math.MaxInt32
 
 // errCrashed is panicked into a node at the barrier where its
-// scheduled crash-stop takes effect, so it unwinds like a normal return.
+// scheduled crash takes effect, so it unwinds like a normal return.
 var errCrashed = fmt.Errorf("congest: node crashed (fault plan)")
-
-// errCrashedRecover is panicked instead when the crash entry schedules a
-// recovery, once the node has slept through its downtime window: the node
-// wrapper catches it and restarts the Proc as a new incarnation.
-var errCrashedRecover = fmt.Errorf("congest: node crashed, recovery scheduled (fault plan)")
 
 // Distinct hash streams keep drop and adversary decisions decorrelated even
 // under equal plan seeds.
@@ -248,16 +207,6 @@ func SetDefaultFaults(p *FaultPlan) *FaultPlan {
 // function of the arguments — the deterministic building block for crashy
 // scenario variants.
 func RandomCrashes(n int, frac float64, window int, spare graph.NodeID, seed int64) []Crash {
-	return RandomRecoveries(n, frac, window, 0, spare, seed)
-}
-
-// RandomRecoveries is RandomCrashes with a recovery: every scheduled crash
-// gets a downtime drawn uniformly from [1, maxDown] (maxDown <= 0 degrades
-// to crash-stop, i.e. RandomCrashes exactly). Node selection and crash
-// rounds are byte-identical to RandomCrashes under equal arguments, so a
-// crashy scenario and its recovering twin kill the same nodes at the same
-// rounds.
-func RandomRecoveries(n int, frac float64, window, maxDown int, spare graph.NodeID, seed int64) []Crash {
 	if frac <= 0 || window < 1 || n <= 0 {
 		return nil
 	}
@@ -273,11 +222,7 @@ func RandomRecoveries(n int, frac float64, window, maxDown int, spare graph.Node
 		h := faultHash(seed, planStream, int32(v), 0)
 		if h < thresh {
 			round := 1 + int(faultHash(seed, planStream, int32(v), 1)%uint64(window))
-			down := 0
-			if maxDown > 0 {
-				down = 1 + int(faultHash(seed, planStream, int32(v), 2)%uint64(maxDown))
-			}
-			out = append(out, Crash{Node: v, Round: round, Downtime: down})
+			out = append(out, Crash{Node: v, Round: round})
 		}
 	}
 	return out

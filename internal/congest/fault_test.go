@@ -77,6 +77,45 @@ func TestFaultCrashRoundZero(t *testing.T) {
 	}
 }
 
+// TestFaultCrashScheduling pins the schedule algebra at one shard and at
+// three: a crash round past the run's end — or past the round stamp space —
+// is a no-op, and among several entries for one node the earliest crash
+// round wins, whatever the entries' order.
+func TestFaultCrashScheduling(t *testing.T) {
+	for _, sh := range shardings {
+		t.Run(sh.name+"/beyond-run-noop", func(t *testing.T) {
+			g := gen.Ring(6)
+			run := func(plan *FaultPlan) ([]int, Stats) {
+				out := make([]int, g.NumNodes())
+				stats, err := runAt(sh.shards, g, faultyMessyProc(out), Options{Seed: 5, Faults: plan})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out, stats
+			}
+			ref, refStats := run(nil)
+			for _, round := range []int{500, math.MaxInt} {
+				out, stats := run(&FaultPlan{Crashes: []Crash{{Node: 2, Round: round}}})
+				if fmt.Sprint(out) != fmt.Sprint(ref) || stats != refStats {
+					t.Errorf("crash scheduled at round %d, past the run's end, changed the outcome", round)
+				}
+			}
+		})
+		t.Run(sh.name+"/earliest-entry-wins", func(t *testing.T) {
+			g := gen.Path(2)
+			var got [][]int
+			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 5}, {Node: 0, Round: 2}, {Node: 0, Round: 4}}}
+			if _, err := runAt(sh.shards, g, collectProc(6, &got), Options{Faults: plan}); err != nil {
+				t.Fatal(err)
+			}
+			want := [][]int{{0}, {1}, nil, nil, nil, nil}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("received per round: %v, want %v (the round-2 entry wins)", got, want)
+			}
+		})
+	}
+}
+
 // TestFaultDropAll checks DropProb=1: nothing is ever delivered, but the
 // sender is still charged — Stats count messages sent, the model's cost.
 func TestFaultDropAll(t *testing.T) {

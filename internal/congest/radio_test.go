@@ -208,19 +208,15 @@ func TestRadioUnknownModelRejected(t *testing.T) {
 
 // TestRadioCrashSilences pins the fault composition with crashes: a crashed
 // node's transmissions vanish from the air (its neighbors hear silence or a
-// thinner collision), and with recovery it transmits again after rejoin.
+// thinner collision) for the rest of the run.
 func TestRadioCrashSilences(t *testing.T) {
 	for _, sh := range shardings {
 		t.Run(sh.name, func(t *testing.T) {
 			g := gen.Path(2)
 			var heard []RadioStatus
-			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 2, Downtime: 3}}}
+			plan := &FaultPlan{Crashes: []Crash{{Node: 0, Round: 2}}}
 			proc := func(ctx *Ctx) error {
-				rounds := 8
-				if ctx.ID() == 0 && ctx.Incarnation() == 1 {
-					rounds = 3 // rejoin at round 5, transmit rounds 5..7
-				}
-				for r := 0; r < rounds; r++ {
+				for r := 0; r < 8; r++ {
 					if ctx.ID() == 0 {
 						ctx.Transmit(intMsg{v: ctx.Round(), bits: 8})
 					}
@@ -237,8 +233,8 @@ func TestRadioCrashSilences(t *testing.T) {
 			}
 			want := []RadioStatus{
 				RadioMessage, RadioMessage, // rounds 0-1: alive
-				RadioSilence, RadioSilence, RadioSilence, // rounds 2-4: down
-				RadioMessage, RadioMessage, RadioMessage, // rounds 5-7: rejoined
+				RadioSilence, RadioSilence, RadioSilence, // rounds 2-7: crashed
+				RadioSilence, RadioSilence, RadioSilence,
 			}
 			if fmt.Sprint(heard) != fmt.Sprint(want) {
 				t.Errorf("node 1 heard %v, want %v", heard, want)
@@ -289,7 +285,7 @@ func TestRadioCrossEngineDifferential(t *testing.T) {
 	plans := []*FaultPlan{
 		nil,
 		{DropProb: 0.25, Seed: 2},
-		{Crashes: []Crash{{Node: 2, Round: 1, Downtime: 4}, {Node: 5, Round: 3}}, DropProb: 0.2, Seed: 4},
+		{Crashes: []Crash{{Node: 2, Round: 1}, {Node: 5, Round: 3}}, DropProb: 0.2, Seed: 4},
 	}
 	for gi, g := range graphs {
 		for pi, plan := range plans {

@@ -15,16 +15,13 @@ type FastConfig struct {
 	C int
 	// Seed is the shared randomness all parts sample their activation from.
 	Seed int64
-	// Gamma is the sampling constant γ in p = γ·ln(n)/(2c); 0 means
-	// DefaultGamma.
-	Gamma float64
 	// Remaining optionally restricts the run to the marked parts.
 	Remaining []bool
 }
 
-// DefaultGamma is the sampling constant used when FastConfig.Gamma is 0. It
-// is chosen so the Chernoff arguments of Lemma 5 hold with comfortable margin
-// at the experiment scales in this repository.
+// DefaultGamma is CoreFast's sampling constant γ in p = γ·ln(n)/(2c). It is
+// chosen so the Chernoff arguments of Lemma 5 hold with comfortable margin at
+// the experiment scales in this repository.
 const DefaultGamma = 4
 
 // CoreFast is the centralized reference implementation of Algorithm 2, the
@@ -52,13 +49,9 @@ func (cs *constructScratch) runFast(t *tree.Tree, p *partition.Partition, cfg Fa
 	if cfg.C < 1 {
 		panic(fmt.Sprintf("core: CoreFast needs c >= 1, got %d", cfg.C))
 	}
-	gamma := cfg.Gamma
-	if gamma == 0 {
-		gamma = DefaultGamma
-	}
 	g := t.Graph()
 	n := g.NumNodes()
-	prob := gamma * math.Log(float64(n)+2) / (2 * float64(cfg.C))
+	prob := DefaultGamma * math.Log(float64(n)+2) / (2 * float64(cfg.C))
 	if prob > 1 {
 		prob = 1
 	}

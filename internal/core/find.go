@@ -18,8 +18,6 @@ type FindConfig struct {
 	C, B int
 	// Seed feeds CoreFast's shared randomness; iteration k uses Seed+k.
 	Seed int64
-	// Gamma is CoreFast's sampling constant (0 = DefaultGamma).
-	Gamma float64
 	// UseSlow selects the deterministic CoreSlow subroutine instead of
 	// CoreFast (slower in rounds, guarantee-wise identical apart from the
 	// congestion constant: 2c instead of 8c).
@@ -103,7 +101,6 @@ func FindShortcut(t *tree.Tree, p *partition.Partition, cfg FindConfig) (*FindRe
 			cs.runFast(t, p, FastConfig{
 				C:         cfg.C,
 				Seed:      cfg.Seed + int64(result.Iterations),
-				Gamma:     cfg.Gamma,
 				Remaining: remaining,
 			}, workers)
 		}

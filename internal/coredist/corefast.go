@@ -7,6 +7,7 @@ import (
 
 	"lcshortcut/internal/bfsproto"
 	"lcshortcut/internal/congest"
+	"lcshortcut/internal/core"
 	"lcshortcut/internal/partition"
 	"lcshortcut/internal/rnd"
 )
@@ -33,8 +34,6 @@ func (checkDownMsg) Bits() int { return 1 }
 type FastParams struct {
 	// C is the congestion parameter of the assumed existing shortcut.
 	C int
-	// Gamma is the sampling constant (0 = core.DefaultGamma).
-	Gamma float64
 	// ActSeed feeds the shared-randomness activation sampling. In standalone
 	// runs this is the seed broadcast in the BFS phase; FindShortcut varies
 	// it per iteration.
@@ -55,12 +54,8 @@ func CoreFastPhase(ctx *congest.Ctx, info *bfsproto.Info, assign PartAssign, prm
 	if prm.C < 1 {
 		return nil, fmt.Errorf("coredist: CoreFast needs c >= 1, got %d", prm.C)
 	}
-	gamma := prm.Gamma
-	if gamma == 0 {
-		gamma = 4 // core.DefaultGamma; kept literal to avoid an import cycle
-	}
 	n := info.Count
-	prob := gamma * math.Log(float64(n)+2) / (2 * float64(prm.C))
+	prob := core.DefaultGamma * math.Log(float64(n)+2) / (2 * float64(prm.C))
 	if prob > 1 {
 		prob = 1
 	}

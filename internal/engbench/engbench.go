@@ -66,7 +66,7 @@ type Scenario struct {
 	Name string
 	// Heavy marks scenarios too slow for smoke runs (the committing Raft,
 	// the million-node flood, the largest construction): benchmark smoke
-	// runs skip them and Measure times exactly one iteration.
+	// runs skip them and MeasureSuite times exactly one iteration.
 	Heavy bool
 	// Graph returns the scenario's graph, built once and cached.
 	Graph func() *graph.Graph
@@ -470,15 +470,10 @@ type Report struct {
 	Results    []Measurement `json:"results"`
 }
 
-// Measure runs every suite scenario's rows and assembles the report. minIters and minDuration bound each measurement (whichever is hit
-// last); smoke runs pass (1, 0) and skipHeavy to drop the minutes-long
-// scenarios.
-func Measure(minIters int, minDuration time.Duration, skipHeavy bool) (*Report, error) {
-	return MeasureSuite(Scenarios(), minIters, minDuration, skipHeavy)
-}
-
-// MeasureSuite is Measure over an explicit scenario list (tests measure a
-// reduced suite).
+// MeasureSuite runs the rows of every scenario in suite (Scenarios(), or a
+// reduced list in tests) and assembles the report. minIters and minDuration
+// bound each measurement (whichever is hit last); smoke runs pass (1, 0) and
+// skipHeavy to drop the minutes-long scenarios.
 func MeasureSuite(suite []Scenario, minIters int, minDuration time.Duration, skipHeavy bool) (*Report, error) {
 	if minIters < 1 {
 		minIters = 1

@@ -132,14 +132,3 @@ func runOne(e *Experiment, short bool) (res *Result, err error) {
 		},
 	}, nil
 }
-
-// Tables renders every non-nil result back to its Table, preserving order.
-func Tables(results []*Result) []*Table {
-	out := make([]*Table, 0, len(results))
-	for _, r := range results {
-		if r != nil {
-			out = append(out, r.Table())
-		}
-	}
-	return out
-}

@@ -35,8 +35,6 @@ type Config struct {
 	// Seed feeds CoreFast's shared randomness; iteration k uses Seed+k,
 	// matching core.FindConfig.
 	Seed int64
-	// Gamma is CoreFast's sampling constant (0 = default).
-	Gamma float64
 	// UseSlow selects the deterministic CoreSlow core subroutine.
 	UseSlow bool
 	// MaxIterations bounds the loop; 0 means 4·ceil(log2 NumParts) + 8.
@@ -97,7 +95,6 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, cf
 		} else {
 			ns, err = coredist.CoreFastPhase(ctx, info, assign, coredist.FastParams{
 				C:           cfg.C,
-				Gamma:       cfg.Gamma,
 				ActSeed:     cfg.Seed + int64(iter),
 				SkipOwnPart: res.Fixed && ownPart != partition.None,
 			})

@@ -129,13 +129,6 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, p *partition.Partition, value 
 	}, nil
 }
 
-// RunForExperiment runs aggregation over the canonical full-ancestor
-// shortcut (no construction search), so measured rounds reflect routing cost
-// rather than parameter probing — used by the E9 experiment.
-func RunForExperiment(g *graph.Graph, p *partition.Partition, values []int64) ([]*Report, congest.Stats, error) {
-	return Run(g, p, values, 0, Config{Canonical: true, Seed: 13}, congest.Options{})
-}
-
 // Run executes BFS + Phase on every node of g. values holds each node's
 // input value.
 func Run(g *graph.Graph, p *partition.Partition, values []int64, root graph.NodeID, cfg Config, opts congest.Options) ([]*Report, congest.Stats, error) {

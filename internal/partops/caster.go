@@ -49,7 +49,7 @@ type castMsg struct {
 
 func (m castMsg) Bits() int { return 2*congest.BitsForID(m.n) + 2 + m.val.Bits() }
 
-// exchMsg moves a value across a G[P_i] edge during Exchange.
+// exchMsg moves a value across a G[P_i] edge during exchange.
 type exchMsg struct {
 	n   int
 	val Value
@@ -227,20 +227,12 @@ func (m *Membership) enqueue(k int) {
 	}
 }
 
-// Exchange is the one-round supergraph step: every covered vertex sends val
+// exchange is the one-round supergraph step: every covered vertex sends val
 // to each neighbor inside its part and receives theirs. Vertices may pass
 // val == nil to stay silent; uncovered vertices always do. Returns the
 // received values aligned with ctx.Neighbors(), nil on arcs that carried
-// none. All nodes enter and leave aligned (exactly one round).
-func (m *Membership) Exchange(ctx congest.Net, val Value) ([]Value, error) {
-	recv, err := m.exchange(ctx, val)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(recv), nil
-}
-
-// exchange is Exchange; the returned slice is scratch.
+// none, in a scratch slice valid until the next exchange. All nodes enter
+// and leave aligned (exactly one round).
 func (m *Membership) exchange(ctx congest.Net, val Value) ([]Value, error) {
 	if m.OwnPart != partition.None && val != nil {
 		for a, part := range m.NeighborPart {

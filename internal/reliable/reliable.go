@@ -50,9 +50,8 @@
 // whose peer finished stops gating round completion, mirroring the raw
 // engine's "messages to finished nodes are dropped" convention.
 //
-// The transport composes with crash-STOP fault plans (dead arcs) and the
-// drop fault; crash-recovery plans are not supported under the wrapper (a
-// rejoined incarnation would restart its sequence space mid-conversation).
+// The transport composes with the engine's crash faults, which are always
+// crash-stop (a crashed peer's arcs die), and with the drop fault.
 package reliable
 
 import (

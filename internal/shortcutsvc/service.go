@@ -143,10 +143,15 @@ type call struct {
 type Service struct {
 	cfg Config
 
-	mu     sync.Mutex
-	items  map[cacheKey]*list.Element // -> *entry, in lruList
-	lru    *list.List                 // front = most recent
+	mu    sync.Mutex
+	items map[cacheKey]*list.Element // -> *entry, in lruList
+	lru   *list.List                 // front = most recent
+	// refs maps a registry reference to the cached key it resolved to, and
+	// refOf is its inverse: each cached entry keeps only the last reference
+	// that resolved to it, and loses it on eviction, so neither map outgrows
+	// the cache.
 	refs   map[refKey]cacheKey
+	refOf  map[cacheKey]refKey
 	flight map[cacheKey]*call
 
 	sem chan struct{} // construction slots
@@ -173,6 +178,7 @@ func New(cfg Config) *Service {
 		items:  make(map[cacheKey]*list.Element),
 		lru:    list.New(),
 		refs:   make(map[refKey]cacheKey),
+		refOf:  make(map[cacheKey]refKey),
 		flight: make(map[cacheKey]*call),
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
 	}
@@ -222,9 +228,25 @@ func (s *Service) cachePut(ent *entry) {
 		victim := s.lru.Remove(tail).(*entry)
 		delete(s.items, victim.key)
 		s.evictions.Add(1)
-		// Drop ref-cache pointers at the stale key lazily: a ref lookup
-		// whose content key misses the cache falls through to the slow path.
+		if rk, ok := s.refOf[victim.key]; ok {
+			delete(s.refs, rk)
+			delete(s.refOf, victim.key)
+		}
 	}
+}
+
+// setRef makes rk the one registry reference kept for the cached key,
+// dropping the reference key kept before and the key rk resolved to before.
+// Caller must hold s.mu.
+func (s *Service) setRef(rk refKey, key cacheKey) {
+	if old, ok := s.refOf[key]; ok {
+		delete(s.refs, old)
+	}
+	if old, ok := s.refs[rk]; ok {
+		delete(s.refOf, old)
+	}
+	s.refs[rk] = key
+	s.refOf[key] = rk
 }
 
 // Outcome labels how a query was answered (the X-Cache response header).
@@ -275,7 +297,7 @@ func (s *Service) query(req *Request) (*entry, Outcome, error) {
 	s.mu.Lock()
 	if ent := s.cacheGet(key); ent != nil {
 		if hasRef {
-			s.refs[rk] = key
+			s.setRef(rk, key)
 		}
 		s.mu.Unlock()
 		s.hits.Add(1)
@@ -318,7 +340,7 @@ func (s *Service) lead(c *call, req *Request, g *graph.Graph, p *partition.Parti
 		if c.err == nil {
 			s.cachePut(c.ent)
 			if hasRef {
-				s.refs[rk] = key
+				s.setRef(rk, key)
 			}
 		}
 		s.mu.Unlock()

@@ -427,6 +427,69 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestRefsBoundedByCache pins that the registry-reference map never
+// outgrows the cache: each cached entry keeps only the last reference that
+// resolved to it, and loses it on eviction — whether the references name
+// many structures or one structure many ways.
+func TestRefsBoundedByCache(t *testing.T) {
+	const capacity = 4
+	// checkRefs fails t unless there are at most capacity references, each
+	// resolving to a cached entry.
+	checkRefs := func(t *testing.T, svc *Service) {
+		t.Helper()
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		if len(svc.refs) > capacity {
+			t.Errorf("%d registry references kept for a cache of %d entries", len(svc.refs), capacity)
+		}
+		stale := 0
+		for _, key := range svc.refs {
+			if _, ok := svc.items[key]; !ok {
+				stale++
+			}
+		}
+		if stale > 0 {
+			t.Errorf("%d registry references resolve to evicted entries", stale)
+		}
+	}
+	query := func(t *testing.T, svc *Service, req *Request) Outcome {
+		t.Helper()
+		_, out, err := svc.Query(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	t.Run("distinct-structures", func(t *testing.T) {
+		svc := New(Config{CacheEntries: capacity})
+		for i := range 200 {
+			query(t, svc, &Request{Family: "ring", N: 8 + i, Seed: 1, Partition: PartitionSpec{Kind: "whole"}})
+		}
+		if st := svc.Stats(); st.CacheSize != capacity || st.Misses != 200 {
+			t.Errorf("stats %+v, want %d cached entries after 200 misses", st, capacity)
+		}
+		checkRefs(t, svc)
+	})
+	t.Run("one-structure-many-seeds", func(t *testing.T) {
+		// The ring generator ignores its seed: 100 references, one entry.
+		svc := New(Config{CacheEntries: capacity})
+		ring := func(seed int64) *Request {
+			return &Request{Family: "ring", N: 16, Seed: seed, Partition: PartitionSpec{Kind: "whole"}}
+		}
+		for seed := range int64(100) {
+			query(t, svc, ring(seed))
+		}
+		if st := svc.Stats(); st.CacheSize != 1 || st.Misses != 1 || st.Hits != 99 {
+			t.Errorf("stats %+v, want one entry, 1 miss and 99 hits", st)
+		}
+		checkRefs(t, svc)
+		if out := query(t, svc, ring(3)); out != OutcomeHit {
+			t.Errorf("an earlier seed answered %s, want a content hit", out)
+		}
+		checkRefs(t, svc)
+	})
+}
+
 // TestGracefulShutdown pins the drain contract: a query in flight when the
 // server begins shutting down completes with a full response, and after
 // shutdown the goroutine count returns to its baseline (the service spawns
