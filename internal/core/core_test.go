@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"lcshortcut/internal/gen"
@@ -225,20 +228,57 @@ func TestFindShortcutTheorem3(t *testing.T) {
 }
 
 func TestFindShortcutIterationBudgetFailure(t *testing.T) {
-	// With C, B forced to 1 on the lower-bound instance the budget must trip
-	// and report ErrIterationBudget rather than looping forever: shortcutting
-	// a horizontal path needs the highway, whose edges see many parts and go
-	// unusable at c = 1, leaving the paths shattered into > 3 blocks —
-	// deterministically, every iteration.
+	// With C, B forced to 1 on the lower-bound instance the run must report
+	// ErrIterationBudget rather than looping forever: shortcutting a
+	// horizontal path needs the highway, whose edges see many parts and go
+	// unusable at c = 1, leaving all paths but one shattered into > 3
+	// blocks — deterministically, every iteration. The second iteration
+	// fixes nothing, so the zero-progress rule stops the run there, inside
+	// its budget of 6.
 	g := gen.LowerBound(8, 8)
 	tr := tree.BFSTree(g, 0)
 	p, err := partition.FromParts(g.NumNodes(), gen.LowerBoundPaths(8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = FindShortcut(tr, p, FindConfig{C: 1, B: 1, Seed: 1, UseSlow: true, MaxIterations: 6})
+	fr, err := FindShortcut(tr, p, FindConfig{C: 1, B: 1, Seed: 1, UseSlow: true, MaxIterations: 6})
 	if !errors.Is(err, ErrIterationBudget) {
 		t.Fatalf("err = %v, want ErrIterationBudget", err)
+	}
+	if fr.S != nil || !slices.Equal(fr.GoodPerIteration, []int{1, 0}) || fr.Iterations != 2 {
+		t.Errorf("stalled run: S=%v iterations=%d good=%v, want no shortcut after 2 iterations [1 0]",
+			fr.S != nil, fr.Iterations, fr.GoodPerIteration)
+	}
+	if !strings.Contains(err.Error(), "iteration 1 fixed none") {
+		t.Errorf("err %q does not name the stalled iteration 1", err)
+	}
+}
+
+func TestFindShortcutBudgetWithoutStall(t *testing.T) {
+	// A run that fixes parts in every iteration is ended by the budget
+	// alone: on the torus at (1, 1) CoreSlow needs four iterations, each
+	// fixing parts ([7 3 4 2]), so a budget of three trips.
+	g := gen.Torus(10, 10)
+	tr := tree.BFSTree(g, 0)
+	p := partition.Voronoi(g, 16, 3)
+	full, err := FindShortcut(tr, p, FindConfig{C: 1, B: 1, UseSlow: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Iterations < 2 {
+		t.Fatalf("instance finishes in %d iteration(s); pick one that needs several", full.Iterations)
+	}
+	budget := full.Iterations - 1
+	fr, err := FindShortcut(tr, p, FindConfig{C: 1, B: 1, UseSlow: true, MaxIterations: budget})
+	if !errors.Is(err, ErrIterationBudget) {
+		t.Fatalf("err = %v, want ErrIterationBudget", err)
+	}
+	if fr.S != nil || fr.Iterations != budget || !slices.Equal(fr.GoodPerIteration, full.GoodPerIteration[:budget]) {
+		t.Errorf("budget run: S=%v iterations=%d good=%v, want no shortcut after %d iterations %v",
+			fr.S != nil, fr.Iterations, fr.GoodPerIteration, budget, full.GoodPerIteration[:budget])
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("after %d iterations", budget)) {
+		t.Errorf("err %q does not report the exhausted budget", err)
 	}
 }
 

@@ -24,7 +24,9 @@ type FindConfig struct {
 	UseSlow bool
 	// MaxIterations bounds the verification loop; 0 means a generous
 	// 4·ceil(log2 N) + 8. Exceeding it returns ErrIterationBudget, which the
-	// Appendix A doubling driver uses as its failure signal.
+	// Appendix A doubling driver uses as its failure signal. It is an upper
+	// bound only: an iteration that fixes no part ends the run earlier with
+	// the same error (see FindShortcut).
 	MaxIterations int
 	// Workers is the per-part walk parallelism of the construction: 1 (or
 	// negative) runs sequentially, 0 uses GOMAXPROCS, k > 1 a bounded pool
@@ -47,10 +49,11 @@ type FindResult struct {
 	GoodPerIteration []int
 }
 
-// ErrIterationBudget reports that FindShortcut failed to finish within its
-// iteration budget — the signal that the assumed (C, B) parameters were too
-// small (no such shortcut exists, or CoreFast got unlucky).
-var ErrIterationBudget = errors.New("core: FindShortcut exceeded its iteration budget")
+// ErrIterationBudget reports that FindShortcut gave up before fixing every
+// part: an iteration fixed no part, or the iteration budget ran out. Either
+// is the signal that the assumed (C, B) parameters were too small (no such
+// shortcut exists, or CoreFast got unlucky).
+var ErrIterationBudget = errors.New("core: FindShortcut left parts unfixed")
 
 // FindShortcut is the centralized reference implementation of the paper's
 // main algorithm (Theorem 3): repeat the core subroutine, keep the parts
@@ -60,6 +63,14 @@ var ErrIterationBudget = errors.New("core: FindShortcut exceeded its iteration b
 // CoreSlow, w.h.p. for CoreFast), so O(log N) iterations suffice and the
 // final shortcut has block parameter ≤ 3B and shortcut-congestion
 // O(C·log N).
+//
+// The same invariant is the zero-progress rule: an iteration that fixes no
+// part while parts remain shows that no (C, B) shortcut exists (or, for
+// CoreFast, that the randomness failed), so the run stops there with
+// ErrIterationBudget instead of spending the rest of its budget. The
+// returned trace then ends in a 0 entry. A "fewer than half" rule would be
+// wrong: CoreFast's progress is not monotone, and a probe that goes on to
+// succeed may fix fewer than half of its parts in one iteration.
 //
 // The loop runs entirely on a pooled construction scratch: block counts come
 // out of the per-part walks for free, and good parts are adopted by copying
@@ -118,6 +129,10 @@ func FindShortcut(t *tree.Tree, p *partition.Partition, cfg FindConfig) (*FindRe
 		left -= good
 		result.Iterations++
 		result.GoodPerIteration = append(result.GoodPerIteration, good)
+		if good == 0 && left > 0 {
+			return result, fmt.Errorf("%w: iteration %d fixed none of %d parts (C=%d B=%d)",
+				ErrIterationBudget, result.Iterations-1, left, cfg.C, cfg.B)
+		}
 	}
 	result.S = flattenShortcut(t, p, final, workers)
 	return result, nil
@@ -136,10 +151,13 @@ type AutoResult struct {
 
 // FindShortcutAuto implements the Appendix A doubling mechanism for when no
 // bound on (c, b) is known: try (c, b) = (1, 1), (2, 2), (4, 4), ... until
-// FindShortcut completes within its iteration budget. Because the canonical
-// witness guarantees a (c*, 1) shortcut exists, the search terminates by
-// est = 2·c* at the latest; it often succeeds much earlier, finding shortcuts
-// better than any a-priori bound — the Appendix's closing observation.
+// FindShortcut completes within its iteration budget. A probe fails, and the
+// estimate doubles, at the probe's first iteration that fixes no part or
+// when its ceil(log2 N)+6 iterations run out, whichever comes first. Because
+// the canonical witness guarantees a (c*, 1) shortcut exists, the search
+// terminates by est = 2·c* at the latest; it often succeeds much earlier,
+// finding shortcuts better than any a-priori bound — the Appendix's closing
+// observation.
 //
 // workers is forwarded to FindConfig.Workers (0 = GOMAXPROCS, 1 =
 // sequential); it cannot change the output.

@@ -37,7 +37,9 @@ type Config struct {
 	Seed int64
 	// UseSlow selects the deterministic CoreSlow core subroutine.
 	UseSlow bool
-	// MaxIterations bounds the loop; 0 means 4·ceil(log2 NumParts) + 8.
+	// MaxIterations bounds the loop; 0 means 4·ceil(log2 NumParts) + 8. It
+	// is an upper bound only: an iteration that fixes no part ends the run
+	// earlier, as in core.FindConfig (see Phase).
 	MaxIterations int
 }
 
@@ -57,10 +59,18 @@ type Result struct {
 }
 
 // Phase runs the FindShortcut protocol on one node. It returns ok=false
-// (uniformly at every node — the decision is a global aggregate) when the
-// iteration budget was exhausted before all parts were fixed, which is the
-// failure signal the Appendix A doubling driver keys on. All nodes enter and
-// leave aligned.
+// (uniformly at every node — the decision is a global aggregate) when parts
+// remain unfixed and either the previous iteration fixed none of them or the
+// iteration budget is exhausted, which is the failure signal the Appendix A
+// doubling driver keys on. All nodes enter and leave aligned.
+//
+// Each iteration opens with one aggregate that ORs two bits per node: bit 0
+// says the node's part is still unfixed, bit 1 that it was fixed by the
+// previous iteration. No bit 0 anywhere means success. Bit 0 without bit 1
+// at iteration k ≥ 1 means iteration k−1 fixed no part, so the run stops
+// with Iterations = k — the zero-progress rule of core.FindShortcut, which
+// stops after the same iteration. The two bits ride in the aggregate's one
+// 64-bit word, so the rule costs no extra rounds or message bits.
 func Phase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, cfg Config) (*Result, bool, error) {
 	if cfg.C < 1 || cfg.B < 1 {
 		return nil, false, fmt.Errorf("findshort: need C,B >= 1, got C=%d B=%d", cfg.C, cfg.B)
@@ -74,16 +84,24 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, cf
 	res.Fixed = ownPart == partition.None // uncovered nodes have nothing to fix
 
 	for iter := 0; ; iter++ {
-		// Global termination / budget check (keeps every node in lockstep).
-		morework, err := bfsproto.OrPhase(ctx, info, !res.Fixed)
+		// Global termination / progress / budget check (keeps every node in
+		// lockstep).
+		var local int64
+		if !res.Fixed {
+			local |= unfixedBit
+		}
+		if iter > 0 && res.FixedAt == iter-1 {
+			local |= progressBit
+		}
+		global, err := bfsproto.AggregatePhase(ctx, info, local, func(a, b int64) int64 { return a | b })
 		if err != nil {
 			return nil, false, err
 		}
-		if !morework {
+		if global&unfixedBit == 0 {
 			res.Iterations = iter
 			return res, true, nil
 		}
-		if iter >= budget {
+		if iter >= budget || (iter > 0 && global&progressBit == 0) {
 			res.Iterations = iter
 			return res, false, nil
 		}
@@ -128,6 +146,12 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, cf
 		}
 	}
 }
+
+// The two bits of the aggregate that opens each iteration of Phase.
+const (
+	unfixedBit  = 1 << 0 // my part is not fixed yet
+	progressBit = 1 << 1 // my part was fixed by the previous iteration
+)
 
 // emptyAccum returns an all-empty accumulated shortcut view.
 func emptyAccum(info *bfsproto.Info) *coredist.NodeShortcut {
@@ -175,8 +199,10 @@ type AutoResult struct {
 
 // AutoPhase is the distributed Appendix A doubling driver: FindShortcut with
 // (c, b) = (1, 1), (2, 2), (4, 4), ... until a probe completes within its
-// iteration budget. Nodes stay in lockstep — the per-probe failure signal is
-// a global aggregate. Mirrors core.FindShortcutAuto (seed schedule included).
+// iteration budget. A probe fails at its first iteration that fixes no part,
+// or when its ceil(log2 numParts)+6 iterations run out. Nodes stay in
+// lockstep — the per-probe failure signal is a global aggregate. Mirrors
+// core.FindShortcutAuto (seed schedule and stopping rule included).
 func AutoPhase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, numParts int, seed int64, useSlow bool) (*AutoResult, error) {
 	probes := 0
 	for est := 1; est <= 2*info.Count; est *= 2 {

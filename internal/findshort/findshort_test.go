@@ -1,6 +1,10 @@
 package findshort
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"lcshortcut/internal/bfsproto"
@@ -169,45 +173,154 @@ func TestFindShortcutFailureSignal(t *testing.T) {
 	}
 }
 
-func TestAutoPhaseMatchesCentralized(t *testing.T) {
-	for _, in := range testInstances(t)[:4] {
-		t.Run(in.name, func(t *testing.T) {
-			tr := protocolTree(t, in.g)
-			results := make([]*AutoResult, in.g.NumNodes())
-			_, err := congest.Run(in.g, func(ctx *congest.Ctx) error {
-				info, err := bfsproto.Phase(ctx, 0, 21)
-				if err != nil {
-					return err
-				}
-				ar, err := AutoPhase(ctx, info, in.p, in.p.NumParts(), 21, true)
-				if err != nil {
-					return err
-				}
-				results[ctx.ID()] = ar
-				return nil
-			}, congest.Options{})
+// autoRun runs BFS + AutoPhase with seed 21 and returns every node's result.
+func autoRun(tb testing.TB, in instance, useSlow bool) []*AutoResult {
+	tb.Helper()
+	results := make([]*AutoResult, in.g.NumNodes())
+	_, err := congest.Run(in.g, func(ctx *congest.Ctx) error {
+		info, err := bfsproto.Phase(ctx, 0, 21)
+		if err != nil {
+			return err
+		}
+		ar, err := AutoPhase(ctx, info, in.p, in.p.NumParts(), 21, useSlow)
+		if err != nil {
+			return err
+		}
+		results[ctx.ID()] = ar
+		return nil
+	}, congest.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return results
+}
+
+// TestFindShortcutStall pins the zero-progress rule on both drivers: a run
+// whose iteration fixes no part stops right there, well inside its budget,
+// and the doubling drivers then move on to the next estimate. At (1, 1)
+// under CoreSlow the snakes shatter in the first iteration; the Voronoi
+// cells make progress for two iterations and then stall.
+func TestFindShortcutStall(t *testing.T) {
+	g := gen.Grid(12, 12)
+	tr := protocolTree(t, g)
+	cases := []struct {
+		in       instance
+		budget   int
+		wantGood []int
+	}{
+		{instance{"grid12x12/snake3", g, partition.GridSnake(12, 12, 3)}, 5, []int{0}},
+		{instance{"grid12x12/voronoi9", g, partition.Voronoi(g, 9, 2)}, 10, []int{4, 2, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.in.name, func(t *testing.T) {
+			p := tc.in.p
+			iters := len(tc.wantGood)
+			fr, err := core.FindShortcut(tr, p, core.FindConfig{C: 1, B: 1, Seed: 1, UseSlow: true, MaxIterations: tc.budget})
+			if !errors.Is(err, core.ErrIterationBudget) {
+				t.Fatalf("central err = %v, want ErrIterationBudget", err)
+			}
+			if want := fmt.Sprintf("iteration %d fixed none", iters-1); !strings.Contains(err.Error(), want) {
+				t.Errorf("central err %q does not name the stalled iteration (%q)", err, want)
+			}
+			if fr.S != nil || fr.Iterations != iters || !slices.Equal(fr.GoodPerIteration, tc.wantGood) {
+				t.Fatalf("central: S=%v iterations=%d good=%v, want nil, %d, %v",
+					fr.S != nil, fr.Iterations, fr.GoodPerIteration, iters, tc.wantGood)
+			}
+
+			results, _, ok, err := Run(g, p, 0, Config{C: 1, B: 1, Seed: 1, UseSlow: true, MaxIterations: tc.budget}, congest.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.FindShortcutAuto(tr, in.p, 21, true, 1)
-			if err != nil {
-				t.Fatal(err)
+			if ok {
+				t.Fatal("distributed run reported success")
 			}
-			if results[0].Est != want.EstC || results[0].Probes != want.Probes {
-				t.Errorf("doubling settled at est=%d probes=%d, central est=%d probes=%d",
-					results[0].Est, results[0].Probes, want.EstC, want.Probes)
-			}
-			states := make([]*coredist.NodeShortcut, len(results))
+			// Rebuild the per-iteration good counts from the parts' FixedAt.
+			good := make([]int, iters)
+			counted := make([]bool, p.NumParts())
 			for v, r := range results {
-				states[v] = r.NS
+				if r.Iterations != iters {
+					t.Fatalf("node %d: Iterations = %d, want %d", v, r.Iterations, iters)
+				}
+				if i := p.Part(v); r.FixedAt >= 0 && !counted[i] {
+					counted[i] = true
+					good[r.FixedAt]++
+				}
 			}
-			got, _, err := coredist.ToShortcut(in.g, in.p, states)
+			if !slices.Equal(good, tc.wantGood) {
+				t.Errorf("distributed good per iteration %v, want %v", good, tc.wantGood)
+			}
+
+			// Both doubling drivers fail the stalled estimate-1 probe and
+			// double: under CoreSlow that probe is the run above, with a
+			// budget of ceil(log2 N)+6 that the stall never reaches.
+			want, err := core.FindShortcutAuto(tr, p, 21, true, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameShortcut(t, got, want.S, in.g)
+			if want.Probes < 1 || want.EstC < 2 {
+				t.Errorf("central doubling settled at est=%d after %d failed probes, want a failed estimate-1 probe", want.EstC, want.Probes)
+			}
+			auto := autoRun(t, tc.in, true)
+			if auto[0].Est != want.EstC || auto[0].Probes != want.Probes || auto[0].Iterations != want.Iterations {
+				t.Errorf("distributed doubling est=%d probes=%d iterations=%d, central est=%d probes=%d iterations=%d",
+					auto[0].Est, auto[0].Probes, auto[0].Iterations, want.EstC, want.Probes, want.Iterations)
+			}
 		})
 	}
+}
+
+// TestAutoPhaseMatchesCentralized holds the two doubling drivers equal under
+// both core subroutines: the settled estimate, the failed probes, the
+// settling probe's iterations and the lifted shortcut. The instances after
+// the first four are E8's first two and a 16-cell Voronoi grid; failsProbe
+// names the runs whose estimate-1 probe fails (on grid16x16/voronoi16,
+// CoreFast fixes parts in four iterations before it stalls).
+func TestAutoPhaseMatchesCentralized(t *testing.T) {
+	g16 := gen.Grid(16, 16)
+	ins := append(testInstances(t)[:4],
+		instance{"grid12x12/voronoi9", gen.Grid(12, 12), partition.Voronoi(gen.Grid(12, 12), 9, 1)},
+		instance{"grid16x16/snake4", g16, partition.GridSnake(16, 16, 4)},
+		instance{"grid16x16/voronoi16", g16, partition.Voronoi(g16, 16, 3)},
+	)
+	failsProbe := map[string]bool{
+		"grid12x12/voronoi9/slow":  true,
+		"grid16x16/snake4/slow":    true,
+		"grid16x16/snake4/fast":    true,
+		"grid16x16/voronoi16/slow": true,
+		"grid16x16/voronoi16/fast": true,
+	}
+	for _, in := range ins {
+		t.Run(in.name, func(t *testing.T) {
+			tr := protocolTree(t, in.g)
+			for _, sub := range []string{"slow", "fast"} {
+				slow := sub == "slow"
+				t.Run(sub, func(t *testing.T) {
+					results := autoRun(t, in, slow)
+					want, err := core.FindShortcutAuto(tr, in.p, 21, slow, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if failsProbe[in.name+"/"+sub] && want.Probes == 0 {
+						t.Errorf("central doubling failed no probe; the run no longer covers a failed probe")
+					}
+					if r := results[0]; r.Est != want.EstC || r.Probes != want.Probes || r.Iterations != want.Iterations {
+						t.Errorf("doubling settled at est=%d probes=%d iterations=%d, central est=%d probes=%d iterations=%d",
+							r.Est, r.Probes, r.Iterations, want.EstC, want.Probes, want.Iterations)
+					}
+					sameShortcut(t, lift(t, in.g, in.p, autoResults(results)), want.S, in.g)
+				})
+			}
+		})
+	}
+}
+
+// autoResults strips the doubling estimate off per-node AutoResults.
+func autoResults(ars []*AutoResult) []*Result {
+	out := make([]*Result, len(ars))
+	for v, ar := range ars {
+		out[v] = ar.Result
+	}
+	return out
 }
 
 func TestFindShortcutRoundComplexity(t *testing.T) {

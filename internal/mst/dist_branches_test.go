@@ -56,9 +56,10 @@ func TestMSTExplicitWitnessParams(t *testing.T) {
 	// The canonical witness congestion of any fragment partition is at most
 	// n, so (C, B) = (n, 1) is always feasible.
 	checkDistributed(t, g, Config{Strategy: StrategyShortcut, C: g.NumNodes(), B: 1}, 5)
-	// On a larger grid the mid-run fragments need congestion > 1, so the
-	// explicit (1, 1) guess must fail loudly instead of doubling.
-	big := gen.WithUniqueWeights(gen.Grid(12, 12), 2)
+	// On a 16x16 grid some mid-run fragments need congestion > 1, so the
+	// explicit (1, 1) guess must fail loudly instead of doubling. (A 12x12
+	// grid with these weights finishes at (1, 1).)
+	big := gen.WithUniqueWeights(gen.Grid(16, 16), 2)
 	_, _, err := Run(big, 0, 5, Config{Strategy: StrategyShortcut, C: 1, B: 1}, congest.Options{})
 	if err == nil || !strings.Contains(err.Error(), "FindShortcut failed") {
 		t.Fatalf("err = %v, want explicit-parameter FindShortcut failure", err)

@@ -29,12 +29,19 @@ type Partition struct {
 }
 
 // FromAssignment builds a Partition from a per-vertex part index (None for
-// uncovered vertices). Part indices must be dense in [0, max+1).
+// uncovered vertices). Part indices must be dense in [0, max+1), so an index
+// at or past len(assign) cannot be valid; it is rejected before anything is
+// sized from it, which bounds the allocation by O(len(assign)) whatever the
+// input.
 func FromAssignment(assign []int) (*Partition, error) {
 	maxPart := -1
 	for v, p := range assign {
 		if p < None {
 			return nil, fmt.Errorf("partition: vertex %d has invalid part %d", v, p)
+		}
+		if p >= len(assign) {
+			return nil, fmt.Errorf("partition: vertex %d has part %d, not below the vertex count %d (indices must be dense)",
+				v, p, len(assign))
 		}
 		if p > maxPart {
 			maxPart = p

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lcshortcut/internal/gen"
@@ -14,6 +15,22 @@ func TestFromAssignmentValidation(t *testing.T) {
 	}
 	if _, err := FromAssignment([]int{0, -5}); err == nil {
 		t.Error("invalid negative index accepted")
+	}
+	// A part index at or past the vertex count cannot be dense. It must be
+	// rejected before the part lists are sized from it: 1<<62 would panic in
+	// makeslice, and 1e7 would allocate hundreds of MB for two vertices.
+	for _, huge := range []int{2, 10_000_000, 1 << 62} {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		_, err := FromAssignment([]int{0, huge})
+		runtime.ReadMemStats(&ms)
+		if err == nil {
+			t.Errorf("part index %d accepted for 2 vertices", huge)
+		}
+		if grew := ms.TotalAlloc - before; grew > 1<<16 {
+			t.Errorf("rejecting part index %d allocated %d bytes, want O(len(assign))", huge, grew)
+		}
 	}
 	p, err := FromAssignment([]int{0, None, 1, 0})
 	if err != nil {

@@ -46,6 +46,12 @@ func testInstances(tb testing.TB) []instance {
 // computed shortcut for cross-checking.
 func pipeline(tb testing.TB, in instance, shards int, cont func(ctx *congest.Ctx, m *Membership) error) ([]*Membership, *core.Shortcut, congest.Stats) {
 	tb.Helper()
+	return pipelineAt(tb, in, shards, cstarOf(tb, in), cont)
+}
+
+// pipelineAt is pipeline with CoreSlow run at congestion parameter c.
+func pipelineAt(tb testing.TB, in instance, shards, c int, cont func(ctx *congest.Ctx, m *Membership) error) ([]*Membership, *core.Shortcut, congest.Stats) {
+	tb.Helper()
 	n := in.g.NumNodes()
 	states := make([]*coredist.NodeShortcut, n)
 	members := make([]*Membership, n)
@@ -54,7 +60,7 @@ func pipeline(tb testing.TB, in instance, shards int, cont func(ctx *congest.Ctx
 		if err != nil {
 			return err
 		}
-		ns, err := coredist.CoreSlowPhase(ctx, info, in.p, cstarOf(tb, in), false)
+		ns, err := coredist.CoreSlowPhase(ctx, info, in.p, c, false)
 		if err != nil {
 			return err
 		}
@@ -290,40 +296,62 @@ func TestVerifyBlockCountSingletonBlocks(t *testing.T) {
 func TestVerifyBlockCountExact(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {
-			// First pass to learn the true block counts.
-			_, s, _ := pipeline(t, in, 1, nil)
-			bMax := blockBound(in, s)
-			counts := make([]int, in.p.NumParts())
-			for i := range counts {
-				counts[i] = s.BlockCount(i)
-			}
-			for _, bLimit := range []int{1, 2, bMax} {
-				results := make([][]SumResult, in.g.NumNodes())
-				members, _, _ := pipeline(t, in, 1, func(ctx *congest.Ctx, m *Membership) error {
-					r, err := m.VerifyBlockCount(ctx, bLimit)
-					results[ctx.ID()] = r
-					return err
-				})
-				for i := 0; i < in.p.NumParts(); i++ {
-					wantOK := counts[i] <= bLimit
-					for v := 0; v < in.g.NumNodes(); v++ {
-						k := members[v].Index(i)
-						if k < 0 {
-							continue // not a member of any block of part i
-						}
-						r := results[v][k]
-						if r.OK != wantOK {
-							t.Fatalf("bLimit=%d part %d (true count %d) node %d: OK=%v, want %v",
-								bLimit, i, counts[i], v, r.OK, wantOK)
-						}
-						if r.OK && r.Sum != int64(counts[i]) {
-							t.Fatalf("bLimit=%d part %d node %d: count %d, want %d",
-								bLimit, i, v, r.Sum, counts[i])
-						}
-					}
+			checkVerifyBlockCount(t, in, cstarOf(t, in))
+		})
+	}
+}
+
+// TestVerifyBlockCountShattered repeats the exact check on CoreSlow at
+// c = 1, where parts shatter into many blocks and the leader election of a
+// shattered part disagrees across its blocks. Such a part's members also sit
+// in other parts' blocks as Steiner vertices; the conflict they see in their
+// own part must not turn those other parts' verdicts bad.
+func TestVerifyBlockCountShattered(t *testing.T) {
+	for _, in := range testInstances(t) {
+		t.Run(in.name, func(t *testing.T) {
+			checkVerifyBlockCount(t, in, 1)
+		})
+	}
+}
+
+// checkVerifyBlockCount checks VerifyBlockCount against the true block
+// counts of CoreSlow's shortcut at congestion parameter c: every block
+// member of a part with at most bLimit blocks must learn OK and the exact
+// count, and every member of a larger part must learn not-OK.
+func checkVerifyBlockCount(t *testing.T, in instance, c int) {
+	t.Helper()
+	// First pass to learn the true block counts.
+	_, s, _ := pipelineAt(t, in, 1, c, nil)
+	bMax := blockBound(in, s)
+	counts := make([]int, in.p.NumParts())
+	for i := range counts {
+		counts[i] = s.BlockCount(i)
+	}
+	for _, bLimit := range []int{1, 2, 3, bMax} {
+		results := make([][]SumResult, in.g.NumNodes())
+		members, _, _ := pipelineAt(t, in, 1, c, func(ctx *congest.Ctx, m *Membership) error {
+			r, err := m.VerifyBlockCount(ctx, bLimit)
+			results[ctx.ID()] = r
+			return err
+		})
+		for i := 0; i < in.p.NumParts(); i++ {
+			wantOK := counts[i] <= bLimit
+			for v := 0; v < in.g.NumNodes(); v++ {
+				k := members[v].Index(i)
+				if k < 0 {
+					continue // not a member of any block of part i
+				}
+				r := results[v][k]
+				if r.OK != wantOK {
+					t.Fatalf("c=%d bLimit=%d part %d (true count %d) node %d: OK=%v, want %v",
+						c, bLimit, i, counts[i], v, r.OK, wantOK)
+				}
+				if r.OK && r.Sum != int64(counts[i]) {
+					t.Fatalf("c=%d bLimit=%d part %d node %d: count %d, want %d",
+						c, bLimit, i, v, r.Sum, counts[i])
 				}
 			}
-		})
+		}
 	}
 }
 

@@ -143,9 +143,12 @@ func (m *Membership) partSum(ctx congest.Net, own func(k int) int64, steps int) 
 		}
 		return 0
 	}
-	// Initial intra-block sum of member contributions (+ conflict bits).
+	// Initial intra-block sum of member contributions (+ conflict bits). A
+	// conflict was seen in the exchange with same-part neighbors, so it
+	// belongs to the own part only: a vertex that sits in another part's
+	// block as a Steiner vertex must not fail that part's verdict.
 	first, err := m.gather(ctx, func(k int) Value {
-		return PairVal{A: own(k), B: conflBit(conflictLocal), N: n}
+		return PairVal{A: own(k), B: conflBit(k == m.own && conflictLocal), N: n}
 	}, addPair, 0)
 	if err != nil {
 		return nil, err

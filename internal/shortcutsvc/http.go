@@ -87,14 +87,12 @@ func (s *Service) handleShortcut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a shortcut request", http.StatusMethodNotAllowed)
 		return
 	}
-	var req Request
 	// Writers without deadlines (httptest recorders) leave the read unbounded.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(body)
+	if err != nil {
 		http.Error(w, "malformed request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -103,7 +101,7 @@ func (s *Service) handleShortcut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = rc.SetReadDeadline(time.Time{})
-	ent, outcome, err := s.Query(&req)
+	ent, outcome, err := s.Query(req)
 	if err != nil {
 		switch {
 		case IsTooLarge(err):
@@ -121,6 +119,18 @@ func (s *Service) handleShortcut(w http.ResponseWriter, r *http.Request) {
 		// Client went away mid-write; nothing to do.
 		_ = err
 	}
+}
+
+// decodeRequest decodes the first JSON value of r as a Request; a field the
+// Request does not have is an error.
+func decodeRequest(r io.Reader) (*Request, error) {
+	var req Request
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	return &req, nil
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {

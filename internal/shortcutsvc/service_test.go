@@ -29,136 +29,153 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, string) {
 	return resp, string(data)
 }
 
-// TestHandlerTable drives /shortcut through the error and success paths:
-// bad family, oversized n, malformed partition specs, malformed JSON, wrong
-// method, uploaded graphs good and bad, and the cache hit/miss headers.
+// handlerCases drives /shortcut through the error and success paths: bad
+// family, oversized n, malformed partition specs, malformed JSON, uploaded
+// graphs good and bad, and the cache hit/miss headers. The cases run in
+// order against one service (the second hits the first's entry); their
+// bodies also seed FuzzRequest.
+var handlerCases = []struct {
+	name       string
+	body       string
+	wantStatus int
+	wantCache  string // expected X-Cache header, "" = don't check
+}{
+	{
+		name:       "miss-then-hit-setup",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "miss",
+	},
+	{
+		name:       "identical-query-hits",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "hit",
+	},
+	{
+		name:       "bad-family",
+		body:       `{"family":"nonesuch","n":64,"seed":1,"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "oversized-n",
+		body:       `{"family":"grid","n":100000,"seed":1,"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusRequestEntityTooLarge,
+	},
+	{
+		name:       "no-graph",
+		body:       `{"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "both-graphs",
+		body:       `{"family":"grid","n":64,"nodes":4,"edges":[[0,1]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "missing-partition-kind",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "unknown-partition-kind",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"stripes"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "voronoi-zero-parts",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "assign-wrong-length",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"assign","assign":[0,1]}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "assign-sparse-part-indices",
+		body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3]],"partition":{"kind":"assign","assign":[0,0,2,2]}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "mismatched-c-b",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"c":4}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "malformed-json",
+		body:       `{"family":"grid",`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "unknown-field",
+		body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"bogus":true}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-ok",
+		body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "miss",
+	},
+	{
+		name:       "upload-disconnected",
+		body:       `{"nodes":4,"edges":[[0,1],[2,3]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-self-loop",
+		body:       `{"nodes":3,"edges":[[0,0],[1,2]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-duplicate-reversed",
+		body:       `{"nodes":2,"edges":[[0,1],[1,0]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-repeated-edge",
+		body:       `{"nodes":2,"edges":[[0,1],[0,1]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-endpoint-out-of-range",
+		body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3],[0,4]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "upload-negative-endpoint",
+		body:       `{"nodes":2,"edges":[[0,1],[-1,0]],"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		// Dense part indices stay below the vertex count; a larger index
+		// is refused before any slice is sized from it.
+		name:       "assign-large-part-index",
+		body:       `{"nodes":2,"edges":[[0,1]],"partition":{"kind":"assign","assign":[0,10000000]}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "assign-huge-part-index",
+		body:       `{"nodes":2,"edges":[[0,1]],"partition":{"kind":"assign","assign":[0,4611686018427387904]}}`,
+		wantStatus: http.StatusBadRequest,
+	},
+	{
+		name:       "explicit-params-ok",
+		body:       `{"family":"ring","n":32,"seed":2,"partition":{"kind":"voronoi","parts":4,"seed":2},"c":8,"b":4}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "miss",
+	},
+}
+
+// TestHandlerTable runs handlerCases, then checks the wrong method, the
+// health and metrics endpoints and the stats the table left behind.
 func TestHandlerTable(t *testing.T) {
 	svc := New(Config{MaxNodes: 4096, CacheEntries: 8})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name       string
-		body       string
-		wantStatus int
-		wantCache  string // expected X-Cache header, "" = don't check
-	}{
-		{
-			name:       "miss-then-hit-setup",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "miss",
-		},
-		{
-			name:       "identical-query-hits",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi","parts":4,"seed":1}}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "hit",
-		},
-		{
-			name:       "bad-family",
-			body:       `{"family":"nonesuch","n":64,"seed":1,"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "oversized-n",
-			body:       `{"family":"grid","n":100000,"seed":1,"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusRequestEntityTooLarge,
-		},
-		{
-			name:       "no-graph",
-			body:       `{"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "both-graphs",
-			body:       `{"family":"grid","n":64,"nodes":4,"edges":[[0,1]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "missing-partition-kind",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "unknown-partition-kind",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"stripes"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "voronoi-zero-parts",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"voronoi"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "assign-wrong-length",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"assign","assign":[0,1]}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "assign-sparse-part-indices",
-			body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3]],"partition":{"kind":"assign","assign":[0,0,2,2]}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "mismatched-c-b",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"c":4}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "malformed-json",
-			body:       `{"family":"grid",`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "unknown-field",
-			body:       `{"family":"grid","n":64,"seed":1,"partition":{"kind":"whole"},"bogus":true}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-ok",
-			body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3],[3,0]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "miss",
-		},
-		{
-			name:       "upload-disconnected",
-			body:       `{"nodes":4,"edges":[[0,1],[2,3]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-self-loop",
-			body:       `{"nodes":3,"edges":[[0,0],[1,2]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-duplicate-reversed",
-			body:       `{"nodes":2,"edges":[[0,1],[1,0]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-repeated-edge",
-			body:       `{"nodes":2,"edges":[[0,1],[0,1]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-endpoint-out-of-range",
-			body:       `{"nodes":4,"edges":[[0,1],[1,2],[2,3],[0,4]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "upload-negative-endpoint",
-			body:       `{"nodes":2,"edges":[[0,1],[-1,0]],"partition":{"kind":"whole"}}`,
-			wantStatus: http.StatusBadRequest,
-		},
-		{
-			name:       "explicit-params-ok",
-			body:       `{"family":"ring","n":32,"seed":2,"partition":{"kind":"voronoi","parts":4,"seed":2},"c":8,"b":4}`,
-			wantStatus: http.StatusOK,
-			wantCache:  "miss",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range handlerCases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postJSON(t, ts.URL+"/shortcut", tc.body)
 			if resp.StatusCode != tc.wantStatus {
