@@ -1,6 +1,7 @@
 package congest_test
 
 import (
+	"fmt"
 	"testing"
 
 	"lcshortcut/internal/congest"
@@ -233,6 +234,45 @@ func TestAllocGuardSleep(t *testing.T) {
 		opts := congest.Options{Seed: 3, Shards: shards}
 		if per := perRoundAllocs(t, gen.Path(32), opts, sleepyConvergecastProc); per > 0.02 {
 			t.Errorf("sleeping steady state (shards=%d) allocates %.3f allocs/round, want 0", shards, per)
+		}
+	}
+}
+
+// mailWakeRingProc passes one token around a ring for `rounds` rounds. A
+// node waits for it in StepUntil with the run's last round as the bound, so
+// in every round one node is woken by mail alone, reads its inbox and passes
+// the token on, and every other node sleeps.
+func mailWakeRingProc(rounds int) congest.Proc {
+	return func(ctx *congest.Ctx) error {
+		next := ctx.ArcIndex((ctx.ID() + 1) % ctx.N())
+		if ctx.ID() == 0 {
+			ctx.SendArc(next, pulse{})
+		}
+		for {
+			in := ctx.StepUntil(rounds)
+			if ctx.Round() >= rounds {
+				return nil
+			}
+			if len(in) != 1 {
+				return fmt.Errorf("node %d woke in round %d with %d messages, want the token", ctx.ID(), ctx.Round(), len(in))
+			}
+			ctx.SendArc(next, in[0].Payload)
+		}
+	}
+}
+
+// TestAllocGuardMailWake is the guard for a StepUntil loop woken by mail:
+// marking the sleeping receiver, waking it, filing the sender as a sleeper
+// and materializing the woken node's inbox must not allocate per round, at
+// one shard and at four, where the token crosses shard boundaries.
+func TestAllocGuardMailWake(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per round; the guard runs in the non-race engine-bench job")
+	}
+	for _, shards := range []int{1, 4} {
+		opts := congest.Options{Seed: 3, Shards: shards}
+		if per := perRoundAllocs(t, gen.Ring(64), opts, mailWakeRingProc); per > 0.02 {
+			t.Errorf("mail-wake steady state (shards=%d) allocates %.3f allocs/round, want 0", shards, per)
 		}
 	}
 }

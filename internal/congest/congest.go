@@ -21,13 +21,17 @@
 // the model invariant that each edge-direction carries at most one message
 // per round: every node owns a fixed mailbox of degree(v) slots indexed by
 // in-arc, laid out in one flat arena of 2m slots mirroring the graph's CSR
-// arc arrays. Send writes straight into the receiver's slot through the
-// graph's precomputed reverse-arc permutation — no queues, no per-round inbox
-// slices — and slot occupancy is an epoch stamp (the round number), so
-// nothing is ever cleared between rounds. Two stamp/payload arenas alternate
-// by round parity so round-r readers never share an array with round-r+1
-// writers. A message the lossy network drops is stamped with a nil payload:
-// it is charged to the sender and invisible to every read.
+// arc arrays. A slot holds the payload next to its epoch stamp (the round at
+// which it becomes readable), so a send, a drop or a read touches one slot,
+// and nothing is ever cleared between rounds. Send writes straight into the
+// receiver's slot through the graph's precomputed reverse-arc permutation —
+// no queues — and a node's first send of a round skips the double-send read,
+// since it cannot repeat an arc; later sends read the stamp. Two slot arenas
+// alternate by round parity so round-r readers never share an array with
+// round-r+1 writers. A message the lossy network drops is stamped with a nil
+// payload: it is charged to the sender and invisible to every read. StepRound
+// materializes a node's inbox into its shard's one inbox buffer, which the
+// node owns until its next barrier.
 //
 // The CSR vertex range is cut into P contiguous arc-balanced shards
 // (partition.ShardBounds, see driver.go). P is Options.Shards, or the
@@ -96,6 +100,13 @@ type Payload interface {
 type Message struct {
 	From    graph.NodeID
 	Payload Payload
+}
+
+// slot is one mailbox slot: the payload in flight on one arc and the round
+// at which it becomes readable. A stamped nil payload is a dropped message.
+type slot struct {
+	pay   Payload
+	stamp int32
 }
 
 // Proc is the per-node protocol procedure, run with ctx bound to one vertex;
@@ -265,7 +276,10 @@ const (
 
 // Ctx is a node's handle to the simulation: its identity, neighborhood,
 // send fast paths and the round barrier. A Ctx must only be used from its
-// own Proc.
+// own Proc. The inbox slice StepRound and StepUntil return is the shard's
+// one inbox buffer, shared by the shard's nodes: it holds this node's
+// messages until the node's next barrier, after which another node's inbox
+// may overwrite it.
 type Ctx struct {
 	id graph.NodeID
 	g  *graph.Graph
@@ -296,7 +310,6 @@ type Ctx struct {
 	arrival int32
 	wakeAt  int32
 	err     error
-	inbox   []Message
 	// The node runs as a coroutine: next resumes it until its next barrier
 	// arrival or its end, yield (called by arrive) hands control back to the
 	// driver, and stop ends it.
@@ -403,7 +416,6 @@ func (c *Ctx) SendArc(k int, p Payload) {
 	}
 	rs, d := c.run, c.shard
 	stamp := int32(c.round) + 1
-	buf := stamp & 1
 	s := rs.rev[c.lo+int32(k)]
 	b := p.Bits()
 	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
@@ -412,18 +424,21 @@ func (c *Ctx) SendArc(k int, p Payload) {
 	if !d.owns(s) {
 		c.relay(k, s, stamp, p)
 	} else {
-		if rs.stamp[buf][s] == stamp {
+		sl := &rs.slots[stamp&1][s]
+		// The first send of the node's round cannot repeat an arc, so only
+		// later sends read the stamp.
+		if c.pMsgs != 0 && sl.stamp == stamp {
 			c.sentTwice(k)
 		}
-		rs.stamp[buf][s] = stamp
+		sl.stamp = stamp
 		// The lossy network still charges the sender: the message consumed
 		// its per-edge budget and counts toward Stats, it just never surfaces
 		// in an inbox (every read treats a stamped nil payload as no message)
 		// and never wakes a sleeping receiver.
 		if rs.dropThresh != 0 && dropped(rs.dropThresh, rs.faultSeed, stamp, s) {
-			rs.pay[buf][s] = nil
+			sl.pay = nil
 		} else {
-			rs.pay[buf][s] = p
+			sl.pay = p
 			if len(d.heap.items) != 0 {
 				d.markMail(c.arcs[k].To)
 			}
@@ -437,8 +452,9 @@ func (c *Ctx) SendArc(k int, p Payload) {
 }
 
 // SendAll sends the same payload to every neighbor this round: a single
-// pass over the node's reverse-arc slice with the budget check and the
-// sleeper check hoisted out of the loop — the broadcast-flood fast path.
+// pass over the node's reverse-arc slice with the budget check, the sleeper
+// check and the double-send rule hoisted out of the loop — the
+// broadcast-flood fast path.
 func (c *Ctx) SendAll(p Payload) {
 	if c.model != ModelCongest {
 		c.wrongModel("SendAll", "")
@@ -452,27 +468,28 @@ func (c *Ctx) SendAll(p Payload) {
 	}
 	rs, d := c.run, c.shard
 	stamp := int32(c.round) + 1
-	buf := stamp & 1
-	st, pay := rs.stamp[buf], rs.pay[buf]
+	box := rs.slots[stamp&1]
 	b := p.Bits()
 	if limit := rs.opts.MaxMessageBits; limit > 0 && b > limit {
 		c.oversized("sent", b)
 	}
-	thresh, mark := rs.dropThresh, len(d.heap.items) != 0
+	// As in SendArc, the node's first send of the round skips the reads.
+	thresh, mark, check := rs.dropThresh, len(d.heap.items) != 0, c.pMsgs != 0
 	for i, s := range rs.rev[c.lo : c.lo+int32(deg)] {
 		if !d.owns(s) {
 			c.relay(i, s, stamp, p)
 			continue
 		}
-		if st[s] == stamp {
+		sl := &box[s]
+		if check && sl.stamp == stamp {
 			c.sentTwice(i)
 		}
-		st[s] = stamp
+		sl.stamp = stamp
 		if thresh != 0 && dropped(thresh, rs.faultSeed, stamp, s) {
-			pay[s] = nil
+			sl.pay = nil
 			continue
 		}
-		pay[s] = p
+		sl.pay = p
 		if mark {
 			d.markMail(c.arcs[i].To)
 		}
@@ -518,8 +535,9 @@ func (c *Ctx) sentTwice(k int) {
 // waits until every live node has done the same, and returns the messages
 // neighbors sent this round (sorted by sender ID). Message delivery follows
 // the CONGEST convention — a message sent in round r is available at the
-// start of round r+1. The returned slice is reused: it is valid only until
-// the node's next Step/StepRound.
+// start of round r+1. The returned slice is the shard's inbox buffer: it is
+// valid only until the node's next barrier (Step, StepRound, StepUntil or
+// Idle), after which other nodes' inboxes overwrite it.
 func (c *Ctx) StepRound() []Message {
 	if c.model != ModelCongest {
 		c.wrongModel("StepRound", " (use Step + RadioRecv)")
@@ -539,7 +557,8 @@ func (c *Ctx) Step() {
 // StepUntil is the barrier for a node with nothing to do until a message
 // arrives or the clock reaches round: it performs at least one barrier, keeps
 // stepping until the node has a readable message or Round() >= round, and
-// returns that round's inbox under StepRound's ordering and reuse rules.
+// returns that round's inbox under StepRound's ordering and reuse rules: the
+// slice is valid until the node's next barrier.
 // StepUntil(r) with r <= Round()+1 is StepRound; math.MaxInt waits for mail
 // alone (the watchdog still bounds it). The node sleeps outside the barrier
 // meanwhile, so the skipped rounds cost it nothing; the rounds, messages and
@@ -589,13 +608,11 @@ func (c *Ctx) InboxArc(k int) (Payload, bool) {
 	if stamp == 0 {
 		return nil, false
 	}
-	buf := stamp & 1
-	s := c.lo + int32(k)
-	if c.run.stamp[buf][s] != stamp {
+	sl := &c.run.slots[stamp&1][c.lo+int32(k)]
+	if sl.stamp != stamp {
 		return nil, false
 	}
-	p := c.run.pay[buf][s]
-	return p, p != nil
+	return sl.pay, sl.pay != nil
 }
 
 // Idle advances the node through k barriers, discarding anything received.
@@ -646,23 +663,24 @@ func (c *Ctx) sleepBarrier(target int, mail bool) {
 // gather materializes this round's inbox from the mailbox slots, scanning
 // them in ascending sender ID (the graph's precomputed by-neighbor order) so
 // inbox order is deterministic without sorting. A stamped nil payload is a
-// dropped message. The buffer is reused.
+// dropped message. The inbox is written into the shard's buffer: the
+// shard's nodes run one at a time, and each may read its inbox only until
+// its next barrier.
 func (c *Ctx) gather() []Message {
-	rs := c.run
+	rs, d := c.run, c.shard
 	stamp := int32(c.round)
-	buf := stamp & 1
-	st, pay := rs.stamp[buf], rs.pay[buf]
-	c.inbox = c.inbox[:0]
+	box := rs.slots[stamp&1]
+	d.inbox = d.inbox[:0]
 	lo := c.lo
 	for _, j := range rs.order[lo : lo+int32(len(c.arcs))] {
-		if s := lo + int32(j); st[s] == stamp && pay[s] != nil {
-			c.inbox = append(c.inbox, Message{From: c.arcs[j].To, Payload: pay[s]})
+		if sl := &box[lo+int32(j)]; sl.stamp == stamp && sl.pay != nil {
+			d.inbox = append(d.inbox, Message{From: c.arcs[j].To, Payload: sl.pay})
 		}
 	}
 	if rs.adversary == AdversaryRotate {
-		scrambleInbox(rs.faultSeed, c.round, c.id, c.inbox)
+		scrambleInbox(rs.faultSeed, c.round, c.id, d.inbox)
 	}
-	return c.inbox
+	return d.inbox
 }
 
 // fail aborts the run with err, unwinding this node.
@@ -719,9 +737,9 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-func growPayload(s []Payload, n int) []Payload {
+func growSlots(s []slot, n int) []slot {
 	if cap(s) < n {
-		return make([]Payload, n)
+		return make([]slot, n)
 	}
 	return s[:n]
 }

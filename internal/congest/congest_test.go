@@ -149,6 +149,46 @@ func TestInboxSortedByFrom(t *testing.T) {
 	}
 }
 
+// TestInboxSharedPerShard pins the inbox reuse contract: the nodes of a
+// shard materialize their inboxes into one buffer, so two nodes' StepRound
+// slices of one round share a backing array, and a slice kept across the
+// node's next barrier no longer holds its round's messages.
+func TestInboxSharedPerShard(t *testing.T) {
+	// Star(4): center 0 hears three leaves, then each leaf hears the center,
+	// so the later, shorter inboxes fit in the center's.
+	g := gen.Star(4)
+	var center, leaf *Message
+	var kept Message
+	_, err := Run(g, func(ctx *Ctx) error {
+		ctx.SendAll(intMsg{v: ctx.ID(), bits: 8})
+		in := ctx.StepRound()
+		if len(in) == 0 {
+			return fmt.Errorf("node %d heard nothing", ctx.ID())
+		}
+		switch ctx.ID() {
+		case 0:
+			center = &in[0]
+			// The leaves gather after the center's barrier.
+			ctx.Step()
+			kept = in[0]
+			return nil
+		case 1:
+			leaf = &in[0]
+		}
+		ctx.Step()
+		return nil
+	}, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if center != leaf {
+		t.Error("the center's and leaf 1's inboxes of one round have separate backing arrays, want one per shard")
+	}
+	if want := (Message{From: 1, Payload: intMsg{v: 1, bits: 8}}); kept == want {
+		t.Errorf("the center's inbox kept past its next barrier still holds %v, want it overwritten by a later node's inbox", want)
+	}
+}
+
 func TestSendToNonNeighbor(t *testing.T) {
 	g := gen.Path(4)
 	_, err := Run(g, func(ctx *Ctx) error {

@@ -23,9 +23,10 @@ import (
 // shard owns a dense window of the mailbox arena: the slots of every node in
 // its vertex range. A message whose receiver slot falls inside the sender's
 // own shard is written directly (epoch stamp, double-send detection on the
-// receiver slot, sleeper mark). A message crossing shards cannot touch the
-// receiver's window race-free, so it is appended to a relay ring instead.
-// At P = 1 every slot is local.
+// receiver slot from the sender's second send of the round on, sleeper
+// mark). A message crossing shards cannot touch the receiver's window
+// race-free, so it is appended to a relay ring instead. At P = 1 every slot
+// is local.
 //
 // # Drivers and the round barrier
 //
@@ -96,25 +97,23 @@ type runState struct {
 	// arcArena backs every node's Neighbors() slice, laid out exactly like
 	// the CSR arc arrays.
 	arcArena []graph.Arc
-	// stamp/pay are the mailbox arenas: slot lo(v)+k holds the message in
-	// flight to v from its k-th neighbor, stamped with the round at which it
-	// becomes readable; a nil payload under the stamp is a dropped message.
-	// Two arenas alternate by round parity so round-r readers never share an
+	// slots are the mailbox arenas: slot lo(v)+k holds the message in flight
+	// to v from its k-th neighbor, stamped with the round at which it becomes
+	// readable; a nil payload under the stamp is a dropped message. Two
+	// arenas alternate by round parity so round-r readers never share an
 	// array with round-(r+1) writers; stale stamps simply never match, so
 	// nothing is cleared between rounds. A shard's driver touches only its
 	// own window of them.
-	stamp [2][]int32
-	pay   [2][]Payload
+	slots [2][]slot
 	// outStamp detects cross-shard double sends on the sender side, indexed
 	// by the sender's own arc. Grown only for runs of several shards.
 	outStamp [2][]int32
-	// txStamp/txPay are the radio-model transmission arenas (one slot per
-	// node, parity-doubled and epoch-stamped like the mailbox arenas; see
+	// tx are the radio-model transmission arenas (one slot per node,
+	// parity-doubled and epoch-stamped like the mailbox arenas; see
 	// radio.go). They are grown only for ModelRadio runs. A transmission slot
 	// has one writer and is read only in the next round, so every shard
 	// shares them.
-	txStamp [2][]int32
-	txPay   [2][]Payload
+	tx [2][]slot
 	// Fault-layer state (see fault.go): fault-free runs see dropThresh == 0
 	// and skip every drop check.
 	dropThresh uint64
@@ -175,6 +174,10 @@ type shard struct {
 	asleep   []int32
 	wakeList []int32
 	heap     wakeHeap
+	// inbox is the buffer StepRound and StepUntil materialize inboxes into.
+	// The shard's nodes run one at a time and each reads its inbox only
+	// until its next barrier, so one buffer serves them all.
+	inbox []Message
 	// Barrier report: live arrivals plus sleepers, and the first error in
 	// ascending node order.
 	live int
@@ -395,14 +398,13 @@ func (rs *runState) retire(d *shard) {
 func (rs *runState) drain(d *shard) {
 	stamp := int32(rs.rounds)
 	buf := stamp & 1
-	st, pay := rs.stamp[buf], rs.pay[buf]
+	box := rs.slots[buf]
 	p := len(rs.shards)
 	mark := len(d.heap.items) != 0
 	for src := range p {
 		ring := &rs.rings[buf][src*p+int(d.idx)]
 		for _, m := range *ring {
-			st[m.slot] = stamp
-			pay[m.slot] = m.pay
+			box[m.slot] = slot{pay: m.pay, stamp: stamp}
 			if mark {
 				d.markMail(graph.NodeID(m.to))
 			}
@@ -412,13 +414,14 @@ func (rs *runState) drain(d *shard) {
 }
 
 // relay sends p on arc k to slot s of another shard: the sender-side stamp
-// catches a second send on the arc, and unless the lossy network drops it
+// catches a second send on the arc (read, as on a local arc, only after the
+// node's first send of the round), and unless the lossy network drops it
 // the message rides the ring to the receiver's shard.
 func (c *Ctx) relay(k int, s, stamp int32, p Payload) {
 	rs := c.run
 	buf := stamp & 1
 	a := c.lo + int32(k)
-	if rs.outStamp[buf][a] == stamp {
+	if c.pMsgs != 0 && rs.outStamp[buf][a] == stamp {
 		c.sentTwice(k)
 	}
 	rs.outStamp[buf][a] = stamp
@@ -448,10 +451,9 @@ func (rs *runState) shardOf(s int32) int32 {
 // hasMail reports whether a readable (undropped) message stamped for round
 // stamp waits in one of nd's mailbox slots.
 func (rs *runState) hasMail(nd *Ctx, stamp int32) bool {
-	buf := stamp & 1
-	st, pay := rs.stamp[buf], rs.pay[buf]
-	for s := nd.lo; s < nd.lo+int32(len(nd.arcs)); s++ {
-		if st[s] == stamp && pay[s] != nil {
+	box := rs.slots[stamp&1][nd.lo : nd.lo+int32(len(nd.arcs))]
+	for i := range box {
+		if box[i].stamp == stamp && box[i].pay != nil {
 			return true
 		}
 	}
@@ -562,14 +564,12 @@ func acquire(g *graph.Graph, opts Options) *runState {
 	numArcs := int(g.ArcOffset(n))
 	rs.g, rs.opts = g, opts
 	rs.rev, rs.order = g.RevArcs(), g.ArcsByNeighborID()
-	for i := range rs.stamp {
-		rs.stamp[i] = growInt32(rs.stamp[i], numArcs)
-		rs.pay[i] = growPayload(rs.pay[i], numArcs)
+	for i := range rs.slots {
+		rs.slots[i] = growSlots(rs.slots[i], numArcs)
 	}
 	if opts.Model == ModelRadio {
-		for i := range rs.txStamp {
-			rs.txStamp[i] = growInt32(rs.txStamp[i], n)
-			rs.txPay[i] = growPayload(rs.txPay[i], n)
+		for i := range rs.tx {
+			rs.tx[i] = growSlots(rs.tx[i], n)
 		}
 	}
 	plan := opts.Faults
@@ -607,7 +607,6 @@ func acquire(g *graph.Graph, opts Options) *runState {
 		nd.rngSeeded = false
 		nd.arrival = 0
 		nd.err = nil
-		nd.inbox = nd.inbox[:0]
 		nd.pMsgs, nd.pBits, nd.pMax = 0, 0, 0
 	}
 	if plan != nil {
@@ -642,7 +641,7 @@ func (rs *runState) cut(g *graph.Graph, p int) {
 	for i, v := range bounds {
 		rs.arcBounds[i] = g.ArcOffset(int(v))
 	}
-	if len(rs.shards) < p {
+	if cap(rs.shards) < p {
 		rs.shards = make([]shard, p)
 	}
 	rs.shards = rs.shards[:p]
@@ -702,9 +701,8 @@ func (rs *runState) sizeRings(p int) {
 // pool.
 func release(rs *runState) {
 	rs.wg.Wait()
-	for b := range rs.stamp {
-		clear(rs.stamp[b])
-		clear(rs.pay[b])
+	for b := range rs.slots {
+		clear(rs.slots[b])
 	}
 	if len(rs.shards) > 1 {
 		for b := range rs.outStamp {
@@ -717,15 +715,17 @@ func release(rs *runState) {
 	}
 	if rs.opts.Model == ModelRadio {
 		// Only a radio run writes the transmission arenas.
-		for b := range rs.txStamp {
-			clear(rs.txStamp[b])
-			clear(rs.txPay[b])
+		for b := range rs.tx {
+			clear(rs.tx[b])
 		}
+	}
+	for i := range rs.shards {
+		d := &rs.shards[i]
+		clear(d.inbox[:cap(d.inbox)])
+		d.inbox = d.inbox[:0]
 	}
 	for v := 0; v < rs.g.NumNodes(); v++ {
 		nd := &rs.nodes[v]
-		clear(nd.inbox[:cap(nd.inbox)])
-		nd.inbox = nd.inbox[:0]
 		nd.g = nil
 		nd.arcs = nil
 		nd.run, nd.shard = nil, nil

@@ -68,12 +68,19 @@ func TestEnginesSendToFinishedDropped(t *testing.T) {
 // ErrModelViolation at one shard and at three: double-send on one
 // edge-direction, sending to a non-neighbor, an invalid arc index, and an
 // oversized payload under a strict budget.
+//
+// A node's first send of a round skips the double-send read, so the
+// sequences that repeat an arc after a first send are checked too. They are
+// sent by node 1 of Path(4), which at three shards (cut {0,1} {2} {3}) has a
+// local arc to node 0 and a cross-shard arc to node 2, whose double sends the
+// sender-side stamp catches.
 func TestEnginesViolations(t *testing.T) {
-	cases := []struct {
+	type violation struct {
 		name string
 		opts Options
 		proc Proc
-	}{
+	}
+	cases := []violation{
 		{"double-send", Options{}, func(ctx *Ctx) error {
 			if ctx.ID() == 0 {
 				ctx.Send(1, intMsg{bits: 1})
@@ -111,6 +118,30 @@ func TestEnginesViolations(t *testing.T) {
 			ctx.StepRound()
 			return nil
 		}},
+	}
+	byNode1 := func(send func(ctx *Ctx)) Proc {
+		return func(ctx *Ctx) error {
+			if ctx.ID() == 1 {
+				send(ctx)
+			}
+			ctx.StepRound()
+			return nil
+		}
+	}
+	cases = append(cases, violation{"sendall-twice", Options{}, byNode1(func(ctx *Ctx) {
+		ctx.SendAll(intMsg{bits: 1})
+		ctx.SendAll(intMsg{bits: 1})
+	})})
+	for _, to := range []graph.NodeID{0, 2} {
+		cases = append(cases,
+			violation{fmt.Sprintf("sendarc-then-sendall-to%d", to), Options{}, byNode1(func(ctx *Ctx) {
+				ctx.SendArc(ctx.ArcIndex(to), intMsg{bits: 1})
+				ctx.SendAll(intMsg{bits: 1})
+			})},
+			violation{fmt.Sprintf("sendall-then-sendarc-to%d", to), Options{}, byNode1(func(ctx *Ctx) {
+				ctx.SendAll(intMsg{bits: 1})
+				ctx.SendArc(ctx.ArcIndex(to), intMsg{bits: 1})
+			})})
 	}
 	for _, sh := range shardings {
 		for _, tc := range cases {

@@ -16,13 +16,16 @@ import (
 //
 // The contract is the *Ctx contract: one payload per arc per round, sends in
 // round r surface at round r+1, StepRound returns the inbox ascending by
-// sender ID, and InboxArc is valid between a barrier and the next. Wrappers
+// sender ID in a slice valid until the node's next barrier (the engine
+// shares one buffer among a shard's nodes), and InboxArc is valid between a
+// barrier and the next. Wrappers
 // may stretch one logical round over several physical ones, but Round()
 // always counts the logical rounds the protocol experienced.
 //
 // StepUntil(round) performs at least one barrier, keeps stepping until the
 // node has a readable message or Round() >= round, and returns that round's
-// inbox as StepRound would; with round <= Round()+1 it is StepRound. It is
+// inbox as StepRound would, valid until the node's next barrier; with
+// round <= Round()+1 it is StepRound. It is
 // for waits that mean "nothing to do until a message or a known round": an
 // implementation may let the node sleep through the rounds in between, but
 // the rounds, messages and inboxes the protocol sees are those of stepping.

@@ -16,7 +16,7 @@ import (
 // detection — the receiver can distinguish noise from silence, the stronger
 // of the two standard variants).
 //
-// Implementation: transmissions live in per-node arenas (txStamp/txPay,
+// Implementation: transmissions live in per-node slot arenas (tx,
 // parity-doubled and epoch-stamped exactly like the mailbox arenas), so a
 // transmit is one exclusive-writer O(1) store and a receive is an O(degree)
 // scan over the neighbors' slots. The arenas are allocated only for radio
@@ -90,13 +90,11 @@ func (c *Ctx) Transmit(p Payload) {
 		c.oversized("transmitted", b)
 	}
 	stamp := int32(c.round) + 1
-	buf := stamp & 1
-	st, pay := rs.txStamp[buf], rs.txPay[buf]
-	if st[c.id] == stamp {
+	sl := &rs.tx[stamp&1][c.id]
+	if sl.stamp == stamp {
 		c.fail(fmt.Errorf("%w: node %d transmitted twice in round %d", ErrModelViolation, c.id, c.round))
 	}
-	st[c.id] = stamp
-	pay[c.id] = p
+	*sl = slot{pay: p, stamp: stamp}
 	c.pMsgs++
 	c.pBits += int64(b)
 	if b > c.pMax {
@@ -122,8 +120,7 @@ func (c *Ctx) RadioRecv() (Payload, graph.NodeID, RadioStatus) {
 		return nil, -1, RadioSilence
 	}
 	rs := c.run
-	buf := stamp & 1
-	st, pay := rs.txStamp[buf], rs.txPay[buf]
+	tx := rs.tx[stamp&1]
 	thresh, seed := rs.dropThresh, rs.faultSeed
 	var (
 		heard int
@@ -131,7 +128,7 @@ func (c *Ctx) RadioRecv() (Payload, graph.NodeID, RadioStatus) {
 		p     Payload
 	)
 	for k, a := range c.arcs {
-		if st[a.To] != stamp {
+		if tx[a.To].stamp != stamp {
 			continue
 		}
 		// Drops key on the receiver-side arc slot, exactly like classic-model
@@ -143,7 +140,7 @@ func (c *Ctx) RadioRecv() (Payload, graph.NodeID, RadioStatus) {
 		if heard++; heard > 1 {
 			return nil, -1, RadioCollision
 		}
-		from, p = a.To, pay[a.To]
+		from, p = a.To, tx[a.To].pay
 	}
 	if heard == 0 {
 		return nil, -1, RadioSilence
