@@ -82,7 +82,7 @@ func runRaft(args []string, out io.Writer) error {
 		return fmt.Errorf("commit safety violated: %w", err)
 	}
 
-	quorum := raftQuorumComponent(g, dead)
+	quorum := elect.QuorumComponent(g, dead)
 	elections, minCommit := 0, -1
 	for v, o := range outc {
 		if skip(v) {
@@ -111,33 +111,6 @@ func runRaft(args []string, out io.Writer) error {
 		}
 		if minCommit < *entries {
 			return fmt.Errorf("-require-commit: quorum component committed only %d/%d entries", minCommit, *entries)
-		}
-	}
-	return nil
-}
-
-// raftQuorumComponent returns the surviving connected component holding at
-// least a quorum of the original n nodes, nil if none does.
-func raftQuorumComponent(g *graph.Graph, dead map[graph.NodeID]bool) []graph.NodeID {
-	n := g.NumNodes()
-	seen := make([]bool, n)
-	for s := 0; s < n; s++ {
-		if seen[s] || dead[s] {
-			continue
-		}
-		comp := []graph.NodeID{s}
-		seen[s] = true
-		for i := 0; i < len(comp); i++ {
-			to, _ := g.Arcs(comp[i])
-			for _, w := range to {
-				if !seen[w] && !dead[int(w)] {
-					seen[w] = true
-					comp = append(comp, int(w))
-				}
-			}
-		}
-		if len(comp) >= n/2+1 {
-			return comp
 		}
 	}
 	return nil

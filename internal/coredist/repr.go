@@ -1,8 +1,9 @@
-// Package coredist implements the paper's construction algorithms as real
-// CONGEST protocols on the simulator: CoreSlow (Algorithm 1, §5.3), CoreFast
-// (Algorithm 2, §5.4), the Verification subroutine (§5.5, via package
-// partops) and the FindShortcut framework (Theorem 3) with the Appendix A
-// doubling driver.
+// Package coredist implements the paper's core subroutines as real CONGEST
+// protocols on the simulator: CoreSlow (Algorithm 1, §5.3), CoreFast
+// (Algorithm 2, §5.4) and the canonical full-ancestor witness shortcut.
+// Package findshort composes them with the Verification subroutine (§5.5,
+// package partops) into the FindShortcut framework (Theorem 3) and the
+// Appendix A doubling driver.
 //
 // Every protocol ends with the distributed shortcut representation of §4.1:
 // each node knows, for each of its incident tree edges, the set of part IDs

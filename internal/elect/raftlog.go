@@ -464,3 +464,32 @@ func RaftLogConsistent(out []RaftLogOutcome, skip func(graph.NodeID) bool) error
 	}
 	return nil
 }
+
+// QuorumComponent returns the surviving connected component of g (dead marks
+// the crashed nodes) holding at least a quorum of the original n nodes, or
+// nil if none does — the only place Raft liveness can be demanded after
+// crashes.
+func QuorumComponent(g *graph.Graph, dead map[graph.NodeID]bool) []graph.NodeID {
+	n := g.NumNodes()
+	seen := make([]bool, n)
+	for s := 0; s < n; s++ {
+		if seen[s] || dead[s] {
+			continue
+		}
+		comp := []graph.NodeID{s}
+		seen[s] = true
+		for i := 0; i < len(comp); i++ {
+			to, _ := g.Arcs(comp[i])
+			for _, w := range to {
+				if !seen[w] && !dead[int(w)] {
+					seen[w] = true
+					comp = append(comp, int(w))
+				}
+			}
+		}
+		if len(comp) >= n/2+1 {
+			return comp
+		}
+	}
+	return nil
+}

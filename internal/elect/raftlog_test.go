@@ -34,35 +34,6 @@ func crashedSet(plan *congest.FaultPlan) map[graph.NodeID]bool {
 	return dead
 }
 
-// quorumComponent returns the members of the survivor connected component
-// holding at least a quorum of the ORIGINAL n nodes, or nil if none does —
-// the only place liveness can be demanded after crashes.
-func quorumComponent(g *graph.Graph, dead map[graph.NodeID]bool) []graph.NodeID {
-	n := g.NumNodes()
-	quorum := n/2 + 1
-	seen := make([]bool, n)
-	for s := 0; s < n; s++ {
-		if seen[s] || dead[s] {
-			continue
-		}
-		comp := []graph.NodeID{s}
-		seen[s] = true
-		for i := 0; i < len(comp); i++ {
-			to, _ := g.Arcs(comp[i])
-			for _, w := range to {
-				if !seen[w] && !dead[int(w)] {
-					seen[w] = true
-					comp = append(comp, int(w))
-				}
-			}
-		}
-		if len(comp) >= quorum {
-			return comp
-		}
-	}
-	return nil
-}
-
 // TestRaftLogFaultFreeCommits pins the base case on the raw engine: one
 // stable leader emerges, every node commits the full log, commits agree,
 // and one shard and three produce byte-identical outcomes.
@@ -129,7 +100,7 @@ func TestRaftLogAllFamiliesFaultRegimes(t *testing.T) {
 				if err := elect.RaftLogConsistent(out, func(v graph.NodeID) bool { return dead[v] }); err != nil {
 					t.Fatalf("%s: %v", reg.name, err)
 				}
-				for _, v := range quorumComponent(g, dead) {
+				for _, v := range elect.QuorumComponent(g, dead) {
 					if out[v].Commit < run.Entries {
 						t.Errorf("%s: quorum-component node %d committed %d entries, want ≥ %d", reg.name, v, out[v].Commit, run.Entries)
 					}

@@ -65,8 +65,8 @@ type Scenario struct {
 	// registry scenario it wraps.
 	Name string
 	// Heavy marks scenarios too slow for smoke runs (the committing Raft,
-	// the million-node flood, the largest construction): benchmark smoke
-	// runs skip them and MeasureSuite times exactly one iteration.
+	// the million-node flood): benchmark smoke runs skip them and
+	// MeasureSuite times exactly one iteration.
 	Heavy bool
 	// Graph returns the scenario's graph, built once and cached.
 	Graph func() *graph.Graph
@@ -337,8 +337,8 @@ func bfsOpenOn(family string, n int, seed int64) Scenario {
 // see DESIGN.md). The construction is centralized, so no CONGEST rounds run
 // and the reported sim counters are zero. The partition and the tree are
 // the construction's input, so Graph builds them with the graph, outside
-// the timed runs: a Heavy scenario times its first run, with no warm-up.
-func findShortcutOn(family string, n int, seed int64, heavy bool) Scenario {
+// the timed runs.
+func findShortcutOn(family string, n int, seed int64) Scenario {
 	name, graphFn := graphOf(family, n, seed)
 	var once sync.Once
 	var tr *tree.Tree
@@ -362,8 +362,7 @@ func findShortcutOn(family string, n int, seed int64, heavy bool) Scenario {
 		}
 	}
 	return Scenario{
-		Name:  "findshortcut/" + name,
-		Heavy: heavy,
+		Name: "findshortcut/" + name,
 		Graph: func() *graph.Graph {
 			g := graphFn()
 			input(g)
@@ -441,13 +440,11 @@ func Scenarios() []Scenario {
 	// scenario.
 	suite = append(suite, broadcastLargeOn("ba", 1000000, 7))
 	// The centralized FindShortcut construction hot path, sequential vs the
-	// parallel worker pool, on a mid-size mesh and the two largest families
-	// (er-sparse-50000 is Heavy: the doubling driver re-runs the core
-	// subroutine across many estimates there).
+	// parallel worker pool, on a mid-size mesh and the two largest families.
 	suite = append(suite,
-		findShortcutOn("geometric", 2048, 5, false),
-		findShortcutOn("grid", 16384, 1, false),
-		findShortcutOn("er-sparse", 50000, 1, true),
+		findShortcutOn("geometric", 2048, 5),
+		findShortcutOn("grid", 16384, 1),
+		findShortcutOn("er-sparse", 50000, 1),
 	)
 	return suite
 }

@@ -117,7 +117,7 @@ func TestMeasureSmoke(t *testing.T) {
 			return congest.Run(g, TokenRingProc(g.NumNodes(), g.NumNodes()), congest.Options{Seed: 1, Shards: shards})
 		},
 	}}
-	tiny = append(tiny, findShortcutOn("grid", 36, 1, false))
+	tiny = append(tiny, findShortcutOn("grid", 36, 1))
 	for _, tc := range []struct {
 		procs   int
 		engines []string

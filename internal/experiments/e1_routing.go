@@ -87,9 +87,6 @@ func measureCastRounds(rc *RunContext, g *graph.Graph, p *partition.Partition) (
 			if err != nil {
 				return err
 			}
-			if err := m.Annotate(ctx); err != nil {
-				return err
-			}
 			// The values are globally agreed; only node 0 records them so the
 			// per-node closure stays race-free.
 			if ctx.ID() == 0 {

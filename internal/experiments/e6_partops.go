@@ -58,39 +58,29 @@ func runE6(rc *RunContext) (*Table, error) {
 				if err != nil {
 					return err
 				}
-				fr, ok, err := findshort.Phase(ctx, info, p, findshort.Config{C: cStar, B: 1, NumParts: p.NumParts(), Seed: 7})
+				m, steps, err := findshort.Route(ctx, info, p, p.NumParts(), 7, cStar, 1, false)
 				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("construction failed")
-				}
-				m, err := partops.BuildMembership(ctx, fr.NS, p)
-				if err != nil {
-					return err
-				}
-				if err := m.Annotate(ctx); err != nil {
 					return err
 				}
 				// Globally agreed values; only node 0 records them so the
 				// per-node closure stays race-free.
 				if ctx.ID() == 0 {
-					d, cMax, bUsed = info.Height, m.CMax, 3
+					d, cMax, bUsed = info.Height, m.CMax, steps
 				}
 				if !withOps {
 					return nil
 				}
-				leaders, err := m.ElectLeaders(ctx, 3)
+				leaders, err := m.ElectLeaders(ctx, steps)
 				if err != nil {
 					return err
 				}
-				if _, err := m.BroadcastValue(ctx, leaders, func(i int) int64 { return int64(i) }, 3); err != nil {
+				if _, err := m.BroadcastValue(ctx, leaders, func(i int) int64 { return int64(i) }, steps); err != nil {
 					return err
 				}
 				top := partops.IDVal{V: int64(1) << 61, N: g.NumNodes()}
 				_, err = m.MinToAll(ctx, func(i int) partops.Value {
 					return partops.IDVal{V: int64(ctx.ID()), N: g.NumNodes()}
-				}, top, func(a, b partops.Value) bool { return a.(partops.IDVal).V < b.(partops.IDVal).V }, 3)
+				}, top, func(a, b partops.Value) bool { return a.(partops.IDVal).V < b.(partops.IDVal).V }, steps)
 				return err
 			}, congest.Options{})
 			return stats.Rounds, err

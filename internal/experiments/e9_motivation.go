@@ -5,7 +5,7 @@ import (
 
 	"lcshortcut/internal/bfsproto"
 	"lcshortcut/internal/congest"
-	"lcshortcut/internal/coredist"
+	"lcshortcut/internal/findshort"
 	"lcshortcut/internal/gen"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/partition"
@@ -78,15 +78,8 @@ func measureCanonicalBlockcast(rc *RunContext, g *graph.Graph, p *partition.Part
 			if err != nil {
 				return err
 			}
-			ns, err := coredist.CanonicalPhase(ctx, info, p)
+			m, _, err := findshort.Route(ctx, info, p, p.NumParts(), 13, 0, 0, true)
 			if err != nil {
-				return err
-			}
-			m, err := partops.BuildMembership(ctx, ns, p)
-			if err != nil {
-				return err
-			}
-			if err := m.Annotate(ctx); err != nil {
 				return err
 			}
 			if !withCast {

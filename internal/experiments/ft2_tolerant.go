@@ -120,7 +120,7 @@ func ft2Raft(rc *RunContext, g *graph.Graph, plan *congest.FaultPlan) (row []str
 	safe := elect.RaftLogConsistent(out, func(v graph.NodeID) bool { return dead[v] }) == nil
 	live := true
 	minCommit := -1
-	for _, v := range quorumComponentOf(g, dead) {
+	for _, v := range elect.QuorumComponent(g, dead) {
 		if out[v].Commit < cfg.Entries {
 			live = false
 		}
@@ -165,35 +165,6 @@ func crashedOf(plan *congest.FaultPlan) map[graph.NodeID]bool {
 		}
 	}
 	return dead
-}
-
-// quorumComponentOf returns the surviving connected component holding at
-// least a quorum of the original n nodes (nil if none does) — the only place
-// Raft liveness can be demanded after crashes.
-func quorumComponentOf(g *graph.Graph, dead map[graph.NodeID]bool) []graph.NodeID {
-	n := g.NumNodes()
-	quorum := n/2 + 1
-	seen := make([]bool, n)
-	for s := 0; s < n; s++ {
-		if seen[s] || dead[s] {
-			continue
-		}
-		comp := []graph.NodeID{s}
-		seen[s] = true
-		for i := 0; i < len(comp); i++ {
-			to, _ := g.Arcs(comp[i])
-			for _, w := range to {
-				if !seen[w] && !dead[int(w)] {
-					seen[w] = true
-					comp = append(comp, int(w))
-				}
-			}
-		}
-		if len(comp) >= quorum {
-			return comp
-		}
-	}
-	return nil
 }
 
 func runFT2(rc *RunContext) (*Table, error) {

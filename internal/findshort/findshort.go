@@ -4,6 +4,12 @@
 // tentative shortcut subgraph has at most 3b block components, until every
 // part is fixed — plus the Appendix A doubling driver for unknown (b, c).
 //
+// Route is the one entry point the applications (MST, per-part
+// aggregation, min-cut certification, experiments E6 and E9) use to get a
+// shortcut they can route over: it picks the canonical witness, FindShortcut
+// at a known (c, b) or the doubling search, and returns the annotated block
+// membership with its Theorem 2 superstep budget.
+//
 // The protocol composes the phase functions of packages bfsproto, coredist
 // and partops; every phase keeps all nodes aligned at the same global round,
 // so the whole construction runs inside one simulation with exact round
@@ -121,12 +127,9 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, cf
 			return nil, false, err
 		}
 
-		// Verification: membership, annotation, block counting vs 3B.
+		// Verification: annotated membership, block counting vs 3B.
 		m, err := partops.BuildMembership(ctx, ns, assign)
 		if err != nil {
-			return nil, false, err
-		}
-		if err := m.Annotate(ctx); err != nil {
 			return nil, false, err
 		}
 		verdicts, err := m.VerifyBlockCount(ctx, 3*cfg.B)
@@ -223,6 +226,46 @@ func AutoPhase(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign
 		probes++
 	}
 	return nil, fmt.Errorf("findshort: doubling search exhausted at estimate > 2n = %d", 2*info.Count)
+}
+
+// Route builds the shortcut a Theorem 2 application routes over and returns
+// this node's annotated block membership of it together with the superstep
+// budget 3·b that makes the part-wide casts globally consistent. canonical
+// selects the canonical full-ancestor witness (b = 1, no search); otherwise
+// c, b > 0 run FindShortcut at that (c, b), failing if it does not finish,
+// and anything else runs the Appendix A doubling search, whose successful
+// estimate is b. numParts bounds the iteration budget and seed feeds
+// CoreFast, as in Config. All nodes enter and leave aligned.
+func Route(ctx *congest.Ctx, info *bfsproto.Info, assign coredist.PartAssign, numParts int, seed int64, c, b int, canonical bool) (*partops.Membership, int, error) {
+	var ns *coredist.NodeShortcut
+	switch {
+	case canonical:
+		cns, err := coredist.CanonicalPhase(ctx, info, assign)
+		if err != nil {
+			return nil, 0, err
+		}
+		ns, b = cns, 1
+	case c > 0 && b > 0:
+		res, ok, err := Phase(ctx, info, assign, Config{C: c, B: b, NumParts: numParts, Seed: seed})
+		if err != nil {
+			return nil, 0, err
+		}
+		if !ok {
+			return nil, 0, fmt.Errorf("findshort: FindShortcut failed with C=%d B=%d; use the doubling search", c, b)
+		}
+		ns = res.NS
+	default:
+		ar, err := AutoPhase(ctx, info, assign, numParts, seed, false)
+		if err != nil {
+			return nil, 0, err
+		}
+		ns, b = ar.NS, ar.Est
+	}
+	m, err := partops.BuildMembership(ctx, ns, assign)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, 3 * b, nil
 }
 
 // Run executes BFS + FindShortcut on graph g with the given partition and

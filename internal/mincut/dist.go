@@ -5,11 +5,10 @@ import (
 
 	"lcshortcut/internal/bfsproto"
 	"lcshortcut/internal/congest"
-	"lcshortcut/internal/coredist"
+	"lcshortcut/internal/findshort"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/mst"
 	"lcshortcut/internal/partition"
-	"lcshortcut/internal/partops"
 )
 
 // PackResult is one node's output of the distributed packing stage.
@@ -139,16 +138,8 @@ func (s sideAssign) Part(v graph.NodeID) int {
 // tree aggregate. inWitness is this node's membership in S. Returns the
 // certified cut weight, identical at every node.
 func CertifyPhase(ctx *congest.Ctx, info *bfsproto.Info, inWitness bool) (int64, error) {
-	assign := sideAssign{me: ctx.ID(), in: inWitness}
-	ns, err := coredist.CanonicalPhase(ctx, info, assign)
+	m, steps, err := findshort.Route(ctx, info, sideAssign{me: ctx.ID(), in: inWitness}, 1, info.Seed, 0, 0, true)
 	if err != nil {
-		return 0, err
-	}
-	m, err := partops.BuildMembership(ctx, ns, assign)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.Annotate(ctx); err != nil {
 		return 0, err
 	}
 	// Each member's crossing weight: incident edges whose far endpoint is
@@ -167,7 +158,7 @@ func CertifyPhase(ctx *congest.Ctx, info *bfsproto.Info, inWitness bool) (int64,
 			return cross
 		}
 		return 0
-	}, 3)
+	}, steps)
 	if err != nil {
 		return 0, err
 	}

@@ -7,10 +7,10 @@
 // aligned phase functions:
 //
 //  1. Packing — k rounds of the distributed Boruvka MST (internal/mst,
-//     running over the shortcut framework: coredist + partops) where round t
-//     orders edges by (load, weight, edge ID) and load(e) counts the packed
-//     trees already using e. Greedy tree packing spreads the trees across
-//     the graph, so some packed tree crosses a minimum cut few times.
+//     routing over shortcuts from findshort.Route) where round t orders
+//     edges by (load, weight, edge ID) and load(e) counts the packed trees
+//     already using e. Greedy tree packing spreads the trees across the
+//     graph, so some packed tree crosses a minimum cut few times.
 //  2. Evaluation — for every packed tree, the minimum 1-respecting cut: the
 //     best cut obtained by removing one tree edge (the subtree below it
 //     against the rest). When a packed tree crosses a min cut exactly once,

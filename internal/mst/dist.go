@@ -5,7 +5,6 @@ import (
 
 	"lcshortcut/internal/bfsproto"
 	"lcshortcut/internal/congest"
-	"lcshortcut/internal/coredist"
 	"lcshortcut/internal/findshort"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/partops"
@@ -221,54 +220,22 @@ func Phase(ctx *congest.Ctx, info *bfsproto.Info, cfg Config) (*NodeResult, erro
 	return res, nil
 }
 
-// agreeShortcut constructs a shortcut for the current fragments and runs the
-// Theorem 2 idempotent convergecast over it. StrategyCanonical forces
-// (c, b) = (n, 1): every edge stays usable, producing the full-ancestor
-// witness shortcut without a doubling search.
+// agreeShortcut routes over a shortcut for the current fragments — the
+// canonical witness under StrategyCanonical, otherwise FindShortcut at
+// cfg's (C, B) or the doubling search (findshort.Route) — and runs the
+// Theorem 2 idempotent convergecast over it.
 func agreeShortcut(ctx *congest.Ctx, info *bfsproto.Info, frag *int, own mstVal, cfg Config, phase int) (mstVal, error) {
-	assign := fragView{me: ctx.ID(), frag: frag}
-	seed := info.Seed + int64(7919*phase)
-	var (
-		ns    *coredist.NodeShortcut
-		bUsed int
-	)
-	switch {
-	case cfg.Strategy == StrategyCanonical:
-		cns, err := coredist.CanonicalPhase(ctx, info, assign)
-		if err != nil {
-			return mstVal{}, err
-		}
-		ns, bUsed = cns, 1
-	case cfg.C > 0 && cfg.B > 0:
-		fr, ok, err := findshort.Phase(ctx, info, assign, findshort.Config{
-			C: cfg.C, B: cfg.B, NumParts: info.Count, Seed: seed})
-		if err != nil {
-			return mstVal{}, err
-		}
-		if !ok {
-			return mstVal{}, fmt.Errorf("mst: FindShortcut failed with C=%d B=%d; use the doubling mode", cfg.C, cfg.B)
-		}
-		ns, bUsed = fr.NS, cfg.B
-	default:
-		ar, err := findshort.AutoPhase(ctx, info, assign, info.Count, seed, false)
-		if err != nil {
-			return mstVal{}, err
-		}
-		ns, bUsed = ar.NS, ar.Est
-	}
-	m, err := partops.BuildMembership(ctx, ns, assign)
+	m, steps, err := findshort.Route(ctx, info, fragView{me: ctx.ID(), frag: frag}, info.Count,
+		info.Seed+int64(7919*phase), cfg.C, cfg.B, cfg.Strategy == StrategyCanonical)
 	if err != nil {
-		return mstVal{}, err
-	}
-	if err := m.Annotate(ctx); err != nil {
-		return mstVal{}, err
+		return mstVal{}, fmt.Errorf("mst: %w", err)
 	}
 	top := mstVal{valid: false, n: own.n, m: own.m}
 	var ownV partops.Value
 	if own.valid {
 		ownV = own
 	}
-	mins, err := m.MinToAll(ctx, func(int) partops.Value { return ownV }, top, lessVal, 3*bUsed)
+	mins, err := m.MinToAll(ctx, func(int) partops.Value { return ownV }, top, lessVal, steps)
 	if err != nil {
 		return mstVal{}, err
 	}

@@ -14,7 +14,6 @@ import (
 
 	"lcshortcut/internal/bfsproto"
 	"lcshortcut/internal/congest"
-	"lcshortcut/internal/coredist"
 	"lcshortcut/internal/findshort"
 	"lcshortcut/internal/graph"
 	"lcshortcut/internal/partition"
@@ -46,42 +45,10 @@ type Config struct {
 // completed BFS phase. Uncovered nodes participate in routing (as Steiner
 // vertices) and return a nil report.
 func Phase(ctx *congest.Ctx, info *bfsproto.Info, p *partition.Partition, value int64, cfg Config) (*Report, error) {
-	var (
-		nodeNS *coredist.NodeShortcut
-		bU     int
-		err    error
-	)
-	if cfg.Canonical {
-		nodeNS, err = coredist.CanonicalPhase(ctx, info, p)
-		if err != nil {
-			return nil, err
-		}
-		bU = 1
-	} else if cfg.C > 0 && cfg.B > 0 {
-		fr, ok, ferr := findshort.Phase(ctx, info, p, findshort.Config{
-			C: cfg.C, B: cfg.B, NumParts: p.NumParts(), Seed: cfg.Seed})
-		if ferr != nil {
-			return nil, ferr
-		}
-		if !ok {
-			return nil, fmt.Errorf("partagg: FindShortcut failed with C=%d B=%d", cfg.C, cfg.B)
-		}
-		nodeNS, bU = fr.NS, cfg.B
-	} else {
-		ar, aerr := findshort.AutoPhase(ctx, info, p, p.NumParts(), cfg.Seed, false)
-		if aerr != nil {
-			return nil, aerr
-		}
-		nodeNS, bU = ar.NS, ar.Est
-	}
-	m, err := partops.BuildMembership(ctx, nodeNS, p)
+	m, steps, err := findshort.Route(ctx, info, p, p.NumParts(), cfg.Seed, cfg.C, cfg.B, cfg.Canonical)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("partagg: %w", err)
 	}
-	if err := m.Annotate(ctx); err != nil {
-		return nil, err
-	}
-	steps := 3 * bU
 	leaders, err := m.ElectLeaders(ctx, steps)
 	if err != nil {
 		return nil, err

@@ -17,24 +17,21 @@ type annMsg struct {
 
 func (m annMsg) Bits() int { return 3*congest.BitsForID(m.n) + 1 }
 
-// Annotate fills RootDepth and RootID for every block this node belongs to,
+// annotate fills RootDepth and RootID for every block this node belongs to,
 // by a downward pipelined pass: block roots know their role locally (their
 // parent edge is not in H_i) and every other member learns its root from its
 // tree parent. Messages on a shared edge are scheduled by (rootDepth, part)
 // priority; by the broadcast half of Lemma 2 the pass completes within
-// depth(T) + CMax rounds — Annotate runs exactly CastBudget rounds and
+// depth(T) + CMax rounds — annotate runs exactly CastBudget rounds and
 // errors if anything is left undelivered (which would disprove the bound).
 // A node with no queued annotation whose root it knows waits in StepUntil
 // for its parent's message or the end of the budget. All nodes enter and
 // leave aligned.
-func (m *Membership) Annotate(ctx congest.Net) error {
+func (m *Membership) annotate(ctx congest.Net) error {
 	pending := m.s.pending
-	for c := range pending {
-		pending[c] = pending[c][:0]
-	}
 	// Roots know themselves; every other block learns its root from above.
 	for k := range m.Parts {
-		m.RootDepth[k], m.RootID[k] = -1, 0
+		m.RootDepth[k] = -1
 		if !m.ParentIn[k] {
 			m.RootDepth[k], m.RootID[k] = m.Info.Depth, ctx.ID()
 		}

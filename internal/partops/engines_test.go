@@ -15,10 +15,11 @@ type castOut struct {
 	Min        []Value
 }
 
-// TestPartopsEnginesIdentical pins the shard-count contract for Annotate
-// and the Lemma 2 casts behind VerifyBlockCount and MinToAll, which sleep:
-// every node's membership, verdicts, minima and the Stats must be identical
-// at one shard and at three.
+// TestPartopsEnginesIdentical pins the shard-count contract for
+// BuildMembership's annotation pass and the Lemma 2 casts behind
+// VerifyBlockCount and MinToAll, which sleep: every node's membership,
+// verdicts, minima and the Stats must be identical at one shard and at
+// three.
 func TestPartopsEnginesIdentical(t *testing.T) {
 	for _, in := range testInstances(t) {
 		t.Run(in.name, func(t *testing.T) {

@@ -1,9 +1,14 @@
 // Package partops implements routing on tree-restricted shortcuts (§4.3 of
-// the paper): the distributed block-membership representation (§4.1), the
-// block-root annotation pass, the pipelined multi-subtree convergecast and
-// broadcast of Lemma 2, the part-parallel leader election / broadcast /
+// the paper): the distributed block-membership representation (§4.1) with
+// its block-root annotation pass, the pipelined multi-subtree convergecast
+// and broadcast of Lemma 2, the part-parallel leader election / broadcast /
 // convergecast of Theorem 2, and the block-counting Verification subroutine
 // of Lemmas 3 and 6.
+//
+// BuildMembership turns any shortcut's distributed representation into an
+// annotated Membership the casts run on. The applications get theirs from
+// findshort.Route, which also picks the shortcut and the Theorem 2
+// superstep budget.
 //
 // All routines are per-node phase functions over the congest simulator: each
 // enters and leaves with every node aligned at the same global round, so they
@@ -47,7 +52,7 @@ type Membership struct {
 	// H_{Parts[k]} edges, as indices into Info.Children and Info.ChildArcs.
 	ChildrenIn [][]int
 	// RootDepth[k] and RootID[k] identify this node's block of part
-	// Parts[k] — filled by Annotate (RootDepth is -1 before); the pair
+	// Parts[k], learned by BuildMembership's annotation pass; the pair
 	// (RootDepth, part) is Lemma 2's routing priority and RootID is the
 	// block's unique key.
 	RootDepth []int
@@ -91,9 +96,11 @@ type partAnnounce struct{ part, n int }
 func (m partAnnounce) Bits() int { return congest.BitsForID(m.n) + 1 }
 
 // BuildMembership derives block membership from the node's shortcut state,
-// announces parts to neighbors (1 round) and aggregates the global
-// per-edge-part-count maximum (2·depth(T)+3 rounds). All nodes must call it
-// aligned; they leave aligned.
+// announces parts to neighbors (1 round), aggregates the global
+// per-edge-part-count maximum (2·depth(T)+3 rounds) and annotates every
+// block with its root (CastBudget rounds), so the casts can run on the
+// Membership it returns. All nodes must call it aligned; they leave
+// aligned.
 func BuildMembership(ctx congest.Net, ns *coredist.NodeShortcut, assign coredist.PartAssign) (*Membership, error) {
 	info := ns.Info
 	m := &Membership{Info: info, OwnPart: assign.Part(ctx.ID())}
@@ -153,9 +160,6 @@ func BuildMembership(ctx congest.Net, ns *coredist.NodeShortcut, assign coredist
 	}
 	m.RootDepth = make([]int, np)
 	m.RootID = make([]graph.NodeID, np)
-	for k := range m.RootDepth {
-		m.RootDepth[k] = -1
-	}
 	m.NeighborPart = make([]int, ctx.Degree())
 	vals := make([]Value, 3*np+ctx.Degree())
 	m.s.acc, m.s.got, m.s.cur, m.s.recv = vals[:np:np], vals[np:2*np:2*np], vals[2*np:3*np:3*np], vals[3*np:]
@@ -184,6 +188,9 @@ func BuildMembership(ctx congest.Net, ns *coredist.NodeShortcut, assign coredist
 		return nil, err
 	}
 	m.CMax = int(cMax)
+	if err := m.annotate(ctx); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 

@@ -11,24 +11,15 @@ import (
 // and a broadcast back — O(D + c) rounds by Lemma 2. Supergraph algorithms
 // (leader election, BFS, counting) advance one supergraph hop per superstep.
 
-// SpreadMin runs `steps` min-propagation supersteps: every node starts with
-// init(part) for each of its blocks and after k steps holds the minimum
-// (by less) over all blocks within k supergraph hops whose members initially
-// held smaller values. It implements at once Theorem 2's leader election
-// (init = block root ID), broadcast (init = value at the leader, +∞
-// elsewhere) and idempotent convergecast (init = member values). init need
-// not be uniform within a block — the first intra-block cast folds it.
-// Returns the values aligned with Parts. All nodes enter and leave aligned:
-// steps·(2·CastBudget+1) rounds.
-func (m *Membership) SpreadMin(ctx congest.Net, init func(part int) Value, less func(a, b Value) bool, steps int) ([]Value, error) {
-	cur, err := m.spreadMin(ctx, func(k int) Value { return init(m.Parts[k]) }, less, steps)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(cur), nil
-}
-
-// spreadMin is SpreadMin on part indices; the returned slice is scratch.
+// spreadMin runs `steps` min-propagation supersteps: every node starts with
+// init(k) for each of its blocks (k indexes Parts) and after j steps holds
+// the minimum (by less) over all blocks within j supergraph hops whose
+// members initially held smaller values. It implements at once Theorem 2's
+// leader election (init = block root ID), broadcast (init = value at the
+// leader, +∞ elsewhere) and idempotent convergecast (init = member values).
+// init need not be uniform within a block — the first intra-block cast
+// folds it. Returns the values aligned with Parts in a scratch slice. All
+// nodes enter and leave aligned: steps·(2·CastBudget+1) rounds.
 func (m *Membership) spreadMin(ctx congest.Net, init func(k int) Value, less func(a, b Value) bool, steps int) ([]Value, error) {
 	minC := func(a, b Value) Value {
 		if less(b, a) {
@@ -150,12 +141,16 @@ func (m *Membership) BroadcastValue(ctx congest.Net, leaders []int64, value func
 // without a contribution pass nil (treated as +∞). Steiner nodes contribute
 // nothing. Returns the minima aligned with Parts.
 func (m *Membership) MinToAll(ctx congest.Net, own func(part int) Value, top Value, less func(a, b Value) bool, steps int) ([]Value, error) {
-	return m.SpreadMin(ctx, func(i int) Value {
-		if i == m.OwnPart {
-			if v := own(i); v != nil {
+	cur, err := m.spreadMin(ctx, func(k int) Value {
+		if k == m.own {
+			if v := own(m.OwnPart); v != nil {
 				return v
 			}
 		}
 		return top
 	}, less, steps+1)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(cur), nil
 }

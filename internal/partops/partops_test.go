@@ -69,9 +69,6 @@ func pipelineAt(tb testing.TB, in instance, shards, c int, cont func(ctx *conges
 		if err != nil {
 			return err
 		}
-		if err := m.Annotate(ctx); err != nil {
-			return err
-		}
 		members[ctx.ID()] = m
 		if cont != nil {
 			return cont(ctx, m)
@@ -231,9 +228,6 @@ func singletonPipeline(tb testing.TB, in instance, cont func(ctx *congest.Ctx, m
 		}
 		m, err := BuildMembership(ctx, &coredist.NodeShortcut{Info: info}, in.p)
 		if err != nil {
-			return err
-		}
-		if err := m.Annotate(ctx); err != nil {
 			return err
 		}
 		members[ctx.ID()] = m

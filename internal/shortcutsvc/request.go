@@ -74,14 +74,20 @@ func (r *Request) validate(cfg Config) error {
 		return badRequestf("request names no graph: set family/n/seed or nodes/edges")
 	}
 	if hasFamily {
-		if _, ok := scenario.Get(r.Family); !ok {
+		sc, ok := scenario.Get(r.Family)
+		if !ok {
 			return badRequestf("unknown scenario family %q", r.Family)
 		}
 		if r.N < 2 {
 			return badRequestf("n must be >= 2, got %d", r.N)
 		}
+		// Checking n first keeps the families' rounding away from overflow;
+		// the limit itself bounds the graph built, which may round n up.
 		if r.N > cfg.MaxNodes {
 			return &TooLargeError{msg: fmt.Sprintf("n=%d exceeds the limit %d", r.N, cfg.MaxNodes)}
+		}
+		if nodes := sc.NumNodes(r.N); nodes > cfg.MaxNodes {
+			return &TooLargeError{msg: fmt.Sprintf("n=%d builds a %d-node %s graph, over the limit %d", r.N, nodes, r.Family, cfg.MaxNodes)}
 		}
 	} else {
 		if r.Nodes < 2 {

@@ -30,10 +30,10 @@ func postJSON(t *testing.T, url string, body string) (*http.Response, string) {
 }
 
 // handlerCases drives /shortcut through the error and success paths: bad
-// family, oversized n, malformed partition specs, malformed JSON, uploaded
-// graphs good and bad, and the cache hit/miss headers. The cases run in
-// order against one service (the second hits the first's entry); their
-// bodies also seed FuzzRequest.
+// family, oversized n or built graph, malformed partition specs, malformed
+// JSON, uploaded graphs good and bad, and the cache hit/miss headers. The
+// cases run in order against one service (the second hits the first's
+// entry); their bodies also seed FuzzRequest.
 var handlerCases = []struct {
 	name       string
 	body       string
@@ -61,6 +61,21 @@ var handlerCases = []struct {
 		name:       "oversized-n",
 		body:       `{"family":"grid","n":100000,"seed":1,"partition":{"kind":"whole"}}`,
 		wantStatus: http.StatusRequestEntityTooLarge,
+	},
+	{
+		// Families round n up; the limit bounds the graph built (4,120
+		// nodes here), not the n requested.
+		name:       "rounded-up-over-limit",
+		body:       `{"family":"surface","n":4096,"seed":1,"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusRequestEntityTooLarge,
+	},
+	{
+		// The smallest surface mesh has 168 nodes, over FuzzRequest's
+		// limit, which seeds from this table.
+		name:       "surface-smallest",
+		body:       `{"family":"surface","n":2,"seed":1,"partition":{"kind":"whole"}}`,
+		wantStatus: http.StatusOK,
+		wantCache:  "miss",
 	},
 	{
 		name:       "no-graph",
